@@ -29,8 +29,5 @@ let run (cfg : Bench_config.t) =
   show_verdict "scaling-1-to-4" (Scaling.check_scaling report);
   show_verdict "padded-vs-boxed" (Scaling.check_padding report);
   let path = output_path cfg in
-  (match cfg.Bench_config.csv_dir with
-  | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-  | _ -> ());
   Partstm_util.Json.merge_into_file ~path (Scaling.to_json report);
   Printf.printf "(json: %s)\n" path

@@ -36,8 +36,5 @@ let run (cfg : Bench_config.t) =
   print_newline ();
   List.iter show_verdict (Protocol_bench.checks report);
   let path = output_path cfg in
-  (match cfg.Bench_config.csv_dir with
-  | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-  | _ -> ());
   Json.merge_into_file ~path (Protocol_bench.to_json report);
   Printf.printf "(json: %s)\n" path

@@ -1,46 +1,32 @@
-(* R-P1: descriptor fast-path per-operation cost (DESIGN.md §3, "descriptor
-   indexing").
+(* R-P1: descriptor per-access cost regression gate (DESIGN.md §3,
+   "descriptor indexing").
 
-   Two phases:
+   Host-time per-access cost by descriptor set size S (8/64/512), measured
+   on one thread with the direct Txn API, for the three descriptor lookups
+   that would cost O(S) per access without the Intmap + Bloom indexes:
 
-   1. Host-time per-operation cost by set size (8/64/512), measured on one
-      thread with the direct Txn API, for the three descriptor paths whose
-      historical implementations scanned a Vec per operation:
+     vis-read     S visible reads of distinct-slot tvars — every read asks
+                  [holds_visible];
+     vis-write    S visible reads then S writes — every acquire looks up
+                  its own visible hold;
+     wr-validate  S invisible reads + S self-locking writes, then a forced
+                  timestamp extension — validation resolves each
+                  self-locked entry's pre-lock word.
 
-        vis-read     S visible reads of distinct-slot tvars — every read
-                     asks [holds_visible] (was O(held reads));
-        vis-write    S visible reads then S writes — every acquire counts
-                     its own visible holds (was O(held reads));
-        wr-validate  S invisible reads + S self-locking writes, then a
-                     forced timestamp extension — validation resolves each
-                     self-locked entry's pre-lock word (was O(locks) each).
+   The per-access cost must stay flat: the 512-vs-8 per-access cost ratio
+   must not exceed [max_growth] on any path.  A linear scan measured
+   4.5–11.8x here, the indexes 0.8–1.5x.  (Ratios of per-access costs are
+   robust to the absolute speed of a shared box.) *)
 
-      With the index the per-op cost must stay flat while the baseline
-      grows with S; asserted as: the baseline's 512-vs-8 per-op cost ratio
-      exceeds twice the indexed ratio, for every path.  (Ratios of per-op
-      costs are robust to the absolute speed of a shared box.)
-
-   2. Equivalence on the deterministic simulator: index lookups charge no
-      virtual cycles, so a contended multi-worker run must produce a
-      bit-identical schedule under both arms — same event stream (via a
-      history tap), same commit/abort counts, same per-worker op counts —
-      and both histories must be oracle-clean.  The workload reads
-      distinct slots per transaction: read-set *contents* are then
-      arm-independent, which is the documented precondition for schedule
-      identity (indexed-mode anywhere-dedup may shrink read sets that
-      re-read an orec non-consecutively, legitimately changing validation
-      charges). *)
-
-open Partstm_util
 open Partstm_stm
 open Partstm_core
 open Partstm_harness
-module Check = Partstm_check
+
+let max_growth = 2.5
 
 (* Allocate tvars until [count] of them map to pairwise-distinct lock-table
-   slots.  Distinct slots make per-op costs comparable across set sizes
-   (no entry collapses into another's orec) and keep phase 2's read sets
-   duplicate-free. *)
+   slots.  Distinct slots make per-access costs comparable across set sizes
+   (no entry collapses into another's orec). *)
 let distinct_slot_tvars partition ~count =
   let table = (Partition.region partition).Region.table in
   let seen = Hashtbl.create (2 * count) in
@@ -58,8 +44,6 @@ let distinct_slot_tvars partition ~count =
     end
   done;
   Array.of_list (List.rev !out)
-
-(* -- Phase 1: per-operation host-time cost ------------------------------- *)
 
 type scenario = {
   sc_name : string;
@@ -123,8 +107,8 @@ let measure ~reps f =
   done;
   !best /. float_of_int reps
 
-let ns_per_op (cfg : Bench_config.t) scenario ~fast_index ~set_size =
-  let system = System.create ~max_workers:8 ~fast_index () in
+let ns_per_op (cfg : Bench_config.t) scenario ~set_size =
+  let system = System.create ~max_workers:8 () in
   let partition = System.partition system ~mode:scenario.sc_mode "p1-cost" in
   let tvars = distinct_slot_tvars partition ~count:(set_size + 1) in
   let extra = tvars.(set_size) in
@@ -138,134 +122,30 @@ let ns_per_op (cfg : Bench_config.t) scenario ~fast_index ~set_size =
   let reps = max 3 (budget / set_size) in
   measure ~reps body /. float_of_int (scenario.sc_ops set_size) *. 1e9
 
-(* -- Phase 2: schedule equivalence on the simulator ----------------------- *)
-
-type arm_run = {
-  ar_result : Driver.result;
-  ar_events : Check.History.event list;
-  ar_report : Check.Oracle.report;
-}
-
-let equivalence_run (cfg : Bench_config.t) ~fast_index =
-  let system = System.create ~max_workers:12 ~fast_index () in
-  (* Attach before creating the partition: the oracle needs the lock
-     table's Generation event to know the base version of fresh slots. *)
-  let history = Check.History.create () in
-  Check.History.attach history (System.engine system);
-  let partition =
-    System.partition system
-      ~mode:(Mode.make ~visibility:Mode.Invisible ~granularity_log2:4 ())
-      "p1-contend"
-  in
-  let slots = 16 in
-  let tvars = distinct_slot_tvars partition ~count:slots in
-  let worker (ctx : Driver.ctx) =
-    let txn = System.descriptor system ~worker_id:ctx.Driver.worker_id in
-    let rng = ctx.Driver.rng in
-    let ops = ref 0 in
-    while not (ctx.Driver.should_stop ()) do
-      (* 4 reads + 1 write over 5 distinct slots: contended (16 slots,
-         4 workers) but duplicate-free within a transaction. *)
-      let start = Rng.int rng slots in
-      System.atomically txn (fun t ->
-          let sum = ref 0 in
-          for k = 0 to 3 do
-            sum := !sum + System.read t tvars.((start + k) mod slots)
-          done;
-          System.write t tvars.((start + 4) mod slots) !sum);
-      incr ops
-    done;
-    !ops
-  in
-  let cycles = if cfg.Bench_config.quick then 150_000 else 500_000 in
-  let result =
-    Driver.run ~seed:42 ~mode:(Driver.default_sim ~cycles ()) ~workers:4 worker
-  in
-  Check.History.detach (System.engine system);
-  let events = Check.History.events history in
-  { ar_result = result; ar_events = events; ar_report = Check.Oracle.check events }
-
 (* -- Driver ---------------------------------------------------------------- *)
 
 let run (cfg : Bench_config.t) =
-  Bench_config.section "R-P1: descriptor fast-path per-operation cost";
-
-  (* Phase 1 *)
+  Bench_config.section "R-P1: descriptor per-access cost vs set size";
   let sizes = [ 8; 64; 512 ] in
-  let costs = Hashtbl.create 32 in
-  let cost scenario ~fast_index ~set_size =
-    match Hashtbl.find_opt costs (scenario.sc_name, fast_index, set_size) with
-    | Some c -> c
-    | None ->
-        let c = ns_per_op cfg scenario ~fast_index ~set_size in
-        Hashtbl.add costs (scenario.sc_name, fast_index, set_size) c;
-        c
-  in
+  let lo = List.hd sizes and hi = List.nth sizes (List.length sizes - 1) in
   List.iter
     (fun scenario ->
+      let costs = List.map (fun s -> (s, ns_per_op cfg scenario ~set_size:s)) sizes in
       let figure =
         Figure.create
           ~id:(Printf.sprintf "exp-p1-%s" scenario.sc_name)
           ~title:(Printf.sprintf "R-P1 %s: per-access cost vs set size" scenario.sc_name)
           ~xlabel:"set size" ~ylabel:"ns/access"
       in
-      List.iter
-        (fun (label, fast_index) ->
-          Figure.add_series figure ~label
-            (List.map
-               (fun s -> (float_of_int s, cost scenario ~fast_index ~set_size:s))
-               sizes))
-        [ ("indexed", true); ("baseline", false) ];
-      Bench_config.emit cfg figure)
-    scenarios;
-  let lo = List.hd sizes and hi = List.nth sizes (List.length sizes - 1) in
-  List.iter
-    (fun scenario ->
-      let growth fast_index =
-        cost scenario ~fast_index ~set_size:hi /. cost scenario ~fast_index ~set_size:lo
-      in
-      let base = growth false and idx = growth true in
-      Printf.printf "%-12s per-access growth %dx->%dx: baseline %.1fx, indexed %.1fx\n"
-        scenario.sc_name lo hi base idx;
-      if base <= 2.0 *. idx then
+      Figure.add_series figure ~label:"ns/access"
+        (List.map (fun (s, c) -> (float_of_int s, c)) costs);
+      Bench_config.emit cfg figure;
+      let growth = List.assoc hi costs /. List.assoc lo costs in
+      Printf.printf "%-12s %.0f ns/access at %d, %.0f at %d: growth %.2fx (gate <= %.1fx)\n"
+        scenario.sc_name (List.assoc lo costs) lo (List.assoc hi costs) hi growth max_growth;
+      if growth > max_growth then
         failwith
           (Printf.sprintf
-             "R-P1 (%s): expected super-linear baseline vs flat indexed cost \
-              (baseline growth %.2fx, indexed %.2fx)"
-             scenario.sc_name base idx))
-    scenarios;
-  print_newline ();
-
-  (* Phase 2 *)
-  let indexed = equivalence_run cfg ~fast_index:true in
-  let baseline = equivalence_run cfg ~fast_index:false in
-  let table =
-    Partstm_util.Table.create ~title:"simulated equivalence (4 workers, 16 slots)"
-      ~header:[ "arm"; "txns"; "commits"; "aborts"; "events"; "anomalies" ]
-  in
-  List.iter
-    (fun (name, arm) ->
-      Partstm_util.Table.add_row table
-        [
-          name;
-          string_of_int arm.ar_result.Driver.total_ops;
-          string_of_int arm.ar_report.Check.Oracle.committed;
-          string_of_int arm.ar_report.Check.Oracle.aborted;
-          string_of_int (List.length arm.ar_events);
-          string_of_int (List.length arm.ar_report.Check.Oracle.anomalies);
-        ])
-    [ ("indexed", indexed); ("baseline", baseline) ];
-  Partstm_util.Table.print table;
-  if indexed.ar_report.Check.Oracle.anomalies <> [] || baseline.ar_report.Check.Oracle.anomalies <> []
-  then failwith "R-P1: oracle found anomalies";
-  if indexed.ar_report.Check.Oracle.aborted = 0 then
-    failwith "R-P1: equivalence run was uncontended (vacuous)";
-  if indexed.ar_result.Driver.total_ops <> baseline.ar_result.Driver.total_ops
-     || indexed.ar_result.Driver.per_worker_ops <> baseline.ar_result.Driver.per_worker_ops
-  then failwith "R-P1: arms diverged in operation counts";
-  if indexed.ar_events <> baseline.ar_events then
-    failwith "R-P1: arms produced different event streams";
-  Printf.printf
-    "equivalence: %d events bit-identical across arms, %d commits / %d aborts, oracle clean\n"
-    (List.length indexed.ar_events)
-    indexed.ar_report.Check.Oracle.committed indexed.ar_report.Check.Oracle.aborted
+             "R-P1 (%s): per-access cost grew %.2fx from %d to %d entries (gate %.1fx)"
+             scenario.sc_name growth lo hi max_growth))
+    scenarios

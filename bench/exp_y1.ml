@@ -96,8 +96,5 @@ let run (cfg : Bench_config.t) =
       ]
   in
   let path = output_path cfg in
-  (match cfg.Bench_config.csv_dir with
-  | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
-  | _ -> ());
   Json.merge_into_file ~path doc;
   Printf.printf "(json: %s)\n" path

@@ -498,27 +498,15 @@ type profile_spec = {
   pf_trace_out : string option;
 }
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 (* Fail fast, before the run, when the output directory cannot take a
    file — a profile run is expensive and its artifacts are the point. *)
 let ensure_writable_dir dir =
   try
-    mkdir_p dir;
     let probe = Filename.concat dir ".partstm-write-probe" in
-    let oc = open_out probe in
-    close_out oc;
+    Partstm_util.Fs.write_file probe "";
     Sys.remove probe;
     Ok ()
   with Sys_error msg -> Error msg
-
-let write_text_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
 let region_namer system =
   let tbl = Hashtbl.create 16 in
@@ -562,13 +550,13 @@ let cmd_profile pspec =
               let ts_per_us = if spec.backend = "sim" then 1 else 1000 in
               let path name = Filename.concat dir (spec.workload_name ^ name) in
               let trace_path = path "-trace.json" in
-              write_text_file trace_path
+              Partstm_util.Fs.write_file trace_path
                 (Partstm_obs.Chrome.to_string ~name_of_region ~ts_per_us tracer ^ "\n");
               let folded_path = path "-folded.txt" in
-              write_text_file folded_path
+              Partstm_util.Fs.write_file folded_path
                 (Partstm_obs.Chrome.folded_to_string ~name_of_region tracer);
               let contention_path = path "-contention.json" in
-              write_text_file contention_path
+              Partstm_util.Fs.write_file contention_path
                 (Partstm_util.Json.to_string
                    (Partstm_obs.Contention.to_json ~name_of_region contention)
                 ^ "\n");
@@ -640,7 +628,7 @@ let cmd_metrics mspec =
           | Error msg, _ ->
               Printf.eprintf "metrics: exporter produced invalid OpenMetrics text: %s\n" msg
           | Ok families, Some path ->
-              write_text_file path text;
+              Partstm_util.Fs.write_file path text;
               Printf.printf "\nmetrics    : %s (%d families, valid OpenMetrics)\n" path families
           | Ok _, None ->
               print_newline ();
@@ -1175,6 +1163,18 @@ let cmd_bench_d1 spec out =
         1
     | _ -> 0)
 
+let fold_verdicts verdicts =
+  List.fold_left
+    (fun code (name, verdict) ->
+      match verdict with
+      | `Passed ->
+          Printf.printf "check %-24s passed\n" name;
+          code
+      | `Failed reason ->
+          Printf.eprintf "bench: check %s failed: %s\n" name reason;
+          1)
+    0 verdicts
+
 let cmd_bench_m1 spec out =
   (* The protocol matrix runs on the deterministic simulator — single-core
      hosts produce the same bytes as many-core ones, so there is nothing to
@@ -1192,16 +1192,7 @@ let cmd_bench_m1 spec out =
   Partstm_util.Table.print (Protocol_bench.to_table report);
   merge_into_json_file out (Protocol_bench.to_json report);
   Printf.printf "wrote %s\n" out;
-  List.fold_left
-    (fun code (name, verdict) ->
-      match verdict with
-      | `Passed ->
-          Printf.printf "check %-24s passed\n" name;
-          code
-      | `Failed reason ->
-          Printf.eprintf "bench: check %s failed: %s\n" name reason;
-          1)
-    0 (Protocol_bench.checks report)
+  fold_verdicts (Protocol_bench.checks report)
 
 (* Fold the y1 CLI knobs over a base YCSB config; any parse error aborts
    with the parser's message. *)
@@ -1228,18 +1219,6 @@ let show_y1_report report =
   print_newline ();
   Partstm_util.Table.print (Ycsb.to_table report);
   print_newline ()
-
-let fold_verdicts verdicts =
-  List.fold_left
-    (fun code (name, verdict) ->
-      match verdict with
-      | `Passed ->
-          Printf.printf "check %-24s passed\n" name;
-          code
-      | `Failed reason ->
-          Printf.eprintf "bench: check %s failed: %s\n" name reason;
-          1)
-    0 verdicts
 
 let cmd_bench_y1 spec out =
   let quick = spec.bn_quick in

@@ -21,11 +21,10 @@ type t
 val create : unit -> t
 
 val attach : t -> Engine.t -> unit
-(** Install this recorder on the engine. Only while no transaction is in
+(** Install this recorder as an engine tap ({!Partstm_stm.Engine.add_tap};
+    other taps keep observing). At most once per history: a second
+    [attach] raises [Invalid_argument]. Only while no transaction is in
     flight. *)
-
-val detach : Engine.t -> unit
-(** Remove any recorder from the engine. *)
 
 val events : t -> event list
 (** Collected events, oldest first. *)

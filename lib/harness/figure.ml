@@ -63,7 +63,6 @@ let to_csv_rows t =
        (xs t)
 
 let save_csv ?(dir = "results") t =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = Filename.concat dir (t.id ^ ".csv") in
   Csv.write_file path (to_csv_rows t);
   path

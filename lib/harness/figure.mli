@@ -12,7 +12,8 @@ val to_table : t -> Table.t
 val to_csv_rows : t -> string list list
 
 val save_csv : ?dir:string -> t -> string
-(** Writes [dir]/[id].csv and returns the path. *)
+(** Writes [dir]/[id].csv through {!Partstm_util.Fs.write_file} (missing
+    parent directories are created) and returns the path. *)
 
 val sparkline : ?width:int -> float list -> string
 (** One-line ASCII sparkline of the values scaled against their max;

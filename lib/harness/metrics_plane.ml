@@ -177,25 +177,14 @@ let stop_server t =
 
 (* -- File sink ---------------------------------------------------------------- *)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_string path content =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc content)
-
 let save ?(dir = "results") ~basename t =
-  mkdir_p dir;
   let name_of_region = name_of_region t in
   let om_path = Filename.concat dir (basename ^ ".om") in
-  write_string om_path (openmetrics t);
+  Fs.write_file om_path (openmetrics t);
   let csv_path = Filename.concat dir (basename ^ "_affinity.csv") in
   Csv.write_file csv_path (Affinity.to_csv_rows ~name_of_region t.affinity);
   let affinity_json = Filename.concat dir (basename ^ "_affinity.json") in
-  write_string affinity_json (Json.to_string (Affinity.to_json ~name_of_region t.affinity) ^ "\n");
+  Fs.write_file affinity_json (Json.to_string (Affinity.to_json ~name_of_region t.affinity) ^ "\n");
   let slo_json = Filename.concat dir (basename ^ "_slo.json") in
-  write_string slo_json (Json.to_string (Slo.to_json t.slo) ^ "\n");
+  Fs.write_file slo_json (Json.to_string (Slo.to_json t.slo) ^ "\n");
   [ om_path; csv_path; affinity_json; slo_json ]

@@ -65,4 +65,5 @@ val has_server : t -> bool
 val save : ?dir:string -> basename:string -> t -> string list
 (** Write [basename.om] (OpenMetrics text), [basename_affinity.csv],
     [basename_affinity.json] and [basename_slo.json] under [dir] (default
-    ["results"]); returns the paths written. *)
+    ["results"], created with its parents if missing) through
+    {!Partstm_util.Fs.write_file}; returns the paths written. *)

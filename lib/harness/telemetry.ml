@@ -258,21 +258,11 @@ let to_json t =
       ("decisions", Json.List (List.rev_map decision_json t.decisions));
     ]
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let save ?(dir = "results") ~basename t =
-  mkdir_p dir;
   let csv_path = Filename.concat dir (basename ^ ".csv") in
   Csv.write_file csv_path (to_csv_rows t);
   let json_path = Filename.concat dir (basename ^ ".json") in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string (to_json t) ^ "\n"));
+  Fs.write_file json_path (Json.to_string (to_json t) ^ "\n");
   (csv_path, json_path)
 
 (* -- Rendering --------------------------------------------------------------- *)

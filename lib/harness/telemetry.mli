@@ -73,8 +73,9 @@ val to_csv_rows : t -> string list list
 val to_json : t -> Json.t
 
 val save : ?dir:string -> basename:string -> t -> string * string
-(** Write [dir]/[basename].csv and [dir]/[basename].json; returns both
-    paths. *)
+(** Write [dir]/[basename].csv and [dir]/[basename].json through
+    {!Partstm_util.Fs.write_file} ([dir] is created with its parents if
+    missing); returns both paths. *)
 
 val to_figure : ?metric:string -> t -> Figure.t
 (** One series per partition of a per-period metric (a counter name from

@@ -58,9 +58,6 @@ type t = {
   writer_wait_limit : int;  (** spins a writer waits for visible readers *)
   sample_retry_limit : int;  (** retries of the read double-sampling loop *)
   max_attempts : int;  (** per-transaction retry budget before giving up *)
-  fast_index : bool;
-      (** descriptors use the indexed (Intmap + Bloom) lookup paths;
-          [false] selects the linear-scan baseline (A/B, bench/exp_p1) *)
   padded : bool;
       (** hot shared words (clock, state, orecs, reader counters) are
           cache-line-padded; [false] is the packed baseline (A/B,
@@ -70,7 +67,6 @@ type t = {
           this field. [None] (the default) costs one branch per hook site *)
   mutable taps : (int * recorder) list;
   mutable tap_counter : int;
-  mutable legacy_tap : int option;
 }
 
 val create :
@@ -79,13 +75,10 @@ val create :
   ?writer_wait_limit:int ->
   ?sample_retry_limit:int ->
   ?max_attempts:int ->
-  ?fast_index:bool ->
   ?padded:bool ->
   unit ->
   t
-(** [fast_index] (default [true]) selects the descriptor's indexed lookup
-    paths; [false] is the linear-scan baseline kept for A/B comparison.
-    [padded] (default [true]) places the hot shared words (global clock,
+(** [padded] (default [true]) places the hot shared words (global clock,
     in-flight state, and — via {!Region} — every lock table's orec words
     and reader counters) on their own cache lines; [false] is the packed
     baseline kept for A/B comparison (bench/exp_d1). *)
@@ -101,11 +94,6 @@ val remove_tap : t -> int -> unit
 
 val taps : t -> int list
 (** Handles of the currently attached taps, in attach order. *)
-
-val set_recorder : t -> recorder option -> unit
-(** Deprecated shim over {!add_tap}/{!remove_tap}: installs (or, with
-    [None], removes) one distinguished tap without touching taps attached
-    directly. Only while no transaction is in flight. *)
 
 val now : t -> int
 (** Current global clock value. *)

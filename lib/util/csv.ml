@@ -17,10 +17,7 @@ let quote_cell cell =
 let row_to_string row = String.concat "," (List.map quote_cell row)
 
 let write_file path rows =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun row -> output_string oc (row_to_string row ^ "\n")) rows)
+  Fs.write_file path (String.concat "" (List.map (fun row -> row_to_string row ^ "\n") rows))
 
 (* Parser for the dialect [row_to_string] emits: comma separator, double
    quotes around cells containing commas/quotes/newlines, quotes doubled

@@ -301,10 +301,10 @@ let to_str = function String s -> Some s | _ -> None
 
 (* Atomic read-merge-write for committed BENCH_*.json artifacts.  The new
    document is merged over whatever is already on disk (see [merge]) and
-   written to a temporary file in the same directory, then renamed into
-   place — a rename is atomic on POSIX filesystems, so an interrupted run
-   can never commit a truncated artifact for the perf-regression gate to
-   misparse.  An existing file that fails to parse is treated as absent. *)
+   written through [Fs.write_file] (temp file + rename), so an interrupted
+   run can never commit a truncated artifact for the perf-regression gate
+   to misparse.  An existing file that fails to parse is treated as
+   absent. *)
 let merge_into_file ~path doc =
   let existing =
     if not (Sys.file_exists path) then Obj []
@@ -317,19 +317,4 @@ let merge_into_file ~path doc =
       in
       match of_string contents with Ok existing -> existing | Error _ -> Obj []
   in
-  let merged = merge existing doc in
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir (Filename.basename path ^ ".") ".tmp" in
-  (match
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () ->
-         output_string oc (to_string merged);
-         output_char oc '\n')
-   with
-  | () -> ()
-  | exception e ->
-      (try Sys.remove tmp with Sys_error _ -> ());
-      raise e);
-  Sys.rename tmp path
+  Fs.write_file path (to_string (merge existing doc) ^ "\n")

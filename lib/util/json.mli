@@ -38,6 +38,5 @@ val to_str : t -> string option
 val merge_into_file : path:string -> t -> unit
 (** [merge_into_file ~path doc] merges [doc] over the JSON document at
     [path] (missing or unparseable files count as empty) and rewrites the
-    file atomically: the merged bytes go to a temporary file in the same
-    directory which is then renamed over [path], so a crashed or
-    interrupted run can never leave a truncated artifact behind. *)
+    file atomically through {!Fs.write_file}, so a crashed or interrupted
+    run can never leave a truncated artifact behind. *)

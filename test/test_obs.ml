@@ -36,11 +36,11 @@ let count_events p history = List.length (List.filter p (History.events history)
 
 (* -- Engine tap fan-out ------------------------------------------------------ *)
 
-(* The scenario's history recorder is installed through the deprecated
-   [set_recorder] shim; the tracer joins through [add_tap].  Both must see
-   the same run. *)
+(* The scenario's history joins through [History.attach] and the tracer
+   through [Tracer.attach]: two [Engine.add_tap] taps that must see the
+   same run. *)
 let fan_out_test =
-  Alcotest.test_case "history shim and tracer tap observe the same run" `Quick (fun () ->
+  Alcotest.test_case "history and tracer taps observe the same run" `Quick (fun () ->
       let tracer = Obs.Tracer.create () in
       let inst = run_instance ~tracer Scenario.bank_invisible in
       let begins = count_events (function History.Begin _ -> true | _ -> false) inst.Scenario.history in
@@ -49,10 +49,12 @@ let fan_out_test =
       check Alcotest.bool "run did work" true (begins > 0);
       check Alcotest.int "attempts match history begins" begins (Obs.Tracer.attempts tracer);
       check Alcotest.int "commits match" commits (Obs.Tracer.committed tracer);
-      check Alcotest.int "aborts match" aborts (Obs.Tracer.aborted tracer))
+      check Alcotest.int "aborts match" aborts (Obs.Tracer.aborted tracer);
+      check Alcotest.int "history tap outlives the tracer's" 1
+        (List.length (Engine.taps inst.Scenario.engine)))
 
 let add_remove_tap_test =
-  Alcotest.test_case "add/remove/set_recorder composition" `Quick (fun () ->
+  Alcotest.test_case "add/remove composition" `Quick (fun () ->
       let system = System.create ~max_workers:2 () in
       let engine = System.engine system in
       let p = System.partition system "p" ~tunable:false in
@@ -61,26 +63,29 @@ let add_remove_tap_test =
       let bump counter =
         { Engine.null_recorder with Engine.rec_begin = (fun ~txn:_ ~worker:_ ~rv:_ -> incr counter) }
       in
-      let a = ref 0 and b = ref 0 and legacy = ref 0 in
+      let a = ref 0 and b = ref 0 in
       let ha = Engine.add_tap engine (bump a) in
       let hb = Engine.add_tap engine (bump b) in
-      Engine.set_recorder engine (Some (bump legacy));
       System.atomically txn (fun t -> System.write t v 1);
       check Alcotest.int "tap a saw begin" 1 !a;
       check Alcotest.int "tap b saw begin" 1 !b;
-      check Alcotest.int "legacy shim saw begin" 1 !legacy;
-      (* Replacing the legacy recorder must not disturb the other taps. *)
-      Engine.set_recorder engine (Some (bump legacy));
       Engine.remove_tap engine hb;
       System.atomically txn (fun t -> System.write t v 2);
-      check Alcotest.int "tap a still attached" 2 !a;
+      check Alcotest.int "remaining tap still fires" 2 !a;
       check Alcotest.int "removed tap is silent" 1 !b;
-      check Alcotest.int "replaced shim still fires" 2 !legacy;
-      Engine.set_recorder engine None;
       Engine.remove_tap engine ha;
       check Alcotest.bool "no taps left" true (Engine.taps engine = []);
       System.atomically txn (fun t -> System.write t v 3);
       check Alcotest.int "detached taps silent" 2 !a)
+
+let history_attach_twice_test =
+  Alcotest.test_case "history attached twice raises" `Quick (fun () ->
+      let engine = System.engine (System.create ~max_workers:2 ()) in
+      let history = History.create () in
+      History.attach history engine;
+      Alcotest.check_raises "second attach" (Invalid_argument "History.attach: already attached")
+        (fun () -> History.attach history engine);
+      check Alcotest.int "one tap attached" 1 (List.length (Engine.taps engine)))
 
 (* -- Ring eviction accounting ------------------------------------------------ *)
 
@@ -263,7 +268,7 @@ let decision_test =
 let () =
   Alcotest.run "partstm_obs"
     [
-      ("fan-out", [ fan_out_test; add_remove_tap_test ]);
+      ("fan-out", [ fan_out_test; add_remove_tap_test; history_attach_twice_test ]);
       ("tracer", [ ring_eviction_test; sampling_test; decision_test ]);
       ("chrome", [ chrome_test ]);
       ("contention", [ heatmap_reconciliation_test ]);

@@ -475,36 +475,41 @@ let test_txn_descriptor_releases_references () =
               raise Exit));
       check Alcotest.int "no refs after rollback" 0 (Txn.debug_resident txn))
 
-(* The indexed descriptor paths (engine flag [fast_index], the default) must
-   be behaviourally equivalent to the linear-scan baseline.  R-P1 phase 2
-   checks full schedule equivalence under contention; this is the cheap
-   tier-1 version: an identical seeded single-worker workload under both
-   arms must leave identical committed state. *)
-let parity_arm ~fast_index mode =
-  let e = Engine.create ~fast_index () in
-  let r = Region.create e ~name:"parity" ~mode () in
-  let n = 32 in
-  let tvars = Array.init n (fun i -> Tvar.make r i) in
-  let txn = Txn.create e ~worker_id:0 in
+(* The descriptor's indexed lookups (read-set dedup, visible-hold and
+   self-lock lookups) must not change what a transaction computes: a seeded
+   single-worker workload must leave the same state as a sequential array
+   model fed the same RNG draws (one worker never aborts, so the draws stay
+   in lockstep). *)
+let model_workload ~n ~atomically ~read ~write =
   let rng = Rng.make 7 in
   for _ = 1 to 50 do
-    Txn.atomically txn (fun t ->
+    atomically (fun t ->
         let sum = ref 0 in
         (* Duplicate reads are likely (8 draws over 32 slots): exercises the
-           dedup and already-held paths in both arms. *)
+           dedup and already-held paths. *)
         for _ = 1 to 8 do
-          sum := !sum + Txn.read t tvars.(Rng.int rng n)
+          sum := !sum + read t (Rng.int rng n)
         done;
-        Txn.write t tvars.(Rng.int rng n) !sum)
-  done;
-  Array.map Tvar.peek tvars
+        write t (Rng.int rng n) !sum)
+  done
 
-let test_txn_fast_index_parity () =
+let test_txn_matches_model () =
+  let n = 32 in
+  let model = Array.init n Fun.id in
+  model_workload ~n
+    ~atomically:(fun body -> body ())
+    ~read:(fun () i -> model.(i))
+    ~write:(fun () i v -> model.(i) <- v);
   List.iter
     (fun mode ->
-      let indexed = parity_arm ~fast_index:true mode in
-      let baseline = parity_arm ~fast_index:false mode in
-      check Alcotest.(array int) "same final state" baseline indexed)
+      let e = Engine.create () in
+      let r = Region.create e ~name:"model" ~mode () in
+      let tvars = Array.init n (fun i -> Tvar.make r i) in
+      let txn = Txn.create e ~worker_id:0 in
+      model_workload ~n ~atomically:(Txn.atomically txn)
+        ~read:(fun t i -> Txn.read t tvars.(i))
+        ~write:(fun t i v -> Txn.write t tvars.(i) v);
+      check Alcotest.(array int) "same final state as the model" model (Array.map Tvar.peek tvars))
     [ invisible_mode 4; visible_mode 4; invisible_mode 0; write_through_mode 4 ]
 
 (* -- Write-through update strategy ----------------------------------------- *)
@@ -800,7 +805,7 @@ let () =
             test_txn_stale_read_aborts_and_retries;
           Alcotest.test_case "descriptor releases references" `Quick
             test_txn_descriptor_releases_references;
-          Alcotest.test_case "fast-index parity" `Quick test_txn_fast_index_parity;
+          Alcotest.test_case "matches sequential model" `Quick test_txn_matches_model;
           Alcotest.test_case "write-through sequential" `Quick test_write_through_sequential;
           Alcotest.test_case "write-through undo" `Quick test_write_through_undo_on_abort;
           Alcotest.test_case "write-through + write-back mix" `Quick

@@ -578,6 +578,31 @@ let test_intmap_iter () =
   Intmap.clear m;
   Intmap.iter (fun _ _ -> Alcotest.fail "iter visited a cleared binding") m
 
+(* -- Fs ---------------------------------------------------------------------- *)
+
+let test_fs_write_file () =
+  let root = Filename.temp_dir "partstm-fs" "" in
+  let dir = Filename.concat (Filename.concat root "missing") "nested" in
+  let path = Filename.concat dir "out.txt" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fs.write_file path "first version, longer than the second\n";
+  check Alcotest.string "written under missing parents" "first version, longer than the second\n"
+    (read ());
+  Fs.write_file path "second\n";
+  check Alcotest.string "overwrite replaces the whole file" "second\n" (read ());
+  check Alcotest.(list string) "no temporary file left" [ "out.txt" ]
+    (Array.to_list (Sys.readdir dir));
+  let reference = Filename.concat dir "reference.txt" in
+  close_out (open_out reference);
+  check Alcotest.int "same mode as open_out" (Unix.stat reference).Unix.st_perm
+    (Unix.stat path).Unix.st_perm;
+  Fs.mkdir_p dir;
+  Sys.remove reference;
+  Sys.remove path;
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 (* -- Runtime hook ---------------------------------------------------------- *)
 
 let test_runtime_hook_install_reset () =
@@ -665,6 +690,7 @@ let () =
           Alcotest.test_case "iter" `Quick test_intmap_iter;
           prop_intmap_matches_hashtbl;
         ] );
+      ("fs", [ Alcotest.test_case "write_file" `Quick test_fs_write_file ]);
       ( "runtime_hook",
         [ Alcotest.test_case "install reset" `Quick test_runtime_hook_install_reset ] );
     ]
