@@ -14,7 +14,8 @@
       run-to-run spread, budget 2%).
 
    3. Domains, hooks enabled: the real cost of 1-in-64 sampled and full
-      tracing + contention profiling, reported as throughput deltas.
+      tracing (spans plus the exact hot-orec and latency aggregates),
+      reported as throughput deltas.
       Wall-clock numbers on a shared container are noisy; arms are
       interleaved and medians reported. *)
 
@@ -25,50 +26,32 @@ module Obs = Partstm_obs
 
 type arm = {
   arm_name : string;
-  (* Fresh observers per run, or None for an unattached-tracer arm. *)
-  arm_obs : unit -> (Obs.Tracer.t * Obs.Contention.t option) option * bool;
-      (* (observers, attach?) — [attach = false] creates but never attaches *)
+  (* A fresh tracer per run, or None for the baseline. *)
+  arm_tracer : unit -> Obs.Tracer.t option;
+  arm_attach : bool;  (* [false] creates the tracer but never attaches it *)
 }
 
 let arms =
   [
-    { arm_name = "baseline"; arm_obs = (fun () -> (None, false)) };
-    {
-      arm_name = "disabled";
-      arm_obs = (fun () -> (Some (Obs.Tracer.create (), None), false));
-    };
+    { arm_name = "baseline"; arm_tracer = (fun () -> None); arm_attach = false };
+    { arm_name = "disabled"; arm_tracer = (fun () -> Some (Obs.Tracer.create ())); arm_attach = false };
     {
       arm_name = "sampled-64";
-      arm_obs = (fun () -> (Some (Obs.Tracer.create ~sample_every:64 (), None), true));
+      arm_tracer = (fun () -> Some (Obs.Tracer.create ~sample_every:64 ()));
+      arm_attach = true;
     };
-    {
-      arm_name = "full";
-      arm_obs =
-        (fun () ->
-          (Some (Obs.Tracer.create (), Some (Obs.Contention.create ())), true));
-    };
+    { arm_name = "full"; arm_tracer = (fun () -> Some (Obs.Tracer.create ())); arm_attach = true };
   ]
 
 let run_once ~mode ~workers ~seed arm =
   let system = System.create ~max_workers:(workers + 8) () in
   let state = Bank.setup system ~strategy:Strategy.shared_invisible Bank.default_config in
   Registry.reset_stats (System.registry system);
-  let obs, attach = arm.arm_obs () in
-  let tracer, contention =
-    match obs with
-    | None -> (None, None)
-    | Some (tracer, contention) ->
-        if attach then begin
-          Obs.Tracer.attach tracer (System.engine system);
-          Option.iter (fun c -> Obs.Contention.attach c (System.engine system)) contention
-        end;
-        (Some tracer, contention)
-  in
-  let result =
-    Driver.run ?tracer ?contention ~seed ~mode ~workers (Bank.worker state)
-  in
+  let tracer = arm.arm_tracer () in
+  if arm.arm_attach then
+    Option.iter (fun tracer -> Obs.Tracer.attach tracer (System.engine system)) tracer;
+  let result = Driver.run ?tracer ~seed ~mode ~workers (Bank.worker state) in
   Option.iter Obs.Tracer.detach tracer;
-  Option.iter Obs.Contention.detach contention;
   if not (Bank.check state) then failwith "R-O1: bank invariant violated";
   result.Driver.throughput
 
@@ -80,7 +63,7 @@ let delta_pct ~baseline v =
   if baseline = 0.0 then 0.0 else 100.0 *. (baseline -. v) /. baseline
 
 let run (cfg : Bench_config.t) =
-  Bench_config.section "R-O1: tracing & contention-profiling overhead";
+  Bench_config.section "R-O1: tracing overhead";
   let workers = 8 in
 
   (* -- Simulated: schedule non-perturbation ------------------------------- *)

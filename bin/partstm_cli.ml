@@ -5,7 +5,7 @@
      run <workload> ...      run one workload and print throughput + stats
      stats <workload> ...    run with telemetry and print per-partition summaries
      trace <workload> ...    run with telemetry and print the per-period trace
-     profile <workload> ...  run with the span tracer + contention profiler
+     profile <workload> ...  run under the span tracer: spans, hot orecs, latencies
      metrics <workload> ...  run with the metrics plane; OpenMetrics/affinity/SLO export
      top <workload> ...      live-refreshing dashboard over a run (htop for partitions)
      check [<scenario>] ...  systematic schedule exploration + opacity oracle
@@ -246,25 +246,23 @@ let prepare spec =
 
 (* Run a prepared workload; [with_telemetry] forces a telemetry instance
    even without --telemetry-out (the stats/trace subcommands).
-   [tracer]/[contention]/[metrics] are attached to the system's engine for
-   the duration of the run. *)
-let run_prepared ?tracer ?contention ?metrics ?(metrics_steps = 0) spec p ~with_telemetry =
+   [tracer]/[metrics] are attached to the system's engine for the duration
+   of the run. *)
+let run_prepared ?tracer ?metrics ?(metrics_steps = 0) spec p ~with_telemetry =
   let telemetry =
     if with_telemetry || Option.is_some spec.telemetry_out then
       Some (Telemetry.create (System.registry p.pr_system))
     else None
   in
   Option.iter (fun tracer -> Partstm_obs.Tracer.attach tracer (System.engine p.pr_system)) tracer;
-  Option.iter (fun c -> Partstm_obs.Contention.attach c (System.engine p.pr_system)) contention;
   Option.iter Metrics_plane.attach metrics;
   let result =
     Fun.protect
       ~finally:(fun () ->
         Option.iter Partstm_obs.Tracer.detach tracer;
-        Option.iter Partstm_obs.Contention.detach contention;
         Option.iter Metrics_plane.detach metrics)
       (fun () ->
-        Driver.run ?tuner:p.pr_tuner ?telemetry ?tracer ?contention ?metrics ~metrics_steps
+        Driver.run ?tuner:p.pr_tuner ?telemetry ?tracer ?metrics ~metrics_steps
           ~seed:spec.seed ~mode:p.pr_mode ~workers:spec.workers p.pr_worker)
   in
   Option.iter
@@ -287,10 +285,10 @@ let run_prepared ?tracer ?contention ?metrics ?(metrics_steps = 0) spec p ~with_
     ro_mode = p.pr_mode;
   }
 
-let execute ?tracer ?contention spec ~with_telemetry =
+let execute ?tracer spec ~with_telemetry =
   match prepare spec with
   | Error code -> Error code
-  | Ok p -> Ok (run_prepared ?tracer ?contention spec p ~with_telemetry)
+  | Ok p -> Ok (run_prepared ?tracer spec p ~with_telemetry)
 
 let print_run_header spec outcome =
   Printf.printf "workload   : %s\n" spec.workload_name;
@@ -489,7 +487,7 @@ let cmd_trace spec =
       print_decisions outcome;
       if outcome.ro_verified then 0 else 1
 
-(* -- profile: span tracer + contention profiler -------------------------------- *)
+(* -- profile: span tracer with hot-orec and latency aggregates ------------------- *)
 
 type profile_spec = {
   pf_run : run_spec;
@@ -508,16 +506,6 @@ let ensure_writable_dir dir =
     Ok ()
   with Sys_error msg -> Error msg
 
-let region_namer system =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun p -> Hashtbl.replace tbl (Partition.region p).Region.id (Partition.name p))
-    (Registry.partitions (System.registry system));
-  fun r ->
-    match Hashtbl.find_opt tbl r with
-    | Some name -> name
-    | None -> "region-" ^ string_of_int r
-
 let cmd_profile pspec =
   let spec = pspec.pf_run in
   match Option.map ensure_writable_dir pspec.pf_trace_out with
@@ -528,23 +516,22 @@ let cmd_profile pspec =
       2
   | _ -> (
       let tracer = Partstm_obs.Tracer.create ~sample_every:pspec.pf_sampling () in
-      let contention = Partstm_obs.Contention.create () in
-      match execute ~tracer ~contention spec ~with_telemetry:false with
+      match execute ~tracer spec ~with_telemetry:false with
       | Error code -> code
       | Ok outcome ->
           print_run_header spec outcome;
-          let name_of_region = region_namer outcome.ro_system in
+          let name_of_region = Metrics_plane.name_of_region (System.registry outcome.ro_system) in
           let module Report = Partstm_obs.Report in
           Partstm_util.Table.print (Report.span_summary tracer);
           print_newline ();
           Partstm_util.Table.print
-            (Report.hot_slots_table ~top_k:pspec.pf_top_k ~name_of_region contention);
+            (Report.hot_slots_table ~top_k:pspec.pf_top_k ~name_of_region tracer);
           print_newline ();
-          Partstm_util.Table.print (Report.latency_table ~name_of_region contention);
+          Partstm_util.Table.print (Report.latency_table ~name_of_region tracer);
           print_newline ();
           Printf.printf "contention heatmap (lock-table slot space, %s units):\n"
             (match spec.backend with "sim" -> "cycle" | _ -> "ns");
-          print_string (Partstm_obs.Report.heatmap ~name_of_region contention);
+          print_string (Report.heatmap ~name_of_region tracer);
           Option.iter
             (fun dir ->
               let ts_per_us = if spec.backend = "sim" then 1 else 1000 in
@@ -558,7 +545,7 @@ let cmd_profile pspec =
               let contention_path = path "-contention.json" in
               Partstm_util.Fs.write_file contention_path
                 (Partstm_util.Json.to_string
-                   (Partstm_obs.Contention.to_json ~name_of_region contention)
+                   (Partstm_obs.Tracer.to_json ~name_of_region tracer)
                 ^ "\n");
               Printf.printf "\ntrace      : %s (load in Perfetto / chrome://tracing)\n"
                 trace_path;
@@ -610,7 +597,7 @@ let cmd_metrics mspec =
               ~with_telemetry:false
           in
           print_run_header spec outcome;
-          let name_of_region = region_namer outcome.ro_system in
+          let name_of_region = Metrics_plane.name_of_region (System.registry outcome.ro_system) in
           let module Report = Partstm_obs.Report in
           Partstm_util.Table.print (Report.slo_table (Metrics_plane.slo plane));
           print_newline ();
@@ -651,7 +638,7 @@ type top_spec = {
   tp_steps : int;
 }
 
-let top_frame ~spec ~plane ~tuner ~contention ~name_of_region ~system ~port ~rates ~elapsed =
+let top_frame ~spec ~plane ~tuner ~tracer ~name_of_region ~system ~port ~rates ~elapsed =
   let module Report = Partstm_obs.Report in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -689,7 +676,7 @@ let top_frame ~spec ~plane ~tuner ~contention ~name_of_region ~system ~port ~rat
        (Report.affinity_table ~name_of_region (Metrics_plane.affinity plane)));
   Buffer.add_string buf "\n\n";
   Buffer.add_string buf
-    (Partstm_util.Table.render (Report.hot_slots_table ~top_k:5 ~name_of_region contention));
+    (Partstm_util.Table.render (Report.hot_slots_table ~top_k:5 ~name_of_region tracer));
   (match tuner with
   | None -> ()
   | Some tuner -> (
@@ -728,7 +715,9 @@ let cmd_top tspec =
       | Ok p ->
           let plane = Metrics_plane.create ~slos (System.registry p.pr_system) in
           let port = Option.map (fun port -> Metrics_plane.serve ~port plane) tspec.tp_port in
-          let contention = Partstm_obs.Contention.create () in
+          (* The dashboard renders no spans, only the tracer's exact hot-slot
+             aggregates, so keep just one span in 64. *)
+          let tracer = Partstm_obs.Tracer.create ~sample_every:64 () in
           let finished = Atomic.make false in
           (* The run proceeds on its own domain; this domain repaints the
              dashboard from the live striped counters (readers tolerate
@@ -738,10 +727,10 @@ let cmd_top tspec =
                 Fun.protect
                   ~finally:(fun () -> Atomic.set finished true)
                   (fun () ->
-                    run_prepared ~contention ~metrics:plane ~metrics_steps:tspec.tp_steps spec p
+                    run_prepared ~tracer ~metrics:plane ~metrics_steps:tspec.tp_steps spec p
                       ~with_telemetry:false))
           in
-          let name_of_region = region_namer p.pr_system in
+          let name_of_region = Metrics_plane.name_of_region (System.registry p.pr_system) in
           let start = Unix.gettimeofday () in
           let prev = Hashtbl.create 8 in
           let prev_t = ref start in
@@ -762,7 +751,7 @@ let cmd_top tspec =
                   else None)
                 (Registry.report (System.registry p.pr_system))
             in
-            top_frame ~spec ~plane ~tuner:p.pr_tuner ~contention ~name_of_region
+            top_frame ~spec ~plane ~tuner:p.pr_tuner ~tracer ~name_of_region
               ~system:p.pr_system ~port ~rates ~elapsed:(now -. start)
           in
           while not (Atomic.get finished) do
@@ -787,6 +776,22 @@ let dsa_cmd =
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List workloads and strategies") Term.(const cmd_list $ const ())
 
+(* Numeric flags are range-checked while parsing, so a bad value is a
+   usage error that names the flag (exit 124) rather than an exception or a
+   meaningless result after the run. *)
+let checked what ok conv =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:(Arg.conv_docv conv) (parse, Arg.conv_printer conv)
+
+let positive_int = checked "a positive integer" (fun n -> n > 0) Arg.int
+let positive_float = checked "a positive number" (fun x -> Float.is_finite x && x > 0.0) Arg.float
+let non_negative_int = checked "a non-negative integer" (fun n -> n >= 0) Arg.int
+
 let spec_term =
   let workload =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc:"Workload name")
@@ -794,15 +799,21 @@ let spec_term =
   let strategy =
     Arg.(value & opt string "tuned" & info [ "strategy"; "s" ] ~docv:"STRATEGY" ~doc:"Configuration strategy")
   in
-  let workers = Arg.(value & opt int 8 & info [ "workers"; "w" ] ~docv:"N" ~doc:"Worker count") in
+  let workers =
+    Arg.(value & opt positive_int 8 & info [ "workers"; "w" ] ~docv:"N" ~doc:"Worker count")
+  in
   let backend =
     Arg.(value & opt string "sim" & info [ "backend"; "b" ] ~docv:"BACKEND" ~doc:"sim or domains")
   in
   let seconds =
-    Arg.(value & opt float 1.0 & info [ "seconds" ] ~docv:"S" ~doc:"Duration (domains backend)")
+    Arg.(
+      value & opt positive_float 1.0
+      & info [ "seconds" ] ~docv:"S" ~doc:"Duration (domains backend)")
   in
   let cycles =
-    Arg.(value & opt int 3_000_000 & info [ "cycles" ] ~docv:"C" ~doc:"Virtual duration (sim backend)")
+    Arg.(
+      value & opt positive_int 3_000_000
+      & info [ "cycles" ] ~docv:"C" ~doc:"Virtual duration (sim backend)")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload RNG seed") in
   (* The conv prints via [Cm.to_string], so the flag round-trips: any value
@@ -909,15 +920,15 @@ let trace_cmd =
 let profile_spec_term =
   let sampling =
     Arg.(
-      value & opt int 1
+      value & opt positive_int 1
       & info [ "sampling" ] ~docv:"N"
           ~doc:
-            "Keep one span per $(docv) attempts (deterministic per-shard streams; aggregate \
-             counters stay exact)")
+            "Keep one span per $(docv) attempts (deterministic per-shard streams; counters, \
+             heatmap and latency histograms stay exact)")
   in
   let top_k =
     Arg.(
-      value & opt int 10
+      value & opt non_negative_int 10
       & info [ "top-k" ] ~docv:"K" ~doc:"Rows in the hottest-orecs table")
   in
   let trace_out =
@@ -938,9 +949,10 @@ let profile_cmd =
   Cmd.v
     (Cmd.info "profile"
        ~doc:
-         "Run one workload under the transaction tracer and contention profiler: per-attempt \
-          spans with abort causes and retry chains, hot-orec heatmaps, commit/abort/lock-wait \
-          latency percentiles, and Perfetto-loadable Chrome trace export"
+         "Run one workload under the transaction tracer, one engine tap that records \
+          per-attempt spans with abort causes and retry chains and keeps exact hot-orec \
+          heatmaps and commit/abort/lock-wait latency percentiles; with Perfetto-loadable \
+          Chrome trace export"
        ~man:
          [
            `S Manpage.s_description;
@@ -984,7 +996,7 @@ let metrics_spec_term =
   in
   let steps =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "metrics-steps" ] ~docv:"N"
           ~doc:
             "In-run sampling periods (default 0: one final sample only, which leaves \
@@ -1018,7 +1030,7 @@ let metrics_cmd =
 let top_spec_term =
   let refresh =
     Arg.(
-      value & opt float 0.5
+      value & opt positive_float 0.5
       & info [ "refresh" ] ~docv:"S" ~doc:"Dashboard refresh interval in seconds")
   in
   let port =
@@ -1032,7 +1044,7 @@ let top_spec_term =
   in
   let steps =
     Arg.(
-      value & opt int 20
+      value & opt non_negative_int 20
       & info [ "metrics-steps" ] ~docv:"N"
           ~doc:"In-run sampling periods feeding the SLO windows and mirrored counters")
   in
@@ -1047,8 +1059,8 @@ let top_cmd =
        ~doc:
          "Run one workload while rendering a live-refreshing ASCII dashboard: per-partition \
           throughput, abort rate and protocol, SLO status, the worker×partition affinity \
-          matrix, hottest orecs, and the tuner's last decisions with their structured \
-          explanations")
+          matrix, hottest orecs (exact counts from a tracer that keeps one span in 64), and \
+          the tuner's last decisions with their structured explanations")
     Term.(const cmd_top $ top_spec_term)
 
 let check_spec_term =
@@ -1064,20 +1076,20 @@ let check_spec_term =
       & info [ "strategy"; "s" ] ~docv:"STRATEGY" ~doc:"Exploration strategy: random, pct or dfs")
   in
   let budget =
-    Arg.(value & opt int 256 & info [ "budget" ] ~docv:"N" ~doc:"Schedules per scenario")
+    Arg.(value & opt positive_int 256 & info [ "budget" ] ~docv:"N" ~doc:"Schedules per scenario")
   in
   let seed = Arg.(value & opt int 0x9e3779b9 & info [ "seed" ] ~docv:"SEED" ~doc:"Master seed") in
   let kills =
     Arg.(
-      value & opt int 0
+      value & opt non_negative_int 0
       & info [ "kills" ] ~docv:"N"
           ~doc:"Fault-injection points (fiber kills) per schedule, randomized strategies only")
   in
   let depth =
-    Arg.(value & opt int 3 & info [ "depth" ] ~docv:"D" ~doc:"PCT depth (priority-change points + 1)")
+    Arg.(value & opt positive_int 3 & info [ "depth" ] ~docv:"D" ~doc:"PCT depth (priority-change points + 1)")
   in
   let preemptions =
-    Arg.(value & opt int 2 & info [ "preemptions" ] ~docv:"P" ~doc:"DFS preemption bound")
+    Arg.(value & opt non_negative_int 2 & info [ "preemptions" ] ~docv:"P" ~doc:"DFS preemption bound")
   in
   let bug =
     Arg.(
@@ -1134,10 +1146,6 @@ let cmd_bench_d1 spec out =
        \"domains\"; the simulated-backend figures come from `partstm bench -e m1` and \
        `dune exec bench/main.exe`)\n"
       spec.bn_backend;
-    2
-  end
-  else if spec.bn_workers <> [] && List.exists (fun w -> w <= 0) spec.bn_workers then begin
-    Printf.eprintf "bench: --workers must be positive\n";
     2
   end
   else
@@ -1232,80 +1240,74 @@ let cmd_bench_y1 spec out =
       let workers =
         match spec.bn_workers with [] -> Ycsb.bench_workers ~quick | w :: _ -> w
       in
-      if workers <= 0 then begin
-        Printf.eprintf "bench: --workers must be positive\n";
-        2
-      end
-      else
-        let progress line = Printf.printf "%s\n%!" line in
-        match spec.bn_backend with
-        | "sim" ->
-            (* Deterministic arm: the YCSB driver plus the feed application
-               (whose tuner explain trace is the artifact's point). *)
-            let ycsb =
+      let progress line = Printf.printf "%s\n%!" line in
+      match spec.bn_backend with
+      | "sim" ->
+          (* Deterministic arm: the YCSB driver plus the feed application
+             (whose tuner explain trace is the artifact's point). *)
+          let ycsb =
+            Ycsb.run ~progress
+              ~backend:(`Sim (Ycsb.bench_sim_cycles ~quick))
+              ~workers ~seed:spec.bn_seed config
+          in
+          show_y1_report ycsb;
+          let feed =
+            Feed.run ~progress
+              ~backend:(`Sim (Feed.bench_sim_cycles ~quick))
+              ~workers:Feed.bench_workers ~seed:spec.bn_seed
+              (if quick then Feed.quick_config else Feed.default_config)
+          in
+          print_newline ();
+          Partstm_util.Table.print (Feed.to_table feed);
+          print_newline ();
+          merge_into_json_file out
+            (Partstm_util.Json.Obj
+               [
+                 ("schema", Partstm_util.Json.String "partstm.bench.y1/1");
+                 ("quick", Partstm_util.Json.Bool quick);
+                 ( "sim",
+                   Partstm_util.Json.Obj
+                     [ ("ycsb", Ycsb.to_json ycsb); ("feed", Feed.to_json feed) ] );
+               ]);
+          Printf.printf "wrote %s\n" out;
+          fold_verdicts (Ycsb.checks ycsb @ Feed.checks feed)
+      | "domains" ->
+          let best = ref None in
+          for trial = 1 to spec.bn_trials do
+            let report =
               Ycsb.run ~progress
-                ~backend:(`Sim (Ycsb.bench_sim_cycles ~quick))
-                ~workers ~seed:spec.bn_seed config
+                ~backend:(`Domains spec.bn_seconds)
+                ~workers ~seed:(spec.bn_seed + trial) config
             in
-            show_y1_report ycsb;
-            let feed =
-              Feed.run ~progress
-                ~backend:(`Sim (Feed.bench_sim_cycles ~quick))
-                ~workers:Feed.bench_workers ~seed:spec.bn_seed
-                (if quick then Feed.quick_config else Feed.default_config)
-            in
-            print_newline ();
-            Partstm_util.Table.print (Feed.to_table feed);
-            print_newline ();
-            merge_into_json_file out
-              (Partstm_util.Json.Obj
-                 [
-                   ("schema", Partstm_util.Json.String "partstm.bench.y1/1");
-                   ("quick", Partstm_util.Json.Bool quick);
-                   ( "sim",
-                     Partstm_util.Json.Obj
-                       [ ("ycsb", Ycsb.to_json ycsb); ("feed", Feed.to_json feed) ] );
-                 ]);
-            Printf.printf "wrote %s\n" out;
-            fold_verdicts (Ycsb.checks ycsb @ Feed.checks feed)
-        | "domains" ->
-            let trials = max 1 spec.bn_trials in
-            let best = ref None in
-            for trial = 1 to trials do
-              let report =
-                Ycsb.run ~progress
-                  ~backend:(`Domains spec.bn_seconds)
-                  ~workers ~seed:(spec.bn_seed + trial) config
-              in
-              match !best with
-              | Some b
-                when b.Ycsb.r_result.Partstm_harness.Driver.throughput
-                     >= report.Ycsb.r_result.Partstm_harness.Driver.throughput ->
-                  ()
-              | _ -> best := Some report
-            done;
-            let report = Option.get !best in
-            show_y1_report report;
-            merge_into_json_file out
-              (Partstm_util.Json.Obj
-                 [
-                   ("schema", Partstm_util.Json.String "partstm.bench.y1/1");
-                   ("quick", Partstm_util.Json.Bool quick);
-                   ( "domains",
-                     Partstm_util.Json.Obj
-                       [
-                         ("trials", Partstm_util.Json.Int trials);
-                         ("ycsb", Ycsb.to_json report);
-                       ] );
-                 ]);
-            Printf.printf "wrote %s\n" out;
-            fold_verdicts (Ycsb.checks report)
-        | other ->
-            Printf.eprintf
-              "bench: unknown backend %S for y1 (use \"sim\" for the deterministic arm or \
-               \"domains\" for wall-clock)\n"
-              other;
-            2)
+            match !best with
+            | Some b
+              when b.Ycsb.r_result.Partstm_harness.Driver.throughput
+                   >= report.Ycsb.r_result.Partstm_harness.Driver.throughput ->
+                ()
+            | _ -> best := Some report
+          done;
+          let report = Option.get !best in
+          show_y1_report report;
+          merge_into_json_file out
+            (Partstm_util.Json.Obj
+               [
+                 ("schema", Partstm_util.Json.String "partstm.bench.y1/1");
+                 ("quick", Partstm_util.Json.Bool quick);
+                 ( "domains",
+                   Partstm_util.Json.Obj
+                     [
+                       ("trials", Partstm_util.Json.Int spec.bn_trials);
+                       ("ycsb", Ycsb.to_json report);
+                     ] );
+               ]);
+          Printf.printf "wrote %s\n" out;
+          fold_verdicts (Ycsb.checks report)
+      | other ->
+          Printf.eprintf
+            "bench: unknown backend %S for y1 (use \"sim\" for the deterministic arm or \
+             \"domains\" for wall-clock)\n"
+            other;
+          2)
 
 let cmd_bench spec =
   let default_out =
@@ -1348,17 +1350,17 @@ let bench_spec_term =
   in
   let workers =
     Arg.(
-      value & opt_all int []
+      value & opt_all positive_int []
       & info [ "workers"; "w" ] ~docv:"N"
           ~doc:"Worker count to sweep (repeatable; default 1 2 4 8)")
   in
   let seconds =
     Arg.(
-      value & opt float 1.0
+      value & opt positive_float 1.0
       & info [ "seconds" ] ~docv:"S" ~doc:"Measured window per run, in seconds")
   in
   let trials =
-    Arg.(value & opt int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per arm (best-of-T)")
+    Arg.(value & opt positive_int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per arm (best-of-T)")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed") in
   let quick =

@@ -58,16 +58,23 @@ let mode_label (m : Partstm_stm.Mode.t) =
     m.Partstm_stm.Mode.granularity_log2
     (Partstm_stm.Mode.update_to_string m.Partstm_stm.Mode.update)
 
-(* Tuning is scheduled as [tuner_steps] evenly spaced samples across the
-   run, on a dedicated fiber (Simulated) or domain (Domains); telemetry
-   sampling runs the same way at [telemetry_steps] periods.  Attaching a
-   telemetry instance adds one observer fiber/domain, which (like any
-   profiler) perturbs the schedule slightly — compare runs with like
-   instrumentation. *)
-let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?contention
-    ?metrics ?(metrics_steps = 0) ?(seed = 42) ~mode ~workers worker =
+(* In-run service actions (tuner steps, telemetry and metrics samples)
+   form one schedule: each entry [(steps, act)] runs [act] [steps] times,
+   evenly spaced across the run, with the time since start in the
+   backend's units (virtual cycles or seconds).  Simulated runs give each
+   entry its own fiber; Domains runs serve them all from one service
+   domain.  Any observer perturbs a schedule slightly, so compare runs
+   with like instrumentation. *)
+let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?metrics
+    ?(metrics_steps = 0) ?(seed = 42) ~mode ~workers worker =
   if workers <= 0 then invalid_arg "Driver.run: workers";
-  if metrics_steps < 0 then invalid_arg "Driver.run: metrics_steps";
+  List.iter
+    (fun (name, steps) -> if steps < 0 then invalid_arg ("Driver.run: " ^ name))
+    [
+      ("tuner_steps", tuner_steps);
+      ("telemetry_steps", telemetry_steps);
+      ("metrics_steps", metrics_steps);
+    ];
   (match (telemetry, tuner) with
   | Some telemetry, Some tuner -> Telemetry.attach_tuner telemetry tuner
   | _ -> ());
@@ -82,23 +89,50 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?c
             ~from_mode:(mode_label ev.Tuner.ev_from)
             ~to_mode:(mode_label ev.Tuner.ev_to))
   | _ -> ());
+  (* [steps = 0] schedules nothing: the object still gets its clock and,
+     for telemetry and metrics, the final sample after the run. *)
+  let entry steps act = function
+    | Some x when steps > 0 -> Some (steps, act x)
+    | _ -> None
+  in
+  let tuner_entry = entry tuner_steps (fun tuner _ -> Tuner.step tuner) tuner in
+  let other_entries =
+    List.filter_map Fun.id
+      [
+        entry telemetry_steps (fun telemetry time -> Telemetry.sample telemetry ~time) telemetry;
+        entry metrics_steps (fun plane _ -> Metrics_plane.sample plane) metrics;
+      ]
+  in
   let set_obs_clock clock =
     Option.iter (fun t -> Partstm_obs.Tracer.set_clock t clock) tracer;
-    Option.iter (fun c -> Partstm_obs.Contention.set_clock c clock) contention;
     Option.iter (fun m -> Metrics_plane.set_clock m clock) metrics
   in
-  let clear_obs_clock () =
+  let finish ~time =
     Option.iter Partstm_obs.Tracer.clear_clock tracer;
-    Option.iter Partstm_obs.Contention.clear_clock contention;
-    Option.iter Metrics_plane.clear_clock metrics
+    Option.iter Metrics_plane.clear_clock metrics;
+    (* The metrics plane always gets one final sample after the run, so
+       counters, the affinity matrix and at least one SLO window reflect
+       the whole run even with [metrics_steps = 0] (the default, which
+       leaves simulated schedules bit-identical to a metrics-off run). *)
+    Option.iter Metrics_plane.sample metrics;
+    Option.iter
+      (fun telemetry ->
+        Telemetry.clear_clock telemetry;
+        Telemetry.finish telemetry ~time)
+      telemetry
   in
-  (* The metrics plane always gets one final sample after the run (so
-     counters, the affinity matrix and at least one SLO window reflect the
-     whole run even with [metrics_steps = 0], the default that leaves
-     simulated schedules bit-identical to a metrics-off run). *)
-  let final_metrics_sample () = Option.iter Metrics_plane.sample metrics in
   let master = Rng.make seed in
   let ops = Array.make workers 0 in
+  let result elapsed ~throughput =
+    let total_ops = Array.fold_left ( + ) 0 ops in
+    {
+      workers;
+      elapsed;
+      total_ops;
+      per_worker_ops = Array.copy ops;
+      throughput = throughput (float_of_int total_ops);
+    }
+  in
   match mode with
   | Simulated { cycles; model; jitter; sim_seed } ->
       let worker_body id _fiber =
@@ -115,38 +149,14 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?c
         in
         ops.(id) <- worker ctx
       in
-      let tuner_body _fiber =
-        match tuner with
-        | None -> ()
-        | Some tuner ->
-            let period = max 1 (cycles / tuner_steps) in
-            while Sim.now () < cycles do
-              Sim.yield period;
-              (* The last yield may overshoot the deadline; don't run a
-                 step outside the measured window. *)
-              if Sim.now () < cycles then Tuner.step tuner
-            done
-      in
-      let telemetry_body _fiber =
-        match telemetry with
-        | None -> ()
-        | Some telemetry ->
-            let period = max 1 (cycles / telemetry_steps) in
-            while Sim.now () < cycles do
-              Sim.yield period;
-              if Sim.now () < cycles then
-                Telemetry.sample telemetry ~time:(float_of_int (Sim.now ()))
-            done
-      in
-      let metrics_body _fiber =
-        match metrics with
-        | None -> ()
-        | Some plane ->
-            let period = max 1 (cycles / metrics_steps) in
-            while Sim.now () < cycles do
-              Sim.yield period;
-              if Sim.now () < cycles then Metrics_plane.sample plane
-            done
+      let service_body (steps, act) _fiber =
+        let period = max 1 (cycles / steps) in
+        while Sim.now () < cycles do
+          Sim.yield period;
+          (* The last yield may overshoot the deadline; don't act outside
+             the measured window. *)
+          if Sim.now () < cycles then act (float_of_int (Sim.now ()))
+        done
       in
       Option.iter
         (fun telemetry ->
@@ -155,17 +165,14 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?c
       (* Tracer timestamps are virtual cycles; the callbacks charge no
          virtual time, so tracing cannot perturb a simulated schedule. *)
       set_obs_clock Sim.now;
-      (* Observer fibers are only added when requested so that runs
-         without them keep their exact historical schedule.  The metrics
-         plane's default is no fiber at all ([metrics_steps = 0]): its taps
-         charge no virtual time and the final sample happens after the run,
-         so a metrics-on sim arm replays the metrics-off schedule
-         bit-for-bit. *)
+      (* The tuner's fiber slot is always present (idle without a tuner
+         or steps), which keeps historical schedules; the other entries
+         add a fiber only when scheduled, so the default metrics plane
+         replays the metrics-off schedule bit-for-bit. *)
       let bodies =
         List.init workers (fun id -> worker_body id)
-        @ [ tuner_body ]
-        @ (match telemetry with Some _ -> [ telemetry_body ] | None -> [])
-        @ (match metrics with Some _ when metrics_steps > 0 -> [ metrics_body ] | _ -> [])
+        @ [ (match tuner_entry with Some e -> service_body e | None -> fun _ -> ()) ]
+        @ List.map service_body other_entries
       in
       Sim_env.install ~model ();
       let outcome =
@@ -175,22 +182,9 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?c
       (* Workers stop at the first [should_stop] at or past the deadline, so
          the run really ends at the makespan, not at the nominal budget;
          using [cycles] here would overstate throughput. *)
-      let elapsed_cycles = max cycles outcome.Sim.makespan in
-      clear_obs_clock ();
-      final_metrics_sample ();
-      Option.iter
-        (fun telemetry ->
-          Telemetry.clear_clock telemetry;
-          Telemetry.finish telemetry ~time:(float_of_int elapsed_cycles))
-        telemetry;
-      let total_ops = Array.fold_left ( + ) 0 ops in
-      {
-        workers;
-        elapsed = float_of_int elapsed_cycles;
-        total_ops;
-        per_worker_ops = Array.copy ops;
-        throughput = float_of_int total_ops /. (float_of_int elapsed_cycles /. 1_000_000.);
-      }
+      let elapsed_cycles = float_of_int (max cycles outcome.Sim.makespan) in
+      finish ~time:elapsed_cycles;
+      result elapsed_cycles ~throughput:(fun ops -> ops /. (elapsed_cycles /. 1_000_000.))
   | Domains { seconds } ->
       let start = Unix.gettimeofday () in
       let deadline = start +. seconds in
@@ -224,31 +218,26 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?c
           attempt_tick = check;
         }
       in
-      (* Tuner and telemetry share ONE service domain (historically each
-         got its own, so a run cost [workers + 2] domains and oversubscribed
-         the machine).  Each action keeps its own absolute next-due time;
-         the loop sleeps to the earlier one, never past the deadline, and
-         reschedules from "now" after each action (a slow step skips missed
-         slots instead of bursting to catch up).  Merging also removes a
-         data race: the tuner's decision listener appends to the telemetry
-         instance ([Telemetry.attach_tuner]), which on separate domains
-         mutated telemetry state concurrently with its sampling loop. *)
+      (* All entries share ONE service domain, so a run costs at most
+         [workers + 1] domains.  Each entry keeps its own absolute next-due
+         time; the loop sleeps to the earliest, never past the deadline,
+         and reschedules an entry from "now" after it runs (a slow step
+         skips missed slots instead of bursting to catch up).  One domain
+         also means the tuner's decision listener, which appends to the
+         telemetry instance ([Telemetry.attach_tuner]), never races
+         telemetry sampling. *)
+      let entries = Option.to_list tuner_entry @ other_entries in
       let serving = match metrics with Some plane -> Metrics_plane.has_server plane | None -> false in
       let service_thread () =
-        let tuner_period = seconds /. float_of_int tuner_steps in
-        let telemetry_period = seconds /. float_of_int telemetry_steps in
-        let metrics_period =
-          if metrics_steps > 0 then seconds /. float_of_int metrics_steps else Float.infinity
-        in
-        let tuner_next =
-          ref (match tuner with Some _ -> start +. tuner_period | None -> Float.infinity)
-        and telemetry_next =
-          ref (match telemetry with Some _ -> start +. telemetry_period | None -> Float.infinity)
-        and metrics_next =
-          ref (match metrics with Some _ -> start +. metrics_period | None -> Float.infinity)
+        let slots =
+          List.map
+            (fun (steps, act) ->
+              let period = seconds /. float_of_int steps in
+              (period, act, ref (start +. period)))
+            entries
         in
         let rec loop () =
-          let next = Float.min !tuner_next (Float.min !telemetry_next !metrics_next) in
+          let next = List.fold_left (fun m (_, _, due) -> Float.min m !due) Float.infinity slots in
           (* With a live scrape endpoint the loop must keep waking to drain
              pending connections even when no sampling action is due soon;
              cap the sleep so a scrape is answered within ~50ms. *)
@@ -259,34 +248,20 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?c
             let now = Unix.gettimeofday () in
             if now < deadline then begin
               if serving then Option.iter Metrics_plane.poll_server metrics;
-              if !tuner_next <= now then begin
-                (match tuner with Some tuner -> Tuner.step tuner | None -> ());
-                tuner_next := now +. tuner_period
-              end;
-              if !telemetry_next <= now then begin
-                (match telemetry with
-                | Some telemetry -> Telemetry.sample telemetry ~time:(now -. start)
-                | None -> ());
-                telemetry_next := now +. telemetry_period
-              end;
-              if !metrics_next <= now then begin
-                (match metrics with Some plane -> Metrics_plane.sample plane | None -> ());
-                metrics_next := now +. metrics_period
-              end;
+              List.iter
+                (fun (period, act, due) ->
+                  if !due <= now then begin
+                    act (now -. start);
+                    due := now +. period
+                  end)
+                slots;
               loop ()
             end
           end
         in
         loop ()
       in
-      let needs_service_for_metrics =
-        match metrics with Some _ -> metrics_steps > 0 || serving | None -> false
-      in
-      let service_domains =
-        match (tuner, telemetry) with
-        | None, None -> if needs_service_for_metrics then 1 else 0
-        | _ -> 1
-      in
+      let service_domains = if entries <> [] || serving then 1 else 0 in
       let recommended = Domain.recommended_domain_count () in
       if workers + service_domains > recommended && not !warned_oversubscription then begin
         warned_oversubscription := true;
@@ -316,18 +291,5 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?c
       List.iter Domain.join domains;
       Option.iter Domain.join service_domain;
       let elapsed = Unix.gettimeofday () -. start in
-      clear_obs_clock ();
-      final_metrics_sample ();
-      Option.iter
-        (fun telemetry ->
-          Telemetry.clear_clock telemetry;
-          Telemetry.finish telemetry ~time:elapsed)
-        telemetry;
-      let total_ops = Array.fold_left ( + ) 0 ops in
-      {
-        workers;
-        elapsed;
-        total_ops;
-        per_worker_ops = Array.copy ops;
-        throughput = float_of_int total_ops /. elapsed;
-      }
+      finish ~time:elapsed;
+      result elapsed ~throughput:(fun ops -> ops /. elapsed)

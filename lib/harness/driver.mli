@@ -41,7 +41,6 @@ val run :
   ?telemetry:Telemetry.t ->
   ?telemetry_steps:int ->
   ?tracer:Partstm_obs.Tracer.t ->
-  ?contention:Partstm_obs.Contention.t ->
   ?metrics:Metrics_plane.t ->
   ?metrics_steps:int ->
   ?seed:int ->
@@ -50,33 +49,34 @@ val run :
   (ctx -> int) ->
   result
 (** Run one worker function per worker until the duration elapses; the
-    worker returns its operation count. When [tuner] is given, its [step]
-    runs [tuner_steps] times, evenly spaced (steps never run past the
-    deadline). When [telemetry] is given, it is sampled [telemetry_steps]
-    times the same way, plus a final sample after the run (and it is
-    subscribed to [tuner]'s decision events). On the Domains backend,
-    tuner and telemetry share ONE extra service domain (so a run costs
-    [workers + 1] domains at most, [workers] when neither is attached);
-    keep [workers] at or below [Domain.recommended_domain_count ()] — the
-    driver warns (once per process) when the total exceeds it. On the
-    Simulated backend each gets its own fiber, preserving historical
-    schedules. When
-    [tracer] / [contention] are given, the run installs the backend clock
-    into them (virtual cycles on Simulated, nanoseconds since start on
-    Domains) and bridges [tuner]'s decisions into the tracer's timeline;
-    attaching them to the engine is the caller's job
-    ({!Partstm_obs.Tracer.attach}). On the Simulated backend,
-    [elapsed]/[throughput] use the actual makespan, not the nominal cycle
-    budget.
+    worker returns its operation count.
 
-    When [metrics] is given, the run installs the backend clock into the
-    plane and always takes one final {!Metrics_plane.sample} after the
-    run. [metrics_steps] (default [0]) additionally schedules that many
-    evenly spaced in-run samples — the default adds no fiber/action at
-    all, so a metrics-on Simulated run replays the metrics-off schedule
-    bit-for-bit (the plane's taps charge no virtual time). On the Domains
-    backend, in-run sampling shares the single service domain; if the
-    plane's scrape endpoint was started ({!Metrics_plane.serve}) before
-    the run, the service loop also drains it (sleeps capped at ~50ms).
-    Attaching the plane's engine tap ({!Metrics_plane.attach}) is the
-    caller's job, like [tracer]/[contention]. *)
+    In-run service actions are scheduled evenly across the run, never past
+    its deadline: [tuner]'s step [tuner_steps] times (default 40),
+    [telemetry]'s sample [telemetry_steps] times (default 40) and
+    [metrics]' sample [metrics_steps] times (default 0). A step count of 0
+    schedules nothing; a negative one raises [Invalid_argument], as does
+    [workers <= 0]. On the Domains backend all actions share ONE extra
+    service domain (so a run costs [workers + 1] domains at most,
+    [workers] when nothing is scheduled); keep [workers] at or below
+    [Domain.recommended_domain_count ()] — the driver warns (once per
+    process) when the total exceeds it. On the Simulated backend each
+    action gets its own fiber after the workers' — tuner, telemetry,
+    metrics — and the tuner's fiber is always present, idle when nothing
+    is scheduled on it, preserving historical schedules. On the Simulated
+    backend, [elapsed]/[throughput] use the actual makespan, not the
+    nominal cycle budget.
+
+    [telemetry] is subscribed to [tuner]'s decision events and sampled
+    once more after the run. [tracer] and [metrics] get the backend clock
+    for the run (virtual cycles on Simulated, nanoseconds since start on
+    Domains), and [tuner]'s decisions are bridged into the tracer's
+    timeline. The metrics plane always takes one final
+    {!Metrics_plane.sample} after the run; with the default
+    [metrics_steps = 0] it adds no fiber or action at all, so a metrics-on
+    Simulated run replays the metrics-off schedule bit-for-bit (the
+    plane's taps charge no virtual time). If the plane's scrape endpoint
+    was started ({!Metrics_plane.serve}) before a Domains run, the service
+    loop also drains it (sleeps capped at ~50ms). Attaching the tracer
+    and the plane to the engine ({!Partstm_obs.Tracer.attach},
+    {!Metrics_plane.attach}) is the caller's job. *)

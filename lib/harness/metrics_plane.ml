@@ -147,11 +147,11 @@ let sample t =
     t.mirrors;
   Slo.evaluate t.slo
 
-let name_of_region t region =
+let name_of_region registry region =
   match
     List.find_opt
       (fun p -> (Partition.region p).Region.id = region)
-      (Registry.partitions t.registry)
+      (Registry.partitions registry)
   with
   | Some p -> Partition.name p
   | None -> string_of_int region
@@ -178,7 +178,7 @@ let stop_server t =
 (* -- File sink ---------------------------------------------------------------- *)
 
 let save ?(dir = "results") ~basename t =
-  let name_of_region = name_of_region t in
+  let name_of_region = name_of_region t.registry in
   let om_path = Filename.concat dir (basename ^ ".om") in
   Fs.write_file om_path (openmetrics t);
   let csv_path = Filename.concat dir (basename ^ "_affinity.csv") in

@@ -44,8 +44,9 @@ val sample : t -> unit
 val samples : t -> int
 (** Number of {!sample} calls so far. *)
 
-val name_of_region : t -> int -> string
-(** Partition name for a region id ([string_of_int] fallback). *)
+val name_of_region : Registry.t -> int -> string
+(** Partition name for a region id ([string_of_int] fallback); the one
+    region-naming rule of every report and artifact. *)
 
 val openmetrics : t -> string
 (** Current OpenMetrics exposition ({!Openmetrics.render}). *)

@@ -17,7 +17,7 @@
    [rec_write]), which dedup repeat holds differently from the raw
    [Region_stats] read counter — close, but only commits/aborts are exact.
 
-   Sharded by descriptor id exactly like [Tracer] / [Contention]: single
+   Sharded by descriptor id exactly like [Tracer]: single
    writer per shard below the collision threshold, merge at read time. *)
 
 open Partstm_util

@@ -9,7 +9,7 @@
     cells count engine-observed access events, which dedup repeat holds —
     close to, but not identical with, the raw [Region_stats] read counter.
 
-    Sharded by descriptor id like [Tracer]/[Contention] (single writer per
+    Sharded by descriptor id like [Tracer] (single writer per
     shard below the collision threshold); merged at read time. *)
 
 open Partstm_util

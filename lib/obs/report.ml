@@ -1,6 +1,7 @@
-(* ASCII rendering of tracer/contention data: span summary, top-K hot-slot
-   table, latency percentile table, and a slot heatmap whose intensity
-   scale compresses each region's lock table into at most [width] columns. *)
+(* ASCII rendering of tracer and metrics-plane data: the tracer's span
+   summary, top-K hot-slot table, latency percentile table and slot heatmap
+   (whose intensity scale compresses each region's lock table into at most
+   [width] columns), plus the SLO and affinity tables. *)
 
 open Partstm_util
 
@@ -24,33 +25,33 @@ let span_summary (tracer : Tracer.t) =
   row "tuner decisions" (string_of_int (List.length (Tracer.decisions tracer)));
   table
 
-let hot_slots_table ?(top_k = 10) ?(name_of_region = string_of_int) (c : Contention.t) =
+let hot_slots_table ?(top_k = 10) ?(name_of_region = string_of_int) (tracer : Tracer.t) =
   let table =
     Table.create
       ~title:(Printf.sprintf "top-%d hottest orecs" top_k)
       ~header:[ "partition"; "slot"; "lock-fail"; "reader-wait"; "validation"; "total" ]
   in
   List.iter
-    (fun (st : Contention.slot_total) ->
+    (fun (st : Tracer.slot_total) ->
       Table.add_row table
         [
-          name_of_region st.Contention.st_region;
-          string_of_int st.Contention.st_slot;
-          string_of_int st.Contention.st_lock;
-          string_of_int st.Contention.st_reader;
-          string_of_int st.Contention.st_validation;
-          string_of_int (Contention.slot_weight st);
+          name_of_region st.Tracer.st_region;
+          string_of_int st.Tracer.st_slot;
+          string_of_int st.Tracer.st_lock;
+          string_of_int st.Tracer.st_reader;
+          string_of_int st.Tracer.st_validation;
+          string_of_int (Tracer.slot_weight st);
         ])
-    (Contention.hot_slots ~top_k c);
+    (Tracer.hot_slots ~top_k tracer);
   table
 
-let latency_table ?(name_of_region = string_of_int) (c : Contention.t) =
+let latency_table ?(name_of_region = string_of_int) (tracer : Tracer.t) =
   let table =
     Table.create ~title:"latency (clock units)"
       ~header:[ "partition"; "metric"; "count"; "mean"; "p50"; "p95"; "p99"; "max" ]
   in
   List.iter
-    (fun (rs : Contention.region_summary) ->
+    (fun (rs : Tracer.region_summary) ->
       let add name h =
         (* Empty histograms get an explicit "n/a" row rather than being
            silently dropped: a partition that recorded zero aborts is a
@@ -58,10 +59,10 @@ let latency_table ?(name_of_region = string_of_int) (c : Contention.t) =
         let s = Histogram.summary h in
         let row =
           if s.Histogram.h_count = 0 then
-            [ name_of_region rs.Contention.rs_region; name; "0"; "n/a"; "n/a"; "n/a"; "n/a"; "n/a" ]
+            [ name_of_region rs.Tracer.rs_region; name; "0"; "n/a"; "n/a"; "n/a"; "n/a"; "n/a" ]
           else
             [
-              name_of_region rs.Contention.rs_region;
+              name_of_region rs.Tracer.rs_region;
               name;
               string_of_int s.Histogram.h_count;
               Printf.sprintf "%.1f" s.Histogram.h_mean;
@@ -73,10 +74,10 @@ let latency_table ?(name_of_region = string_of_int) (c : Contention.t) =
         in
         Table.add_row table row
       in
-      add "commit" rs.Contention.rs_commit;
-      add "abort" rs.Contention.rs_abort;
-      add "lock-wait" rs.Contention.rs_lock_wait)
-    (Contention.summary c);
+      add "commit" rs.Tracer.rs_commit;
+      add "abort" rs.Tracer.rs_abort;
+      add "lock-wait" rs.Tracer.rs_lock_wait)
+    (Tracer.summary tracer);
   table
 
 (* -- SLO status ------------------------------------------------------------ *)
@@ -139,33 +140,33 @@ let affinity_table ?(name_of_region = string_of_int) (a : Affinity.t) =
 
 let intensity_chars = " .:-=+*#%@"
 
-let heatmap ?(width = 64) ?(name_of_region = string_of_int) (c : Contention.t) =
+let heatmap ?(width = 64) ?(name_of_region = string_of_int) (tracer : Tracer.t) =
   let buf = Buffer.create 256 in
-  let regions = Contention.summary c in
+  let regions = Tracer.summary tracer in
   let label_w =
     List.fold_left
-      (fun w rs -> max w (String.length (name_of_region rs.Contention.rs_region)))
+      (fun w rs -> max w (String.length (name_of_region rs.Tracer.rs_region)))
       0 regions
   in
   List.iter
-    (fun (rs : Contention.region_summary) ->
-      match rs.Contention.rs_slots with
+    (fun (rs : Tracer.region_summary) ->
+      match rs.Tracer.rs_slots with
       | [] -> ()
       | slots ->
           let max_slot =
-            List.fold_left (fun m st -> max m st.Contention.st_slot) 0 slots
+            List.fold_left (fun m st -> max m st.Tracer.st_slot) 0 slots
           in
           let cols = min width (max_slot + 1) in
           let per_col = (max_slot + cols) / cols in
           let cells = Array.make cols 0 in
           List.iter
             (fun st ->
-              let col = min (cols - 1) (st.Contention.st_slot / per_col) in
-              cells.(col) <- cells.(col) + Contention.slot_weight st)
+              let col = min (cols - 1) (st.Tracer.st_slot / per_col) in
+              cells.(col) <- cells.(col) + Tracer.slot_weight st)
             slots;
           let peak = Array.fold_left max 1 cells in
           Buffer.add_string buf
-            (Printf.sprintf "%-*s |" label_w (name_of_region rs.Contention.rs_region));
+            (Printf.sprintf "%-*s |" label_w (name_of_region rs.Tracer.rs_region));
           Array.iter
             (fun v ->
               let levels = String.length intensity_chars - 1 in

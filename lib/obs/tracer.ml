@@ -18,14 +18,33 @@
    Sampling: with [sample_every = n > 1] each attempt is kept with
    probability 1/n, decided at begin from a per-shard deterministic [Rng]
    stream — so a Simulated-backend run samples the same attempts every
-   time.  The aggregate counters (attempts/committed/aborted) are always
-   exact; sampling only thins the stored spans.
+   time.  The aggregates (attempt/commit/abort counts and the per-region
+   heatmap and histograms below) are always exact; sampling only thins the
+   stored spans.
 
    Timestamps come from an installable clock: virtual cycles on the
    Simulated backend, monotonic-ish nanoseconds since run start on
    Domains ([Driver.run ?tracer] installs it).  The default clock is the
    constant 0, which keeps the tracer usable (counts, causes, chains)
-   where no clock makes sense. *)
+   where no clock makes sense.
+
+   Alongside the spans, each shard keeps exact per-region aggregates:
+   - a heatmap keyed by [Lock_table] slot — how often each orec failed a
+     lock acquisition, timed out draining visible readers, or failed
+     read-set validation (validation failures that cannot be attributed to
+     a slot are counted separately so totals still reconcile with the
+     engine's [Region_stats] counters);
+   - latency histograms: commit phase (commit entry → locks released,
+     update transactions only), abort (begin → rollback) and lock-wait
+     spins per acquisition.
+   Conflict counts go to the region the conflict event names.  Latencies
+   go to the attempt's region (the first region seen by a read, a write
+   or a conflict), so every abort that touched a region lands in exactly
+   one abort histogram.  The engine charges a validation failure to the
+   region of the *triggering* access while the conflict event names the
+   region of the *stale read*; the two differ only for transactions
+   spanning several partitions, where per-region splits may differ from
+   [Region_stats] even though global totals agree. *)
 
 open Partstm_util
 open Partstm_stm
@@ -67,6 +86,21 @@ let dummy_span =
     sp_region = -1;
   }
 
+type slot_counts = {
+  mutable sc_lock : int;
+  mutable sc_reader : int;
+  mutable sc_validation : int;
+}
+
+(* Exact per-region aggregates; also the accumulator [summary] merges into. *)
+type region_agg = {
+  slots : (int, slot_counts) Hashtbl.t;
+  commit_h : Histogram.t;
+  abort_h : Histogram.t;
+  lock_wait_h : Histogram.t;
+  mutable unattributed_validation : int;
+}
+
 type shard = {
   sh_index : int;
   ring : span array;
@@ -94,6 +128,7 @@ type shard = {
   mutable attempts : int;
   mutable committed : int;
   mutable aborted : int;
+  regions : (int, region_agg) Hashtbl.t;
 }
 
 type decision = {
@@ -161,6 +196,7 @@ let make_shard t index =
     attempts = 0;
     committed = 0;
     aborted = 0;
+    regions = Hashtbl.create 8;
   }
 
 let shard_of t txn =
@@ -172,6 +208,30 @@ let shard_of t txn =
       let s = make_shard t i in
       t.shards.(i) <- Some s;
       s
+
+let region_agg regions region =
+  match Hashtbl.find_opt regions region with
+  | Some r -> r
+  | None ->
+      let r =
+        {
+          slots = Hashtbl.create 32;
+          commit_h = Histogram.create ();
+          abort_h = Histogram.create ();
+          lock_wait_h = Histogram.create ();
+          unattributed_validation = 0;
+        }
+      in
+      Hashtbl.add regions region r;
+      r
+
+let slot_counts r slot =
+  match Hashtbl.find_opt r.slots slot with
+  | Some c -> c
+  | None ->
+      let c = { sc_lock = 0; sc_reader = 0; sc_validation = 0 } in
+      Hashtbl.add r.slots slot c;
+      c
 
 let push_span s span =
   let cap = Array.length s.ring in
@@ -226,14 +286,34 @@ let on_write t ~txn ~region ~slot:_ =
       s.c_writes <- s.c_writes + 1;
       if s.c_region < 0 then s.c_region <- region)
 
-let on_conflict t ~txn ~cause ~region ~slot:_ =
-  with_cur t txn (fun s ->
-      s.c_cause <- Some cause;
-      if s.c_region < 0 && region >= 0 then s.c_region <- region)
+(* Heatmap counts are keyed on the event alone, not on the in-progress
+   attempt, so a descriptor collision cannot lose a conflict. *)
+let count_conflict s ~cause ~region ~slot =
+  let r = region_agg s.regions region in
+  let bump f = if slot >= 0 then f (slot_counts r slot) in
+  match (cause : Engine.abort_cause) with
+  | Engine.Lock_busy -> bump (fun c -> c.sc_lock <- c.sc_lock + 1)
+  | Engine.Reader_wait -> bump (fun c -> c.sc_reader <- c.sc_reader + 1)
+  | Engine.Validation ->
+      if slot >= 0 then bump (fun c -> c.sc_validation <- c.sc_validation + 1)
+      else r.unattributed_validation <- r.unattributed_validation + 1
+  | Engine.Explicit_retry | Engine.Exception_unwind -> ()
+
+let on_conflict t ~txn ~cause ~region ~slot =
+  let s = shard_of t txn in
+  if region >= 0 then count_conflict s ~cause ~region ~slot;
+  if s.c_active && s.c_txn = txn then begin
+    s.c_cause <- Some cause;
+    if s.c_region < 0 && region >= 0 then s.c_region <- region
+  end
+
+let on_lock_wait t ~txn ~region ~slot:_ ~spins =
+  let s = shard_of t txn in
+  Histogram.observe (region_agg s.regions region).lock_wait_h spins
 
 let on_commit_begin t ~txn = with_cur t txn (fun s -> s.c_commit_begin <- t.clock ())
 
-let finish_span t s ~outcome ~stamp =
+let finish_span s ~outcome ~stamp ~now =
   if s.c_sampled then
     push_span s
       {
@@ -244,7 +324,7 @@ let finish_span t s ~outcome ~stamp =
         sp_attempt = s.chain_attempt;
         sp_begin = s.c_begin;
         sp_commit_begin = s.c_commit_begin;
-        sp_end = t.clock ();
+        sp_end = now;
         sp_outcome = outcome;
         sp_rv = s.c_rv;
         sp_stamp = stamp;
@@ -256,13 +336,19 @@ let finish_span t s ~outcome ~stamp =
 
 let on_commit t ~txn ~stamp =
   with_cur t txn (fun s ->
+      let now = t.clock () in
       s.committed <- s.committed + 1;
       s.chain_open <- false;
-      finish_span t s ~outcome:Committed ~stamp)
+      if s.c_commit_begin >= 0 && s.c_region >= 0 then
+        Histogram.observe (region_agg s.regions s.c_region).commit_h (now - s.c_commit_begin);
+      finish_span s ~outcome:Committed ~stamp ~now)
 
 let on_abort t ~txn =
   with_cur t txn (fun s ->
+      let now = t.clock () in
       s.aborted <- s.aborted + 1;
+      if s.c_region >= 0 then
+        Histogram.observe (region_agg s.regions s.c_region).abort_h (now - s.c_begin);
       (* Every engine abort path reports its cause before unwinding; an
          absent cause can only mean a tap raced a collision, so fall back
          to the least specific one. *)
@@ -270,7 +356,7 @@ let on_abort t ~txn =
       (* An explicit retry parks the descriptor and starts over: the next
          attempt is a fresh chain, not a continuation of this one. *)
       if cause = Engine.Explicit_retry then s.chain_open <- false;
-      finish_span t s ~outcome:(Aborted cause) ~stamp:(-1))
+      finish_span s ~outcome:(Aborted cause) ~stamp:(-1) ~now)
 
 let recorder t =
   {
@@ -279,6 +365,7 @@ let recorder t =
     rec_read = (fun ~txn ~region ~slot ~version -> on_read t ~txn ~region ~slot ~version);
     rec_write = (fun ~txn ~region ~slot -> on_write t ~txn ~region ~slot);
     rec_conflict = (fun ~txn ~cause ~region ~slot -> on_conflict t ~txn ~cause ~region ~slot);
+    rec_lock_wait = (fun ~txn ~region ~slot ~spins -> on_lock_wait t ~txn ~region ~slot ~spins);
     rec_commit_begin = (fun ~txn -> on_commit_begin t ~txn);
     rec_commit = (fun ~txn ~stamp -> on_commit t ~txn ~stamp);
     rec_abort = (fun ~txn -> on_abort t ~txn);
@@ -346,3 +433,118 @@ let outcome_label = function
 let pp_span ppf sp =
   Fmt.pf ppf "t%d w%d chain=%d.%d [%d..%d] %s r=%d w=%d" sp.sp_txn sp.sp_worker sp.sp_chain
     sp.sp_attempt sp.sp_begin sp.sp_end (outcome_label sp.sp_outcome) sp.sp_reads sp.sp_writes
+
+(* -- Per-region aggregates -------------------------------------------------- *)
+
+type slot_total = {
+  st_region : int;
+  st_slot : int;
+  st_lock : int;
+  st_reader : int;
+  st_validation : int;
+}
+
+let slot_weight st = st.st_lock + st.st_reader + st.st_validation
+
+type region_summary = {
+  rs_region : int;
+  rs_slots : slot_total list;  (* descending by weight *)
+  rs_lock_fails : int;
+  rs_reader_fails : int;
+  rs_validation_fails : int;  (* slot-attributed + unattributed *)
+  rs_unattributed_validation : int;
+  rs_commit : Histogram.t;
+  rs_abort : Histogram.t;
+  rs_lock_wait : Histogram.t;
+}
+
+let by_weight a b =
+  let c = compare (slot_weight b) (slot_weight a) in
+  if c <> 0 then c else compare (a.st_region, a.st_slot) (b.st_region, b.st_slot)
+
+let summary t =
+  let merged = Hashtbl.create 8 in
+  fold_shards t
+    (fun () s ->
+      Hashtbl.iter
+        (fun region r ->
+          let m = region_agg merged region in
+          Hashtbl.iter
+            (fun slot c ->
+              let mc = slot_counts m slot in
+              mc.sc_lock <- mc.sc_lock + c.sc_lock;
+              mc.sc_reader <- mc.sc_reader + c.sc_reader;
+              mc.sc_validation <- mc.sc_validation + c.sc_validation)
+            r.slots;
+          Histogram.merge_into ~dst:m.commit_h r.commit_h;
+          Histogram.merge_into ~dst:m.abort_h r.abort_h;
+          Histogram.merge_into ~dst:m.lock_wait_h r.lock_wait_h;
+          m.unattributed_validation <- m.unattributed_validation + r.unattributed_validation)
+        s.regions)
+    ();
+  Hashtbl.fold
+    (fun region m acc ->
+      let slots =
+        Hashtbl.fold
+          (fun slot c l ->
+            {
+              st_region = region;
+              st_slot = slot;
+              st_lock = c.sc_lock;
+              st_reader = c.sc_reader;
+              st_validation = c.sc_validation;
+            }
+            :: l)
+          m.slots []
+        |> List.sort by_weight
+      in
+      let sum f = List.fold_left (fun n st -> n + f st) 0 slots in
+      {
+        rs_region = region;
+        rs_slots = slots;
+        rs_lock_fails = sum (fun st -> st.st_lock);
+        rs_reader_fails = sum (fun st -> st.st_reader);
+        rs_validation_fails = sum (fun st -> st.st_validation) + m.unattributed_validation;
+        rs_unattributed_validation = m.unattributed_validation;
+        rs_commit = m.commit_h;
+        rs_abort = m.abort_h;
+        rs_lock_wait = m.lock_wait_h;
+      }
+      :: acc)
+    merged []
+  |> List.sort (fun a b -> compare a.rs_region b.rs_region)
+
+let hot_slots ?(top_k = 10) t =
+  summary t
+  |> List.concat_map (fun rs -> rs.rs_slots)
+  |> List.sort by_weight
+  |> List.filteri (fun i _ -> i < top_k)
+
+let to_json ?(name_of_region = string_of_int) t =
+  Json.List
+    (List.map
+       (fun rs ->
+         Json.Obj
+           [
+             ("partition", Json.String (name_of_region rs.rs_region));
+             ("region", Json.Int rs.rs_region);
+             ("lock_fails", Json.Int rs.rs_lock_fails);
+             ("reader_fails", Json.Int rs.rs_reader_fails);
+             ("validation_fails", Json.Int rs.rs_validation_fails);
+             ("unattributed_validation", Json.Int rs.rs_unattributed_validation);
+             ("commit_latency", Histogram.to_json rs.rs_commit);
+             ("abort_latency", Histogram.to_json rs.rs_abort);
+             ("lock_wait_spins", Histogram.to_json rs.rs_lock_wait);
+             ( "hot_slots",
+               Json.List
+                 (List.filteri (fun i _ -> i < 32) rs.rs_slots
+                 |> List.map (fun st ->
+                        Json.Obj
+                          [
+                            ("slot", Json.Int st.st_slot);
+                            ("lock", Json.Int st.st_lock);
+                            ("reader", Json.Int st.st_reader);
+                            ("validation", Json.Int st.st_validation);
+                          ])) );
+           ])
+       (summary t))

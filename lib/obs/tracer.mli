@@ -4,9 +4,17 @@
     attempt — begin, reads/writes, validation outcome, commit/abort with
     cause — into per-shard ring buffers (sharded by descriptor id, one
     writer per shard), with optional deterministic 1-in-N sampling and
-    retry-chain linkage.  Attach alongside other taps (e.g. the checker's
-    history recorder) via the engine fan-out. *)
+    retry-chain linkage — plus exact per-region aggregates: a hot-orec
+    heatmap keyed by [Lock_table] slot and commit-phase, abort and
+    lock-wait-spin histograms ({!summary}).  Counting is never sampled: on
+    a deterministic run the heatmap totals equal the engine's
+    {!Partstm_stm.Region_stats} conflict counters (globally; per-region
+    splits can differ for multi-partition transactions), and the abort
+    histograms together count every aborted attempt that touched a region.
+    Attach alongside other taps (e.g. the checker's history recorder) via
+    the engine fan-out. *)
 
+open Partstm_util
 open Partstm_stm
 
 type outcome = Committed | Aborted of Engine.abort_cause
@@ -46,8 +54,8 @@ val create :
     corrupt memory). [ring_capacity] (default 4096) bounds stored spans
     per shard; the oldest are evicted and counted in {!dropped_spans}.
     [sample_every] = n keeps each attempt with probability 1/n, decided
-    from a per-shard deterministic stream seeded by [seed] (aggregate
-    counters stay exact). Shards allocate lazily. *)
+    from a per-shard deterministic stream seeded by [seed] (counters,
+    heatmap and histograms stay exact). Shards allocate lazily. *)
 
 val attach : t -> Engine.t -> unit
 (** Install as an engine tap (fan-out: other taps keep observing). At most
@@ -93,3 +101,45 @@ val outcome_label : outcome -> string
 (** ["committed"] or ["aborted-<cause>"]. *)
 
 val pp_span : Format.formatter -> span -> unit
+
+(** {2 Per-region aggregates}
+
+    Conflict counts are charged to the region the conflict event names.
+    Latencies are charged to the attempt's region: the first region seen
+    by a read, a write or a conflict (the span's [sp_region]). *)
+
+type slot_total = {
+  st_region : int;
+  st_slot : int;
+  st_lock : int;  (** encounter-time lock acquisition failures *)
+  st_reader : int;  (** visible-reader drain timeouts *)
+  st_validation : int;  (** read-set validation failures traced to this slot *)
+}
+
+val slot_weight : slot_total -> int
+(** [st_lock + st_reader + st_validation]. *)
+
+type region_summary = {
+  rs_region : int;
+  rs_slots : slot_total list;  (** descending by {!slot_weight} *)
+  rs_lock_fails : int;
+  rs_reader_fails : int;
+  rs_validation_fails : int;  (** includes slot-unattributed failures *)
+  rs_unattributed_validation : int;
+  rs_commit : Histogram.t;
+      (** commit entry -> locks released; update transactions only
+          (read-only commits have no commit phase) *)
+  rs_abort : Histogram.t;  (** begin -> rollback *)
+  rs_lock_wait : Histogram.t;  (** spins per successful acquisition *)
+}
+
+val summary : t -> region_summary list
+(** Merged across shards, ascending by region id. *)
+
+val hot_slots : ?top_k:int -> t -> slot_total list
+(** The [top_k] (default 10) hottest slots across all regions, descending
+    by {!slot_weight} with a deterministic tie-break. *)
+
+val to_json : ?name_of_region:(int -> string) -> t -> Json.t
+(** {!summary} as one object per region (the [-contention.json]
+    artifact of [partstm profile]). *)

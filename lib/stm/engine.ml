@@ -131,7 +131,8 @@ let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(writer_wait_
 (* -- Tap fan-out ---------------------------------------------------------
 
    Several independent sinks (the checker's history recorder, the tracer,
-   the contention profiler) can observe one engine at the same time.  Each
+   the metrics plane's affinity tap) can observe one engine at the same
+   time.  Each
    [add_tap] recomposes the single [recorder] field that the hook sites
    read: no taps costs the historical one-load-one-branch, a single tap is
    called directly, and only multiple taps pay a fan-out closure per event.

@@ -427,14 +427,14 @@ let test_latency_table_empty_histograms () =
   let system = System.create ~max_workers:4 () in
   let p = System.partition system "quiet" in
   let v = System.tvar p 0 in
-  let contention = Obs.Contention.create () in
-  Obs.Contention.attach contention (System.engine system);
+  let tracer = Obs.Tracer.create () in
+  Obs.Tracer.attach tracer (System.engine system);
   let txn = System.descriptor system ~worker_id:0 in
   for _ = 1 to 100 do
     System.atomically txn (fun t -> System.write t v (System.read t v + 1))
   done;
-  Obs.Contention.detach contention;
-  let rendered = Table.render (Obs.Report.latency_table contention) in
+  Obs.Tracer.detach tracer;
+  let rendered = Table.render (Obs.Report.latency_table tracer) in
   check Alcotest.bool "table rendered" true (String.length rendered > 0);
   check Alcotest.bool "empty histogram renders n/a" true (contains rendered "n/a")
 

@@ -1,7 +1,8 @@
 (* Observability layer (lib/obs): engine tap fan-out, span tracer ring
    accounting and sampling determinism, Chrome trace_event export
-   round-trip, contention-profiler reconciliation against the engine's
-   own conflict counters, and the mutation gate with a tracer attached. *)
+   round-trip, reconciliation of the tracer's heatmap and abort histograms
+   against the engine's own conflict counters and the tracer's abort
+   count, and the mutation gate with a tracer attached. *)
 
 open Partstm_stm
 open Partstm_core
@@ -15,21 +16,15 @@ let check = Alcotest.check
 
 (* Run a checker scenario instance once under the deterministic simulator
    with observers attached to its engine. *)
-let run_instance ?tracer ?contention (scenario : Scenario.t) =
+let run_instance ?tracer (scenario : Scenario.t) =
   let inst = scenario.Scenario.make () in
   Option.iter
     (fun t ->
       Obs.Tracer.attach t inst.Scenario.engine;
       Obs.Tracer.set_clock t Sim.now)
     tracer;
-  Option.iter
-    (fun c ->
-      Obs.Contention.attach c inst.Scenario.engine;
-      Obs.Contention.set_clock c Sim.now)
-    contention;
   Sim_env.with_model (fun () -> ignore (Sim.run ~seed:0x0b5 inst.Scenario.bodies));
   Option.iter Obs.Tracer.detach tracer;
-  Option.iter Obs.Contention.detach contention;
   inst
 
 let count_events p history = List.length (List.filter p (History.events history))
@@ -177,8 +172,9 @@ let chrome_test =
 (* -- Contention heatmap reconciles with engine counters ---------------------- *)
 
 (* Single-partition scenarios keep per-region attribution exact (see the
-   caveat in contention.ml), so the profiler's totals must equal the
-   engine's own [Region_stats] conflict counters. *)
+   caveat in tracer.ml), so the heatmap totals must equal the engine's own
+   [Region_stats] conflict counters, and the per-region abort histograms
+   must count every abort the tracer saw. *)
 let heatmap_reconciliation_test =
   Alcotest.test_case "heatmap totals equal engine conflict counters" `Quick (fun () ->
       List.iter
@@ -187,8 +183,8 @@ let heatmap_reconciliation_test =
           let system = System.create ~max_workers:fibers () in
           let p = System.partition system "hot" ~mode ~tunable:false in
           let accounts = Array.init 3 (fun _ -> System.tvar p 100) in
-          let contention = Obs.Contention.create () in
-          Obs.Contention.attach contention (System.engine system);
+          let tracer = Obs.Tracer.create () in
+          Obs.Tracer.attach tracer (System.engine system);
           let body i _fiber =
             let txn = System.descriptor system ~worker_id:i in
             for k = 1 to 12 do
@@ -200,10 +196,10 @@ let heatmap_reconciliation_test =
           in
           Sim_env.with_model (fun () ->
               ignore (Sim.run ~seed:0xc0ffee (List.init fibers body)));
-          Obs.Contention.detach contention;
+          Obs.Tracer.detach tracer;
           let stats = Partition.snapshot p in
           let sum f =
-            List.fold_left (fun acc rs -> acc + f rs) 0 (Obs.Contention.summary contention)
+            List.fold_left (fun acc rs -> acc + f rs) 0 (Obs.Tracer.summary tracer)
           in
           check Alcotest.bool (label ^ ": conflicts occurred") true
             (stats.Region_stats.s_lock_conflicts + stats.Region_stats.s_reader_conflicts
@@ -211,13 +207,16 @@ let heatmap_reconciliation_test =
             > 0);
           check Alcotest.int (label ^ ": lock fails")
             stats.Region_stats.s_lock_conflicts
-            (sum (fun rs -> rs.Obs.Contention.rs_lock_fails));
+            (sum (fun rs -> rs.Obs.Tracer.rs_lock_fails));
           check Alcotest.int (label ^ ": reader waits")
             stats.Region_stats.s_reader_conflicts
-            (sum (fun rs -> rs.Obs.Contention.rs_reader_fails));
+            (sum (fun rs -> rs.Obs.Tracer.rs_reader_fails));
           check Alcotest.int (label ^ ": validation fails")
             stats.Region_stats.s_validation_fails
-            (sum (fun rs -> rs.Obs.Contention.rs_validation_fails)))
+            (sum (fun rs -> rs.Obs.Tracer.rs_validation_fails));
+          check Alcotest.int (label ^ ": abort histograms count every abort")
+            (Obs.Tracer.aborted tracer)
+            (sum (fun rs -> Partstm_util.Histogram.count rs.Obs.Tracer.rs_abort)))
         [
           ("invisible", Mode.make ());
           ("visible", Mode.make ~visibility:Mode.Visible ());
