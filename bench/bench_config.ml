@@ -50,3 +50,16 @@ let emit t figure =
 
 let section title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
+
+(* Set by [show_verdict] on any [`Failed] acceptance check; [main.ml] exits
+   1 once every selected experiment has run and written its artifact.  A
+   [`Skipped] check (a host too small to measure it) is not a failure. *)
+let failed = ref false
+
+let show_verdict (name, verdict) =
+  match verdict with
+  | `Passed -> Printf.printf "check %-24s passed\n" name
+  | `Failed reason ->
+      failed := true;
+      Printf.printf "check %-24s FAILED: %s\n" name reason
+  | `Skipped reason -> Printf.printf "check %-24s skipped: %s\n" name reason

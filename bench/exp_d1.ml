@@ -14,11 +14,6 @@ let output_path (cfg : Bench_config.t) =
   | Some dir -> Filename.concat dir "BENCH_D1.json"
   | None -> "BENCH_D1.json"
 
-let show_verdict name = function
-  | `Passed -> Printf.printf "check %-18s passed\n" name
-  | `Failed reason -> Printf.printf "check %-18s FAILED: %s\n" name reason
-  | `Skipped reason -> Printf.printf "check %-18s skipped: %s\n" name reason
-
 let run (cfg : Bench_config.t) =
   Bench_config.section "R-D1: domains hardware scaling (padded vs boxed)";
   let config = if cfg.Bench_config.quick then Scaling.quick_config else Scaling.default_config in
@@ -26,8 +21,8 @@ let run (cfg : Bench_config.t) =
   print_newline ();
   Partstm_util.Table.print (Scaling.to_table report);
   print_newline ();
-  show_verdict "scaling-1-to-4" (Scaling.check_scaling report);
-  show_verdict "padded-vs-boxed" (Scaling.check_padding report);
+  Bench_config.show_verdict ("scaling-1-to-4", Scaling.check_scaling report);
+  Bench_config.show_verdict ("padded-vs-boxed", Scaling.check_padding report);
   let path = output_path cfg in
   Partstm_util.Json.merge_into_file ~path (Scaling.to_json report);
   Printf.printf "(json: %s)\n" path

@@ -17,11 +17,6 @@ let output_path (cfg : Bench_config.t) =
   | Some dir -> Filename.concat dir "BENCH_M1.json"
   | None -> "BENCH_M1.json"
 
-let show_verdict (name, verdict) =
-  match verdict with
-  | `Passed -> Printf.printf "check %-24s passed\n" name
-  | `Failed reason -> Printf.printf "check %-24s FAILED: %s\n" name reason
-
 let run (cfg : Bench_config.t) =
   Bench_config.section "R-M1: protocol comparison (sv / mv / ctl) + tuner autonomy";
   let config =
@@ -34,7 +29,7 @@ let run (cfg : Bench_config.t) =
   print_newline ();
   Partstm_util.Table.print (Protocol_bench.to_table report);
   print_newline ();
-  List.iter show_verdict (Protocol_bench.checks report);
+  List.iter Bench_config.show_verdict (Protocol_bench.checks report);
   let path = output_path cfg in
   Json.merge_into_file ~path (Protocol_bench.to_json report);
   Printf.printf "(json: %s)\n" path

@@ -25,11 +25,6 @@ let output_path (cfg : Bench_config.t) =
   | Some dir -> Filename.concat dir "BENCH_Y1.json"
   | None -> "BENCH_Y1.json"
 
-let show_verdict (name, verdict) =
-  match verdict with
-  | `Passed -> Printf.printf "check %-24s passed\n" name
-  | `Failed reason -> Printf.printf "check %-24s FAILED: %s\n" name reason
-
 let progress line = Printf.printf "  %s\n%!" line
 
 let run (cfg : Bench_config.t) =
@@ -49,7 +44,7 @@ let run (cfg : Bench_config.t) =
   print_newline ();
   Partstm_util.Table.print (Ycsb.to_table ycsb_sim);
   print_newline ();
-  List.iter show_verdict (Ycsb.checks ycsb_sim);
+  List.iter Bench_config.show_verdict (Ycsb.checks ycsb_sim);
 
   let feed_sim =
     Feed.run ~progress ~backend:(`Sim feed_cycles) ~workers:feed_workers ~seed feed_config
@@ -57,7 +52,7 @@ let run (cfg : Bench_config.t) =
   print_newline ();
   Partstm_util.Table.print (Feed.to_table feed_sim);
   print_newline ();
-  List.iter show_verdict (Feed.checks feed_sim);
+  List.iter Bench_config.show_verdict (Feed.checks feed_sim);
 
   (* Wall-clock arm: the virtual-time sections above are the reproducible
      record; this one measures the actual machine, so take the best of a
@@ -82,7 +77,7 @@ let run (cfg : Bench_config.t) =
   print_newline ();
   Partstm_util.Table.print (Ycsb.to_table ycsb_wall);
   print_newline ();
-  List.iter show_verdict (Ycsb.checks ycsb_wall);
+  List.iter Bench_config.show_verdict (Ycsb.checks ycsb_wall);
 
   let doc =
     Json.Obj

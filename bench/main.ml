@@ -5,7 +5,11 @@
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- -e f2 -e t1  -- selected experiments
      dune exec bench/main.exe -- --quick      -- smaller sweeps
-     dune exec bench/main.exe -- --csv results -- also write CSVs *)
+     dune exec bench/main.exe -- --csv results -- also write CSVs
+
+   Exit status: 0 when every acceptance check passed or was skipped, 1 when
+   any failed.  Every selected experiment still runs and writes its
+   artifact first, so a failing run leaves its evidence behind. *)
 
 let experiments =
   [
@@ -28,6 +32,8 @@ let experiments =
     ("y1", "YCSB phased traffic + social-feed app (BENCH_Y1.json)", Exp_y1.run);
   ]
 
+let experiment_ids = List.map (fun (id, _, _) -> id) experiments
+
 let run_selected selected quick csv_dir =
   let cfg = { Bench_config.quick; csv_dir } in
   let to_run =
@@ -40,7 +46,7 @@ let run_selected selected quick csv_dir =
             | Some experiment -> Some experiment
             | None ->
                 Printf.eprintf "unknown experiment %S (known: %s)\n" id
-                  (String.concat ", " (List.map (fun (eid, _, _) -> eid) experiments));
+                  (String.concat ", " experiment_ids);
                 exit 2)
           ids
   in
@@ -52,12 +58,19 @@ let run_selected selected quick csv_dir =
       run cfg;
       Printf.printf "### [%s] done in %.1fs\n%!" id (Unix.gettimeofday () -. t0))
     to_run;
-  Printf.printf "\nAll experiments completed in %.1fs.\n" (Unix.gettimeofday () -. started)
+  Printf.printf "\nAll experiments completed in %.1fs.\n" (Unix.gettimeofday () -. started);
+  if !Bench_config.failed then begin
+    print_endline "Some acceptance checks FAILED (see the check lines above).";
+    1
+  end
+  else 0
 
 open Cmdliner
 
 let selected_arg =
-  let doc = "Run only the given experiment (repeatable). Known ids: t1 f1 f2 f3 f4 f5 t2 t3 a1 a2 a3 o1 obs2 p1 d1 m1 y1." in
+  let doc =
+    "Run only the given experiment (repeatable). Known ids: " ^ String.concat " " experiment_ids ^ "."
+  in
   Arg.(value & opt_all string [] & info [ "e"; "experiment" ] ~docv:"ID" ~doc)
 
 let quick_arg =
@@ -71,7 +84,8 @@ let csv_arg =
 let cmd =
   let doc = "Regenerate the tables and figures of the partitioned-STM reproduction" in
   Cmd.v
-    (Cmd.info "partstm-bench" ~doc)
+    (Cmd.info "partstm-bench" ~doc
+       ~exits:(Cmd.Exit.info 1 ~doc:"an acceptance check failed." :: Cmd.Exit.defaults))
     Term.(const run_selected $ selected_arg $ quick_arg $ csv_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

@@ -19,7 +19,9 @@
    from it are drift.  A baseline that does not parse is a configuration
    error (exit 2), not drift — the atomic artifact writes
    ([Json.merge_into_file]) exist precisely so truncated files cannot
-   reach this gate.
+   reach this gate.  So is a comparison that covers no leaf at all (an
+   empty baseline, or --ignore matching everything): the gate never
+   passes vacuously.
 
    Typical CI usage:
      dune exec bench/regress.exe -- \
@@ -180,7 +182,14 @@ let run baseline_path fresh_path mode tolerance only ignored =
     | Exact -> "byte-exact"
     | Tolerance tol -> Printf.sprintf "±%.0f%% on numeric leaves" (100.0 *. tol)
   in
-  if drifts = [] then begin
+  if drifts = [] && !compared = 0 then begin
+    Printf.eprintf
+      "regress: %s vs %s: 0 leaves compared (empty baseline, or every leaf matched by \
+       --ignore); a gate that compares nothing cannot pass\n"
+      baseline_path fresh_path;
+    2
+  end
+  else if drifts = [] then begin
     Printf.printf "regress: OK — %s vs %s: %d leaves compared, no drift (%s%s)\n"
       baseline_path fresh_path !compared policy_label
       (match only with [] -> "" | ps -> Printf.sprintf "; subtrees: %s" (String.concat ", " ps));

@@ -9,7 +9,6 @@
      metrics <workload> ...  run with the metrics plane; OpenMetrics/affinity/SLO export
      top <workload> ...      live-refreshing dashboard over a run (htop for partitions)
      check [<scenario>] ...  systematic schedule exploration + opacity oracle
-     bench ...               BENCH_*.json sweeps: d1 scaling, m1 protocols, y1 YCSB+feed
      list                    list workloads, strategies and check scenarios
 
    Examples:
@@ -340,7 +339,8 @@ let cmd_list () =
   Printf.printf "  %-10s commit-time locking (NOrec-style sequence lock)\n" "ctl";
   print_endline "seeded bugs (check --bug):";
   List.iter (fun b -> Printf.printf "  %s\n" (Bug.to_string b)) Bug.all;
-  print_endline "(any workload/strategy above works with run, stats, trace and profile)";
+  print_endline
+    "(any workload/strategy above works with run, stats, trace, profile, metrics and top)";
   0
 
 (* -- check: systematic concurrency testing ------------------------------------ *)
@@ -791,6 +791,7 @@ let checked what ok conv =
 let positive_int = checked "a positive integer" (fun n -> n > 0) Arg.int
 let positive_float = checked "a positive number" (fun x -> Float.is_finite x && x > 0.0) Arg.float
 let non_negative_int = checked "a non-negative integer" (fun n -> n >= 0) Arg.int
+let tcp_port = checked "a TCP port (0..65535)" (fun n -> n >= 0 && n <= 65535) Arg.int
 
 let spec_term =
   let workload =
@@ -1036,7 +1037,7 @@ let top_spec_term =
   let port =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some tcp_port) None
       & info [ "port" ] ~docv:"PORT"
           ~doc:
             "Also serve the OpenMetrics scrape endpoint on 127.0.0.1:$(docv) for the run's \
@@ -1114,335 +1115,12 @@ let check_cmd =
           invariants; failures are shrunk to a minimal replayable schedule")
     Term.(const cmd_check $ check_spec_term)
 
-(* -- bench: domains hardware scaling (experiment D1) ------------------------- *)
-
-type bench_spec = {
-  bn_experiment : string;
-  bn_backend : string;
-  bn_workers : int list;
-  bn_seconds : float;
-  bn_trials : int;
-  bn_seed : int;
-  bn_quick : bool;
-  bn_theta : float option;  (* y1: Zipf skew override *)
-  bn_mix : string option;  (* y1: operation mix ("a".."f" or "r80,u20") *)
-  bn_phases : string option;  (* y1: phase schedule *)
-  bn_out : string option;  (* None = the experiment's committed BENCH_*.json *)
-}
-
-(* Committed BENCH_*.json files accumulate arms across runs: the fresh report
-   is merged over whatever is already there ([Json.merge] keeps the existing
-   key order and only replaces the keys this run produced), so re-running one
-   experiment never clobbers another's results and the bytes stay
-   reproducible.  [Json.merge_into_file] writes through a temp file + rename,
-   so an interrupted run can never commit a truncated artifact for the CI
-   regression gate to misparse. *)
-let merge_into_json_file path json = Partstm_util.Json.merge_into_file ~path json
-
-let cmd_bench_d1 spec out =
-  if spec.bn_backend <> "domains" then begin
-    Printf.eprintf
-      "bench: unknown backend %S (d1 measures real parallelism and only supports \
-       \"domains\"; the simulated-backend figures come from `partstm bench -e m1` and \
-       `dune exec bench/main.exe`)\n"
-      spec.bn_backend;
-    2
-  end
-  else
-    let config =
-      {
-        Scaling.workers =
-          (match spec.bn_workers with
-          | [] -> Scaling.default_config.Scaling.workers
-          | ws -> List.sort_uniq compare ws);
-        seconds = spec.bn_seconds;
-        trials = spec.bn_trials;
-        seed = spec.bn_seed;
-      }
-    in
-    let report = Scaling.run ~progress:(fun line -> Printf.printf "%s\n%!" line) config in
-    Partstm_util.Table.print (Scaling.to_table report);
-    merge_into_json_file out (Scaling.to_json report);
-    Printf.printf "wrote %s\n" out;
-    (* Skipped checks (single-core host) are not failures. *)
-    (match (Scaling.check_scaling report, Scaling.check_padding report) with
-    | `Failed reason, _ | _, `Failed reason ->
-        Printf.eprintf "bench: acceptance check failed: %s\n" reason;
-        1
-    | _ -> 0)
-
-let fold_verdicts verdicts =
-  List.fold_left
-    (fun code (name, verdict) ->
-      match verdict with
-      | `Passed ->
-          Printf.printf "check %-24s passed\n" name;
-          code
-      | `Failed reason ->
-          Printf.eprintf "bench: check %s failed: %s\n" name reason;
-          1)
-    0 verdicts
-
-let cmd_bench_m1 spec out =
-  (* The protocol matrix runs on the deterministic simulator — single-core
-     hosts produce the same bytes as many-core ones, so there is nothing to
-     gate on the backend. *)
-  let config =
-    let base =
-      if spec.bn_quick then Protocol_bench.quick_config else Protocol_bench.default_config
-    in
-    { base with Protocol_bench.seed = spec.bn_seed }
-  in
-  let report =
-    Protocol_bench.run ~progress:(fun line -> Printf.printf "%s\n%!" line) config
-  in
-  print_newline ();
-  Partstm_util.Table.print (Protocol_bench.to_table report);
-  merge_into_json_file out (Protocol_bench.to_json report);
-  Printf.printf "wrote %s\n" out;
-  fold_verdicts (Protocol_bench.checks report)
-
-(* Fold the y1 CLI knobs over a base YCSB config; any parse error aborts
-   with the parser's message. *)
-let ycsb_config_of_spec spec base =
-  let ( let* ) = Result.bind in
-  let* config =
-    match spec.bn_theta with
-    | None -> Ok base
-    | Some theta when theta >= 0.0 && theta < 1.0 -> Ok { base with Ycsb.theta }
-    | Some theta -> Error (Printf.sprintf "--theta %g out of range [0, 1)" theta)
-  in
-  let* config =
-    match spec.bn_mix with
-    | None -> Ok config
-    | Some text ->
-        Result.map (fun mix -> { config with Ycsb.mix }) (Ycsb.mix_of_string text)
-  in
-  match spec.bn_phases with
-  | None -> Ok config
-  | Some text ->
-      Result.map (fun phases -> { config with Ycsb.phases }) (Ycsb.phases_of_string text)
-
-let show_y1_report report =
-  print_newline ();
-  Partstm_util.Table.print (Ycsb.to_table report);
-  print_newline ()
-
-let cmd_bench_y1 spec out =
-  let quick = spec.bn_quick in
-  match
-    ycsb_config_of_spec spec (if quick then Ycsb.quick_config else Ycsb.default_config)
-  with
-  | Error msg ->
-      Printf.eprintf "bench: %s\n" msg;
-      2
-  | Ok config -> (
-      let workers =
-        match spec.bn_workers with [] -> Ycsb.bench_workers ~quick | w :: _ -> w
-      in
-      let progress line = Printf.printf "%s\n%!" line in
-      match spec.bn_backend with
-      | "sim" ->
-          (* Deterministic arm: the YCSB driver plus the feed application
-             (whose tuner explain trace is the artifact's point). *)
-          let ycsb =
-            Ycsb.run ~progress
-              ~backend:(`Sim (Ycsb.bench_sim_cycles ~quick))
-              ~workers ~seed:spec.bn_seed config
-          in
-          show_y1_report ycsb;
-          let feed =
-            Feed.run ~progress
-              ~backend:(`Sim (Feed.bench_sim_cycles ~quick))
-              ~workers:Feed.bench_workers ~seed:spec.bn_seed
-              (if quick then Feed.quick_config else Feed.default_config)
-          in
-          print_newline ();
-          Partstm_util.Table.print (Feed.to_table feed);
-          print_newline ();
-          merge_into_json_file out
-            (Partstm_util.Json.Obj
-               [
-                 ("schema", Partstm_util.Json.String "partstm.bench.y1/1");
-                 ("quick", Partstm_util.Json.Bool quick);
-                 ( "sim",
-                   Partstm_util.Json.Obj
-                     [ ("ycsb", Ycsb.to_json ycsb); ("feed", Feed.to_json feed) ] );
-               ]);
-          Printf.printf "wrote %s\n" out;
-          fold_verdicts (Ycsb.checks ycsb @ Feed.checks feed)
-      | "domains" ->
-          let best = ref None in
-          for trial = 1 to spec.bn_trials do
-            let report =
-              Ycsb.run ~progress
-                ~backend:(`Domains spec.bn_seconds)
-                ~workers ~seed:(spec.bn_seed + trial) config
-            in
-            match !best with
-            | Some b
-              when b.Ycsb.r_result.Partstm_harness.Driver.throughput
-                   >= report.Ycsb.r_result.Partstm_harness.Driver.throughput ->
-                ()
-            | _ -> best := Some report
-          done;
-          let report = Option.get !best in
-          show_y1_report report;
-          merge_into_json_file out
-            (Partstm_util.Json.Obj
-               [
-                 ("schema", Partstm_util.Json.String "partstm.bench.y1/1");
-                 ("quick", Partstm_util.Json.Bool quick);
-                 ( "domains",
-                   Partstm_util.Json.Obj
-                     [
-                       ("trials", Partstm_util.Json.Int spec.bn_trials);
-                       ("ycsb", Ycsb.to_json report);
-                     ] );
-               ]);
-          Printf.printf "wrote %s\n" out;
-          fold_verdicts (Ycsb.checks report)
-      | other ->
-          Printf.eprintf
-            "bench: unknown backend %S for y1 (use \"sim\" for the deterministic arm or \
-             \"domains\" for wall-clock)\n"
-            other;
-          2)
-
-let cmd_bench spec =
-  let default_out =
-    match spec.bn_experiment with
-    | "m1" -> "BENCH_M1.json"
-    | "y1" -> "BENCH_Y1.json"
-    | _ -> "BENCH_D1.json"
-  in
-  let out = Option.value spec.bn_out ~default:default_out in
-  match ensure_writable_dir (Filename.dirname out) with
-  | Error msg ->
-      Printf.eprintf "bench: --out %S is not writable: %s\n" out msg;
-      2
-  | Ok () -> (
-      match spec.bn_experiment with
-      | "d1" -> cmd_bench_d1 spec out
-      | "m1" -> cmd_bench_m1 spec out
-      | "y1" -> cmd_bench_y1 spec out
-      | other ->
-          Printf.eprintf "bench: unknown experiment %S (known: d1, m1, y1)\n" other;
-          2)
-
-let bench_spec_term =
-  let experiment =
-    Arg.(
-      value & opt string "d1"
-      & info [ "experiment"; "e" ] ~docv:"ID"
-          ~doc:
-            "Which experiment to run: $(b,d1) (domains hardware scaling, BENCH_D1.json), \
-             $(b,m1) (simulated protocol comparison, BENCH_M1.json) or $(b,y1) (YCSB phased \
-             traffic + social-feed app, BENCH_Y1.json)")
-  in
-  let backend =
-    Arg.(
-      value & opt string "domains"
-      & info [ "backend"; "b" ] ~docv:"BACKEND"
-          ~doc:
-            "Backend to measure: $(b,domains) (real hardware parallelism) or, for y1, \
-             $(b,sim) (deterministic virtual time — byte-reproducible artifacts)")
-  in
-  let workers =
-    Arg.(
-      value & opt_all positive_int []
-      & info [ "workers"; "w" ] ~docv:"N"
-          ~doc:"Worker count to sweep (repeatable; default 1 2 4 8)")
-  in
-  let seconds =
-    Arg.(
-      value & opt positive_float 1.0
-      & info [ "seconds" ] ~docv:"S" ~doc:"Measured window per run, in seconds")
-  in
-  let trials =
-    Arg.(value & opt positive_int 3 & info [ "trials" ] ~docv:"T" ~doc:"Trials per arm (best-of-T)")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed") in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Smaller sweeps (m1 only); for smoke-testing the bench")
-  in
-  let theta =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "theta" ] ~docv:"T"
-          ~doc:"y1: Zipf skew in [0, 1) for phases without an override (default 0.99)")
-  in
-  let mix =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mix" ] ~docv:"MIX"
-          ~doc:
-            "y1: operation mix — a standard YCSB letter ($(b,a)..$(b,f)) or a custom percent \
-             spec like $(b,r80,u10,m10) (r=read, u=update, i=insert, s=scan, m=rmw; must sum \
-             to 100)")
-  in
-  let phases =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "phases" ] ~docv:"PHASES"
-          ~doc:
-            "y1: phase schedule as comma-separated \
-             $(b,NAME:WEIGHT[:theta=T][:mix=M][:shift=F]) clauses, e.g. \
-             $(b,warm:0.25:theta=0.5:mix=b,peak:0.5,hot:0.25:shift=0.37)")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"PATH"
-          ~doc:"Where to write the JSON report (default: the experiment's BENCH_*.json)")
-  in
-  let make bn_experiment bn_backend bn_workers bn_seconds bn_trials bn_seed bn_quick bn_theta
-      bn_mix bn_phases bn_out =
-    {
-      bn_experiment;
-      bn_backend;
-      bn_workers;
-      bn_seconds;
-      bn_trials;
-      bn_seed;
-      bn_quick;
-      bn_theta;
-      bn_mix;
-      bn_phases;
-      bn_out;
-    }
-  in
-  Term.(
-    const make $ experiment $ backend $ workers $ seconds $ trials $ seed $ quick $ theta $ mix
-    $ phases $ out)
-
-let bench_cmd =
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Regenerate a committed BENCH_*.json report: $(b,-e d1) measures committed \
-          transactions per wall-clock second on real domains across worker counts and memory \
-          layouts; $(b,-e m1) runs the deterministic protocol comparison (single-version vs \
-          multi-version vs commit-time locking, plus the tuner-autonomy phase); $(b,-e y1) \
-          runs the YCSB-style phased keyed workload (latency percentiles + SLO compliance, \
-          $(b,--theta)/$(b,--mix)/$(b,--phases) knobs) and, on the sim backend, the \
-          social-feed application with its tuner explain trace. Results merge into the \
-          existing file atomically without clobbering other arms; acceptance checks \
-          self-skip on hosts without enough cores")
-    Term.(const cmd_bench $ bench_spec_term)
-
 let main_cmd =
   let doc = "Partitioned software transactional memory playground" in
   Cmd.group (Cmd.info "partstm" ~doc)
     [
       dsa_cmd; list_cmd; run_cmd; stats_cmd; trace_cmd; profile_cmd; metrics_cmd; top_cmd;
-      check_cmd; bench_cmd;
+      check_cmd;
     ]
 
 let () = exit (Cmd.eval' main_cmd)

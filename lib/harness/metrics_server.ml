@@ -18,6 +18,8 @@ type t = {
 }
 
 let start ?(port = 0) ~content () =
+  if port < 0 || port > 65535 then
+    invalid_arg (Printf.sprintf "Metrics_server.start: port %d outside 0..65535" port);
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;

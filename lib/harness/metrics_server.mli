@@ -9,8 +9,8 @@ type t
 
 val start : ?port:int -> content:(unit -> string) -> unit -> t
 (** Bind and listen on [127.0.0.1:port] (default [0] = ephemeral; read the
-    actual port back with {!port}). Raises [Unix.Unix_error] if the bind
-    fails. *)
+    actual port back with {!port}). Raises [Invalid_argument] for a port
+    outside [0..65535] and [Unix.Unix_error] if the bind fails. *)
 
 val port : t -> int
 

@@ -37,16 +37,16 @@ val default_config : config
 val quick_config : config
 
 val bench_sim_cycles : quick:bool -> int
-(** Virtual-time budget for the bench/CLI sim arm.  Feed transactions are
+(** Virtual-time budget for the R-Y1 sim arm.  Feed transactions are
     an order of magnitude heavier than YCSB point ops, so the budget is
     larger — the tuner needs full sampling periods per partition. *)
 
 val bench_workers : int
-(** Worker count for the bench/CLI sim arm: enough concurrency to build
+(** Worker count for the R-Y1 sim arm: enough concurrency to build
     the contention signals the tuner keys on (the simulator timeslices,
     so extra workers cost nothing). *)
 
-(** {1 Workload-catalogue interface} *)
+(** {1 Store and worker} (what {!run} drives; usable under any [Driver.run]) *)
 
 type t
 

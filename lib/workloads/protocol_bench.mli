@@ -2,8 +2,8 @@
     EXPERIMENTS.md §R-M1): the same read-dominated ledger run under each
     concurrency-control protocol with the same seed, plus a tuner-autonomy
     phase where two default-mode partitions must be moved to the protocol
-    that fits them. Shared by [bench/exp_m1.ml] and the [partstm bench -e
-    m1] CLI command; writes BENCH_M1.json. *)
+    that fits them. Driven by [bench/exp_m1.ml], which writes
+    BENCH_M1.json. *)
 
 open Partstm_stm
 

@@ -2,7 +2,7 @@
    EXPERIMENTS.md §R-D1): committed transactions per wall-clock second on
    the low-contention bank workload, swept over worker counts, with the
    cache-line-padded memory layout A/B'd against the packed ("boxed")
-   baseline.  Shared by bench/exp_d1.ml and `partstm bench`.
+   baseline.  Driven by bench/exp_d1.ml.
 
    Methodology (same noise discipline as R-O1): one discarded warm-up run,
    then arms interleaved across trials so machine drift hits every arm

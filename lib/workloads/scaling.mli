@@ -1,7 +1,7 @@
 (** Hardware scaling measurement for the Domains backend (experiment D1):
     committed transactions per wall-clock second on the low-contention bank
     workload, swept over worker counts, padded vs packed memory layout.
-    Shared by [bench/exp_d1.ml] and the [partstm bench] CLI command. *)
+    Driven by [bench/exp_d1.ml], which writes BENCH_D1.json. *)
 
 type config = {
   workers : int list;  (** sweep, ascending; must include 1 for ratios *)

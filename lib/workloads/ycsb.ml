@@ -78,45 +78,6 @@ let mix_to_string mix =
              ('m', mix.mx_rmw);
            ])
 
-(* "a".."f", or "r80,u10,m10": per-class percents summing to 100. *)
-let mix_of_string text =
-  match List.find_opt (fun m -> m.mx_name = text) standard_mixes with
-  | Some m -> Ok m
-  | None -> (
-      let parts = String.split_on_char ',' text in
-      let parse_clause acc clause =
-        match acc with
-        | Error _ -> acc
-        | Ok mix ->
-            if String.length clause < 2 then
-              Error (Printf.sprintf "mix clause %S: expected <class-letter><percent>" clause)
-            else begin
-              match int_of_string_opt (String.sub clause 1 (String.length clause - 1)) with
-              | None -> Error (Printf.sprintf "mix clause %S: invalid percent" clause)
-              | Some pct when pct < 0 || pct > 100 ->
-                  Error (Printf.sprintf "mix clause %S: percent out of range" clause)
-              | Some pct -> (
-                  match clause.[0] with
-                  | 'r' -> Ok { mix with mx_read = pct }
-                  | 'u' -> Ok { mix with mx_update = pct }
-                  | 'i' -> Ok { mix with mx_insert = pct }
-                  | 's' -> Ok { mix with mx_scan = pct }
-                  | 'm' -> Ok { mix with mx_rmw = pct }
-                  | c ->
-                      Error
-                        (Printf.sprintf "mix clause %S: unknown class %C (r/u/i/s/m)" clause c))
-            end
-      in
-      match List.fold_left parse_clause (Ok (make_mix "custom" 0 0 0 0 0)) parts with
-      | Error _ as e -> e
-      | Ok mix ->
-          let total =
-            mix.mx_read + mix.mx_update + mix.mx_insert + mix.mx_scan + mix.mx_rmw
-          in
-          if total <> 100 then
-            Error (Printf.sprintf "mix %S: percents sum to %d, expected 100" text total)
-          else Ok { mix with mx_name = mix_to_string mix })
-
 (* -- Phases ------------------------------------------------------------------ *)
 
 type phase = {
@@ -142,51 +103,6 @@ let phase_to_string p =
     @ if p.ph_shift <> 0.0 then [ Printf.sprintf "shift=%g" p.ph_shift ] else [])
 
 let phases_to_string phases = String.concat "," (List.map phase_to_string phases)
-
-(* "NAME:WEIGHT[:theta=T][:mix=M][:shift=F]", comma-separated. *)
-let phases_of_string text =
-  let parse_phase clause =
-    match String.split_on_char ':' clause with
-    | name :: weight :: options when name <> "" -> (
-        match float_of_string_opt weight with
-        | None -> Error (Printf.sprintf "phase %S: invalid weight %S" clause weight)
-        | Some w when w <= 0.0 -> Error (Printf.sprintf "phase %S: weight must be > 0" clause)
-        | Some w ->
-            let base =
-              { ph_name = name; ph_weight = w; ph_theta = None; ph_mix = None; ph_shift = 0.0 }
-            in
-            List.fold_left
-              (fun acc option ->
-                match acc with
-                | Error _ -> acc
-                | Ok phase -> (
-                    match String.index_opt option '=' with
-                    | None -> Error (Printf.sprintf "phase %S: expected KEY=VALUE, got %S" clause option)
-                    | Some i -> (
-                        let key = String.sub option 0 i in
-                        let value = String.sub option (i + 1) (String.length option - i - 1) in
-                        match key with
-                        | "theta" -> (
-                            match float_of_string_opt value with
-                            | Some t when t >= 0.0 && t < 1.0 -> Ok { phase with ph_theta = Some t }
-                            | _ -> Error (Printf.sprintf "phase %S: theta must be in [0, 1)" clause))
-                        | "mix" ->
-                            Result.map (fun m -> { phase with ph_mix = Some m }) (mix_of_string value)
-                        | "shift" -> (
-                            match float_of_string_opt value with
-                            | Some f when f >= 0.0 && f < 1.0 -> Ok { phase with ph_shift = f }
-                            | _ -> Error (Printf.sprintf "phase %S: shift must be in [0, 1)" clause))
-                        | other -> Error (Printf.sprintf "phase %S: unknown option %S" clause other))))
-              (Ok base) options)
-    | _ -> Error (Printf.sprintf "phase %S: expected NAME:WEIGHT[:opt=val...]" clause)
-  in
-  let rec collect acc = function
-    | [] -> Ok (List.rev acc)
-    | clause :: rest -> (
-        match parse_phase clause with Ok p -> collect (p :: acc) rest | Error _ as e -> e)
-  in
-  if String.trim text = "" then Error "empty phase list"
-  else collect [] (String.split_on_char ',' text)
 
 (* -- Configuration ----------------------------------------------------------- *)
 

@@ -50,12 +50,9 @@ val mix_e : mix
 val mix_f : mix
 (** 50% read / 50% read-modify-write. *)
 
-val mix_of_string : string -> (mix, string) result
-(** ["a"].. ["f"], or a custom ["rR,uU,iI,sS,mM"] percent spec (omitted
-    classes default to 0; percents must sum to 100), e.g. ["r80,u10,m10"]. *)
-
 val mix_to_string : mix -> string
-(** Round-trips through {!mix_of_string}. *)
+(** A standard mix's letter, otherwise its nonzero classes as percents,
+    e.g. ["r80,u10,m10"] (r=read, u=update, i=insert, s=scan, m=rmw). *)
 
 (** {1 Phases} *)
 
@@ -71,11 +68,9 @@ val default_phases : phase list
 (** warm (25%, θ=0.5, mix B) → peak (50%, configured θ and mix) →
     hot-shift (25%, configured θ and mix, hot set rotated by 0.37·keys). *)
 
-val phases_of_string : string -> (phase list, string) result
-(** Comma-separated [NAME:WEIGHT[:theta=T][:mix=M][:shift=F]] clauses,
-    e.g. ["warm:0.25:theta=0.5:mix=b,peak:0.5,shift:0.25:shift=0.37"]. *)
-
 val phases_to_string : phase list -> string
+(** Comma-separated [NAME:WEIGHT[:theta=T][:mix=M][:shift=F]] clauses,
+    e.g. ["warm:0.25:theta=0.5:mix=b,peak:0.5,hot-shift:0.25:shift=0.37"]. *)
 
 (** {1 Configuration} *)
 
@@ -96,12 +91,12 @@ val default_config : config
 val quick_config : config
 
 val bench_sim_cycles : quick:bool -> int
-(** Virtual-time budget the bench harness and CLI use for the sim arm —
-    shared so both produce byte-identical artifacts. *)
+(** Virtual-time budget of the R-Y1 sim arm ([bench/exp_y1.ml] and the
+    tests that pin its checks). *)
 
 val bench_workers : quick:bool -> int
 
-(** {1 Workload-catalogue interface} ([partstm run ycsb]) *)
+(** {1 Store and worker} (what {!run} drives; usable under any [Driver.run]) *)
 
 type t
 
@@ -113,7 +108,7 @@ val check : t -> bool
     inserts write the key, read-modify-writes increment), and no scan or
     read ever observed a value below that floor. *)
 
-(** {1 Orchestrated runs} ([partstm bench -e y1], [bench/exp_y1.ml]) *)
+(** {1 Orchestrated runs} ([bench/exp_y1.ml]) *)
 
 type phase_summary = {
   ps_name : string;

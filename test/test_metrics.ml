@@ -350,6 +350,18 @@ let test_scrape_endpoint () =
     (String.length missing > 12 && String.sub missing 9 3 = "404");
   Metrics_server.stop server
 
+(* A port outside the TCP range must be rejected, not wrapped modulo 2^16
+   into some other port that happens to bind. *)
+let test_scrape_port_range () =
+  List.iter
+    (fun port ->
+      Alcotest.check_raises
+        (Printf.sprintf "port %d rejected" port)
+        (Invalid_argument
+           (Printf.sprintf "Metrics_server.start: port %d outside 0..65535" port))
+        (fun () -> ignore (Metrics_server.start ~port ~content:(fun () -> "") ())))
+    [ -1; 65536 ]
+
 (* -- Tuner explainability ------------------------------------------------------ *)
 
 let snapshot_with ~commits ~ro_commits ~aborts ~reads ~writes ~validation_fails =
@@ -476,6 +488,8 @@ let () =
             test_plane_mirrors_and_slo;
           Alcotest.test_case "scrape endpoint serves valid OpenMetrics" `Quick
             test_scrape_endpoint;
+          Alcotest.test_case "scrape port outside 0..65535 raises" `Quick
+            test_scrape_port_range;
         ] );
       ( "explain",
         [

@@ -1,7 +1,7 @@
 (* Tests for the R-Y1 production-traffic stack (DESIGN.md §11): the
    Zipf(θ) generator's statistics, determinism and per-worker stream
-   independence; the YCSB mix/phase parsers; byte-determinism of the
-   simulated YCSB report (the property the CI regression gate relies on);
+   independence; the simulated YCSB report's checks, mix and phase labels
+   and byte-determinism (the property the CI regression gate relies on);
    and the social-feed application's tuner divergence + explain trail. *)
 
 open Partstm_util
@@ -111,43 +111,6 @@ let test_make_validation () =
     (Invalid_argument "Zipf.make: n must be positive") (fun () ->
       ignore (Zipf.make ~n:0 ~theta:0.5))
 
-(* -- Mix and phase parsers ---------------------------------------------------- *)
-
-let test_mix_parsing () =
-  (match Ycsb.mix_of_string "b" with
-  | Ok m -> check Alcotest.int "mix b is 95% read" 95 m.Ycsb.mx_read
-  | Error e -> Alcotest.failf "mix b rejected: %s" e);
-  (match Ycsb.mix_of_string "r80,u10,m10" with
-  | Ok m ->
-      check Alcotest.int "custom read" 80 m.Ycsb.mx_read;
-      check Alcotest.int "custom rmw" 10 m.Ycsb.mx_rmw;
-      check Alcotest.int "omitted class defaults to 0" 0 m.Ycsb.mx_scan
-  | Error e -> Alcotest.failf "custom mix rejected: %s" e);
-  (match Ycsb.mix_of_string "r90,u20" with
-  | Ok _ -> Alcotest.fail "percents summing to 110 accepted"
-  | Error _ -> ());
-  List.iter
-    (fun m ->
-      match Ycsb.mix_of_string (Ycsb.mix_to_string m) with
-      | Ok m' -> check Alcotest.string "round-trip" m.Ycsb.mx_name m'.Ycsb.mx_name
-      | Error e -> Alcotest.failf "round-trip of %s failed: %s" m.Ycsb.mx_name e)
-    [ Ycsb.mix_a; Ycsb.mix_e; Ycsb.mix_f ]
-
-let test_phase_parsing () =
-  match Ycsb.phases_of_string "warm:0.25:theta=0.5:mix=b,peak:0.5,shift:0.25:shift=0.37" with
-  | Error e -> Alcotest.failf "phase spec rejected: %s" e
-  | Ok phases -> (
-      check Alcotest.int "three phases" 3 (List.length phases);
-      let warm = List.nth phases 0 and shift = List.nth phases 2 in
-      check Alcotest.(option (float 1e-9)) "warm theta" (Some 0.5) warm.Ycsb.ph_theta;
-      check (Alcotest.float 1e-9) "shift fraction" 0.37 shift.Ycsb.ph_shift;
-      (match Ycsb.phases_of_string (Ycsb.phases_to_string phases) with
-      | Ok phases' -> check Alcotest.int "round-trip keeps phases" 3 (List.length phases')
-      | Error e -> Alcotest.failf "phase round-trip failed: %s" e);
-      match Ycsb.phases_of_string "bad:0" with
-      | Ok _ -> Alcotest.fail "zero-weight phase accepted"
-      | Error _ -> ())
-
 (* -- YCSB simulated run ------------------------------------------------------- *)
 
 let run_quick_ycsb () =
@@ -173,7 +136,17 @@ let test_ycsb_checks_pass () =
       if ps.Ycsb.ps_lat.Histogram.h_count <> ps.Ycsb.ps_ops then
         Alcotest.failf "phase %s: %d ops but %d latencies" ps.Ycsb.ps_name ps.Ycsb.ps_ops
           ps.Ycsb.ps_lat.Histogram.h_count)
-    report.Ycsb.r_phases
+    report.Ycsb.r_phases;
+  (* The artifact names each phase's mix by its text label: a standard mix
+     by its letter, a custom one by its nonzero percents. *)
+  check Alcotest.(list string) "per-phase mixes in the report" [ "b"; "a"; "a" ]
+    (List.map (fun ps -> ps.Ycsb.ps_mix) report.Ycsb.r_phases);
+  check Alcotest.int "mix b is 95% read" 95 Ycsb.mix_b.Ycsb.mx_read;
+  check Alcotest.string "custom mix renders its nonzero percents" "r80,u10,m10"
+    (Ycsb.mix_to_string { Ycsb.mix_a with Ycsb.mx_read = 80; mx_update = 10; mx_rmw = 10 });
+  check Alcotest.string "default schedule"
+    "warm:0.25:theta=0.5:mix=b,peak:0.5,hot-shift:0.25:shift=0.37"
+    (Ycsb.phases_to_string Ycsb.default_phases)
 
 (* The property the CI gate's byte-exact policy rests on: same build, same
    config, same seed ⇒ the identical artifact, histogram buckets included. *)
@@ -230,11 +203,6 @@ let () =
           Alcotest.test_case "per-worker stream independence" `Quick
             test_stream_independence;
           Alcotest.test_case "parameter validation" `Quick test_make_validation;
-        ] );
-      ( "parsers",
-        [
-          Alcotest.test_case "operation mixes" `Quick test_mix_parsing;
-          Alcotest.test_case "phase schedules" `Quick test_phase_parsing;
         ] );
       ( "ycsb-sim",
         [
