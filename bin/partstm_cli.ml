@@ -1021,10 +1021,10 @@ let metrics_cmd =
            `P
              "The metrics plane mirrors every partition's statistics counters into a striped \
               metrics registry, tracks latency SLOs over the whole-attempt commit/abort \
-              histograms, and accumulates the worker×partition access-affinity matrix. With \
-              the default $(b,--metrics-steps 0) the plane adds no scheduling action at all: \
-              taps charge no virtual time, so a $(b,sim) run's schedule is bit-identical to \
-              the same run without metrics.";
+              histograms, and reads the worker×partition access-affinity matrix off the \
+              per-worker statistics stripes. With the default $(b,--metrics-steps 0) the \
+              plane adds no scheduling action at all: taps charge no virtual time, so a \
+              $(b,sim) run's schedule is bit-identical to the same run without metrics.";
          ])
     Term.(const cmd_metrics $ metrics_spec_term)
 

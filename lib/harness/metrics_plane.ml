@@ -6,9 +6,10 @@
    the driver's service domain or fiber) mirrors the current per-partition
    snapshot into the metrics registry with service-stripe writes, refreshes
    the derived gauges, and closes one SLO window.  Latency comes from the
-   [Affinity] engine tap (whole-attempt begin → commit / rollback), which
-   is also the worker × partition matrix exported for sharing-aware
-   mapping. *)
+   [Affinity] engine tap, which watches attempts only (whole-attempt
+   begin → commit / rollback) and never a read or a write; the same module
+   reads the worker × partition matrix exported for sharing-aware mapping
+   off the per-worker [Region_stats] stripes. *)
 
 open Partstm_util
 open Partstm_stm
@@ -71,9 +72,11 @@ let sync_mirrors t =
         t.mirrors <- t.mirrors @ [ make_mirror t.metrics partition ])
     (Registry.partitions t.registry)
 
-let create ?max_workers ?(slos = []) ?affinity_shards registry =
+let create ?max_workers ?(slos = []) registry =
   let metrics = Metrics.create ?max_workers () in
-  let affinity = Affinity.create ?shards:affinity_shards () in
+  let affinity =
+    Affinity.create (fun () -> List.map Partition.region (Registry.partitions registry))
+  in
   let slo = Slo.create () in
   List.iter
     (fun (spec : Slo.spec) ->

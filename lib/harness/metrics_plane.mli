@@ -6,17 +6,17 @@
     metrics registry on each {!sample} (service-stripe writes — the hot
     paths keep their existing counters and never touch the plane), feeds
     the SLO tracker from the affinity tap's whole-attempt commit/abort
-    latency histograms, and exposes everything as OpenMetrics text, either
-    one-shot ({!openmetrics}, {!save}) or over a scrape endpoint
-    ({!serve} / {!poll_server}) driven by the driver's shared service
-    domain. *)
+    latency histograms (the tap watches attempts, never reads or writes),
+    and exposes everything as OpenMetrics text, either one-shot
+    ({!openmetrics}, {!save}) or over a scrape endpoint ({!serve} /
+    {!poll_server}) driven by the driver's shared service domain. *)
 
 open Partstm_obs
 open Partstm_core
 
 type t
 
-val create : ?max_workers:int -> ?slos:Slo.spec list -> ?affinity_shards:int -> Registry.t -> t
+val create : ?max_workers:int -> ?slos:Slo.spec list -> Registry.t -> t
 (** SLO specs resolve their [sp_source] against the plane's latency
     histograms: ["commit"] (begin → commit) and ["abort"] (begin →
     rollback). Raises [Invalid_argument] on an unknown source. *)
@@ -26,7 +26,8 @@ val slo : t -> Slo.t
 val affinity : t -> Affinity.t
 
 val attach : t -> unit
-(** Install the affinity tap on the registry's engine (only while no
+(** Take the affinity matrix's stripe baseline and install its
+    attempt-only latency tap on the registry's engine (only while no
     transaction is in flight). *)
 
 val detach : t -> unit

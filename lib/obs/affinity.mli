@@ -1,32 +1,42 @@
-(** Worker × partition access-affinity matrix: an [Engine] tap accumulating
-    reads / writes / commits / aborts per (worker, region) cell, plus
-    whole-attempt commit and abort latency histograms (begin → commit /
-    rollback, in the installed clock's units).
+(** Worker × partition access-affinity matrix: reads / writes / commits /
+    aborts per (worker, region) cell, plus whole-attempt commit and abort
+    latency histograms (begin → commit / rollback, in the installed clock's
+    units).
 
-    Commit and abort cells follow the engine's [rec_touch] contract, so
-    per-region sums over workers reconcile exactly with [Region_stats]
-    commit/abort totals once the worker domains have joined. Read/write
-    cells count engine-observed access events, which dedup repeat holds —
-    close to, but not identical with, the raw [Region_stats] read counter.
+    The cells come from the per-worker [Region_stats] stripes that the
+    workers already bump: a cell is a worker's stripe in a region now,
+    minus the same stripe at {!attach}, frozen at {!detach}. All four
+    columns are exact since attach once the worker domains have joined
+    (reads and writes count every [Txn.read] / [Txn.write] call, as the
+    statistics do), and keeping them costs the access path nothing.
 
-    Sharded by descriptor id like [Tracer] (single writer per
-    shard below the collision threshold); merged at read time. *)
+    The engine tap watches attempts only ([rec_begin], [rec_commit],
+    [rec_abort]) for the latency histograms, so the engine calls it on no
+    read or write. Latency is sharded by descriptor id like [Tracer]
+    (single writer per shard below the collision threshold); merged at
+    read time. *)
 
 open Partstm_util
 open Partstm_stm
 
 type t
 
-val create : ?shards:int -> unit -> t
+val create : (unit -> Region.t list) -> t
+(** [create regions]: the matrix covers the regions [regions ()] lists
+    when it is read; a region first listed after {!attach} counts from
+    zero. *)
+
 val set_clock : t -> (unit -> int) -> unit
 val clear_clock : t -> unit
 
-val recorder : t -> Engine.recorder
-
 val attach : t -> Engine.t -> unit
-(** Install as an engine tap (only while no transaction is in flight). *)
+(** Take the stripe baseline and install the latency tap (only while no
+    transaction is in flight). A second attach after {!detach} restarts
+    the cells from a fresh baseline; the latency histograms keep
+    accumulating. Raises [Invalid_argument] while attached. *)
 
 val detach : t -> unit
+(** Remove the tap and freeze the cells as they stand. *)
 
 type cell_total = {
   ax_worker : int;
@@ -38,15 +48,13 @@ type cell_total = {
 }
 
 val cells : t -> cell_total list
-(** Merged matrix, sorted by (worker, region). *)
-
-val region_totals : t -> (int * int * int) list
-(** Per-region [(region, commits, aborts)] summed over workers — the
-    quantities that reconcile exactly with [Region_stats]. *)
+(** Non-zero cells since {!attach}, sorted by (worker, region); [[]] before
+    the first attach. While attached, a live read of the stripes (slightly
+    stale under running domains, exact once they have joined). *)
 
 val commit_latency : t -> Histogram.t
 val abort_latency : t -> Histogram.t
 
 val to_csv_rows : ?name_of_region:(int -> string) -> t -> string list list
 val to_json : ?name_of_region:(int -> string) -> t -> Json.t
-(** Canonical (sorted-key) export, schema ["partstm.affinity/1"]. *)
+(** Canonical (sorted-key) export, schema ["partstm.affinity/2"]. *)

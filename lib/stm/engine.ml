@@ -87,7 +87,10 @@ type t = {
          counters) live on their own cache lines; [false] is the packed
          baseline, kept for A/B (see bench/exp_d1) *)
   mutable recorder : recorder option;
-      (* the composed fan-out over [taps]; hook sites read only this field *)
+      (* the composed fan-out over [taps]; attempt hooks read this field *)
+  mutable access : recorder option;
+      (* the fan-out over the taps that override an access hook; the access
+         hook sites and the conflict-attribution slot log read this field *)
   mutable taps : (int * recorder) list;  (* attach order; ids never reused *)
   mutable tap_counter : int;
 }
@@ -124,6 +127,7 @@ let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(writer_wait_
     max_attempts;
     padded;
     recorder = None;
+    access = None;
     taps = [];
     tap_counter = 0;
   }
@@ -131,13 +135,23 @@ let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(writer_wait_
 (* -- Tap fan-out ---------------------------------------------------------
 
    Several independent sinks (the checker's history recorder, the tracer,
-   the metrics plane's affinity tap) can observe one engine at the same
-   time.  Each
-   [add_tap] recomposes the single [recorder] field that the hook sites
-   read: no taps costs the historical one-load-one-branch, a single tap is
-   called directly, and only multiple taps pay a fan-out closure per event.
-   Attaching/detaching must happen while no transaction is in flight (taps
-   are installed before workers start). *)
+   the metrics plane's latency tap) can observe one engine at the same
+   time.  Each [add_tap] recomposes the two fields that the hook sites
+   read: [recorder] over every tap, and [access] over only the taps that
+   override one of the per-access hooks ([rec_touch], [rec_read],
+   [rec_write], [rec_conflict], [rec_lock_wait]) — so a tap that watches
+   attempts only costs the reads and writes nothing.  No taps costs the
+   historical one-load-one-branch, a single tap is called directly, and
+   only multiple taps pay a fan-out closure per event.  Attaching/detaching
+   must happen while no transaction is in flight (taps are installed before
+   workers start). *)
+
+let watches_access r =
+  r.rec_touch != null_recorder.rec_touch
+  || r.rec_read != null_recorder.rec_read
+  || r.rec_write != null_recorder.rec_write
+  || r.rec_conflict != null_recorder.rec_conflict
+  || r.rec_lock_wait != null_recorder.rec_lock_wait
 
 let compose = function
   | [] -> None
@@ -165,16 +179,18 @@ let compose = function
           rec_commit_begin = (fun ~txn -> each (fun r -> r.rec_commit_begin ~txn));
         }
 
+let set_taps t taps =
+  t.taps <- taps;
+  t.recorder <- compose taps;
+  t.access <- compose (List.filter (fun (_, r) -> watches_access r) taps)
+
 let add_tap t recorder =
   let id = t.tap_counter in
   t.tap_counter <- id + 1;
-  t.taps <- t.taps @ [ (id, recorder) ];
-  t.recorder <- compose t.taps;
+  set_taps t (t.taps @ [ (id, recorder) ]);
   id
 
-let remove_tap t id =
-  t.taps <- List.filter (fun (tap_id, _) -> tap_id <> id) t.taps;
-  t.recorder <- compose t.taps
+let remove_tap t id = set_taps t (List.filter (fun (tap_id, _) -> tap_id <> id) t.taps)
 
 let taps t = List.map fst t.taps
 

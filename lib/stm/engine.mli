@@ -18,8 +18,7 @@ type recorder = {
           activated region entry. The regions reported between a
           [rec_begin] and its [rec_commit]/[rec_abort] are exactly those
           whose per-region [Region_stats] commit/abort counters that
-          attempt bumps — the affinity matrix ([Obs.Affinity]) relies on
-          this to reconcile against {!Region_stats} totals. *)
+          attempt bumps. *)
   rec_read : txn:int -> region:int -> slot:int -> version:int -> unit;
   rec_write : txn:int -> region:int -> slot:int -> unit;
   rec_commit : txn:int -> stamp:int -> unit;
@@ -40,7 +39,17 @@ type recorder = {
     orec-level reads (with the version observed), writes, commit stamps,
     aborts, lock-table (re)creations, conflict causes with the failing
     slot, lock-wait spin counts, and commit-sequence entry. All
-    identifiers are plain ints ([txn] = descriptor id). *)
+    identifiers are plain ints ([txn] = descriptor id).
+
+    [rec_touch], [rec_read], [rec_write], [rec_conflict] and
+    [rec_lock_wait] are the {e access hooks}: they fire per region entry,
+    read, write, conflict or lock acquisition, and the engine calls them
+    only on taps that override at least one of them (a field physically
+    different from {!null_recorder}'s). While no such tap is attached the
+    access hook sites cost one load and one branch and the
+    conflict-attribution slot log is not kept, whatever other taps are
+    attached. The other hooks ([rec_begin], [rec_commit], [rec_abort],
+    [rec_commit_begin], [rec_generation]) fire on every tap. *)
 
 val null_recorder : recorder
 (** Every field ignores its arguments; build taps with
@@ -63,8 +72,12 @@ type t = {
           cache-line-padded; [false] is the packed baseline (A/B,
           bench/exp_d1) *)
   mutable recorder : recorder option;
-      (** the composed fan-out over all attached taps; hook sites read only
-          this field. [None] (the default) costs one branch per hook site *)
+      (** the composed fan-out over all attached taps, read by the attempt
+          hook sites. [None] (the default) costs one branch per hook site *)
+  mutable access : recorder option;
+      (** the fan-out over just the taps that override an access hook, read
+          by the access hook sites and the slot log; [None] while no
+          attached tap watches accesses *)
   mutable taps : (int * recorder) list;
   mutable tap_counter : int;
 }

@@ -85,7 +85,7 @@ type t = {
   mutable retry_hook : (unit -> unit) option;
   read_words : int Atomic.t Vec.t;  (* invisible read set: orec words ... *)
   read_observed : int Vec.t;  (* ... and the unlocked word observed *)
-  read_regions : int Vec.t;  (* recorder-only: region id per read entry ... *)
+  read_regions : int Vec.t;  (* access-tap-only: region id per read entry ... *)
   read_slots : int Vec.t;  (* ... and its slot, for conflict attribution *)
   lock_words : int Atomic.t Vec.t;  (* owned write locks ... *)
   lock_prev : int Vec.t;  (* ... and their pre-lock words *)
@@ -215,7 +215,7 @@ let activate t (e : region_entry) =
   t.cur_region_id <- region.Region.id;
   t.cur_stripe <- e.re_stripe;
   t.cur_epoch <- t.txn_epoch;
-  match t.engine.Engine.recorder with
+  match t.engine.Engine.access with
   | None -> ()
   | Some r -> r.Engine.rec_touch ~txn:t.id ~region:region.Region.id
 
@@ -307,7 +307,7 @@ let validate t = first_invalid t < 0
 (* -- Conflict attribution (tracing taps) ---------------------------------
 
    The slot log ([read_regions]/[read_slots]) mirrors the read set only
-   while a recorder is attached (pushes are guarded at the read sites), so
+   while an access tap is attached (pushes are guarded at the read sites), so
    a validation failure can name the offending orec.  When the log was not
    kept the failure is still reported, with the region charged by the
    statistics and slot -1. *)
@@ -318,7 +318,7 @@ let read_site t i =
   else None
 
 let record_conflict_raw t ~cause ~region ~slot =
-  match t.engine.Engine.recorder with
+  match t.engine.Engine.access with
   | None -> ()
   | Some r -> r.Engine.rec_conflict ~txn:t.id ~cause ~region ~slot
 
@@ -445,7 +445,7 @@ let lock_conflict t (entry : region_entry) ~slot =
 (* -- Reads ---------------------------------------------------------------- *)
 
 let record_read t (entry : region_entry) ~slot ~version =
-  match t.engine.Engine.recorder with
+  match t.engine.Engine.access with
   | None -> ()
   | Some r -> r.Engine.rec_read ~txn:t.id ~region:entry.re_region.Region.id ~slot ~version
 
@@ -476,8 +476,8 @@ let log_invisible_read t (entry : region_entry) ~slot (word : int Atomic.t) w1 =
     Vec.push t.read_words word;
     Vec.push t.read_observed w1;
     (* Keep the conflict-attribution log in lockstep with the read
-       set, but only while someone is listening. *)
-    match t.engine.Engine.recorder with
+       set, but only while an access tap is listening. *)
+    match t.engine.Engine.access with
     | None -> ()
     | Some _ ->
         Vec.push t.read_regions entry.re_region.Region.id;
@@ -771,7 +771,7 @@ let acquire_slot t (entry : region_entry) ~slot (word : int Atomic.t) (counter :
         (* Seeded bug: ignoring the reader counters breaks the 2PL shared
            hold that lets visible readers skip commit-time validation. *)
         let drain_spins = if Bug.enabled Bug.Skip_reader_drain then 0 else wait 0 in
-        (match t.engine.Engine.recorder with
+        (match t.engine.Engine.access with
         | None -> ()
         | Some r ->
             r.Engine.rec_lock_wait ~txn:t.id ~region:entry.re_region.Region.id ~slot
@@ -783,7 +783,7 @@ let acquire_slot t (entry : region_entry) ~slot (word : int Atomic.t) (counter :
   attempt 0
 
 let record_write t (entry : region_entry) ~slot =
-  match t.engine.Engine.recorder with
+  match t.engine.Engine.access with
   | None -> ()
   | Some r -> r.Engine.rec_write ~txn:t.id ~region:entry.re_region.Region.id ~slot
 

@@ -22,8 +22,8 @@ let sum t = t.sum
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 let max_value t = t.max_seen
 
-(* Inclusive upper bound of bucket [b]: bucket 0 holds exactly 0, bucket b
-   holds (2^(b-1), 2^b]. *)
+(* Reported bound of bucket [b]: bucket 0 holds exactly 0, bucket b >= 1
+   holds [2^(b-1), 2^b - 1] (all below the bound 2^b). *)
 let bucket_upper b = if b = 0 then 0 else 1 lsl b
 
 let buckets t =
@@ -50,9 +50,9 @@ let percentile t p =
     in
     loop 0 0
 
-(* Observations known to be <= [limit]: the buckets whose inclusive upper
-   bound is <= [limit].  The bucket straddling [limit] counts as above it,
-   so thresholds effectively round down to a bucket boundary — conservative
+(* Observations known to be <= [limit]: the buckets whose reported bound
+   is <= [limit].  A bucket whose bound exceeds [limit] counts as above it,
+   so thresholds effectively round down to a power of two — conservative
    for SLO accounting (never under-reports violations). *)
 let count_le t limit =
   let rec loop acc b =

@@ -20,19 +20,20 @@ val percentile : t -> float -> int
     names the first non-empty bucket (the minimum observation's bucket). *)
 
 val buckets : t -> (int * int) list
-(** Non-empty buckets as [(inclusive upper bound, count)], ascending.
-    Bucket 0 holds exactly the value 0; bucket [b] holds
-    [(2^(b-1), 2^b]]. *)
+(** Non-empty buckets as [(upper bound, count)], ascending. Bucket 0
+    holds exactly the value 0 (bound 0); bucket [b >= 1] holds
+    [[2^(b-1), 2^b - 1]] and reports the bound [2^b], so the value 4 is
+    listed under 8 and the value 1 under 2. *)
 
 val to_json : t -> Json.t
 (** Summary object: count/sum/mean/max, p50/p95/p99, and {!buckets}. *)
 
 val count_le : t -> int -> int
 (** Observations known to be [<= limit]: the total count of buckets whose
-    inclusive upper bound is [<= limit]. The bucket straddling [limit]
-    counts as above it, so thresholds effectively round down to a bucket
-    boundary — conservative for SLO accounting (never under-reports
-    violations). [0] for a negative [limit]. *)
+    reported bound (see {!buckets}) is [<= limit]. A bucket whose bound
+    exceeds [limit] counts as above it, so thresholds effectively round
+    down to a power of two — conservative for SLO accounting (never
+    under-reports violations). [0] for a negative [limit]. *)
 
 val merge_into : dst:t -> t -> unit
 val copy : t -> t

@@ -127,11 +127,14 @@ let test_domain_pool () =
    counter sees only this domain's allocation.  The budget of 64 words over
    10_000 transactions (< 0.01 words/txn) leaves room for the float boxed
    by [Gc.minor_words] itself while failing loudly on any per-transaction
-   allocation. *)
-let test_zero_alloc_read_only () =
+   allocation.  The always-on metrics plane must keep it so: its tap
+   watches attempts only and its matrix is read off the stripes. *)
+let zero_alloc_probe ~with_plane () =
   let system = System.create ~max_workers:4 () in
   let p = System.partition system "alloc" in
   let v = System.tvar p 1 and w = System.tvar p 2 in
+  let plane = Metrics_plane.create (System.registry system) in
+  if with_plane then Metrics_plane.attach plane;
   let delta =
     Domain.join
       (Domain.spawn (fun () ->
@@ -146,6 +149,7 @@ let test_zero_alloc_read_only () =
            done;
            Gc.minor_words () -. before))
   in
+  if with_plane then Metrics_plane.detach plane;
   check Alcotest.bool
     (Printf.sprintf "10k warm read-only txns allocated %.0f minor words (budget 64)" delta)
     true
@@ -266,8 +270,12 @@ let () =
         ] );
       ("pool", [ Alcotest.test_case "per-domain descriptors" `Quick test_domain_pool ]);
       ( "alloc",
-        [ Alcotest.test_case "read-only fast path is allocation-free" `Quick
-            test_zero_alloc_read_only ] );
+        [
+          Alcotest.test_case "read-only fast path is allocation-free" `Quick
+            (zero_alloc_probe ~with_plane:false);
+          Alcotest.test_case "allocation-free with the metrics plane attached" `Quick
+            (zero_alloc_probe ~with_plane:true);
+        ] );
       ( "transfers",
         [ Alcotest.test_case "indexed descriptors under domains" `Quick test_transfers_domains ] );
       ( "retry-hook",

@@ -1,10 +1,10 @@
 (* Tests for the production metrics plane (DESIGN.md §8.3): the striped
    metrics registry under real domains, the OpenMetrics exporter and its
    validating parser (round-trip), the SLO tracker's window/budget
-   accounting, the worker × partition affinity matrix — including the
-   exact commit/abort reconciliation against [Region_stats] under 4 real
-   domains that the [rec_touch] contract guarantees — the tuner's
-   explainability surface, and the scrape endpoint. *)
+   accounting, the worker × partition affinity matrix — including its
+   exact reconciliation against the workload's own counts under 4 real
+   domains and its attempt-only engine tap — the tuner's explainability
+   surface, and the scrape endpoint. *)
 
 open Partstm_util
 open Partstm_stm
@@ -204,10 +204,13 @@ let test_affinity_sim_deterministic () =
   check Alcotest.string "canonical affinity json byte-identical" json_a json_b;
   check Alcotest.bool "matrix non-empty" true (cells_a <> [])
 
-(* The acceptance check: under 4 real domains, per-region commit/abort sums
-   over workers reconcile EXACTLY with [Region_stats] — the [rec_touch]
-   contract (each attempt's touched-region set is exactly the set whose
-   per-region counters the engine bumps on finalize/rollback). *)
+(* The acceptance check: under 4 real domains the cells are exact, judged
+   against the workload's own counts rather than [Region_stats] (the cells
+   are read off the stripes, so comparing the two would be circular).
+   Worker [w] commits exactly [per_worker] times on A, and on B exactly as
+   many times as its own even draws.  Traffic before [attach] and after
+   [detach] must not show: the cells count from the attach baseline and
+   freeze at detach. *)
 let test_affinity_reconciles_with_region_stats () =
   let workers = 4 in
   let system = System.create ~max_workers:(workers + 2) () in
@@ -215,16 +218,28 @@ let test_affinity_reconciles_with_region_stats () =
   let pb = System.partition system "recon-b" in
   let slots_a = Array.init 8 (fun _ -> System.tvar pa 0) in
   let slots_b = Array.init 8 (fun _ -> System.tvar pb 0) in
-  let affinity = Obs.Affinity.create () in
-  Obs.Affinity.attach affinity (System.engine system);
+  let bump_outside_window () =
+    let txn = System.descriptor system ~worker_id:0 in
+    for i = 0 to 9 do
+      System.atomically txn (fun t ->
+          System.write t slots_a.(i mod 8) 0;
+          System.write t slots_b.(i mod 8) 0)
+    done
+  in
+  bump_outside_window ();
+  let plane = Metrics_plane.create (System.registry system) in
+  let affinity = Metrics_plane.affinity plane in
+  Metrics_plane.attach plane;
   let per_worker = 3_000 in
   let domains =
     List.init workers (fun id ->
         Domain.spawn (fun () ->
             let txn = System.descriptor system ~worker_id:id in
             let rng = Rng.make (0xACC + id) in
+            let evens = ref 0 in
             for _ = 1 to per_worker do
               let i = Rng.int rng 8 in
+              if i land 1 = 0 then incr evens;
               System.atomically txn (fun t ->
                   (* Every transaction touches partition A; half also touch
                      partition B — different totals per region, so a
@@ -232,47 +247,102 @@ let test_affinity_reconciles_with_region_stats () =
                   System.write t slots_a.(i) (System.read t slots_a.(i) + 1);
                   if i land 1 = 0 then
                     System.write t slots_b.(i) (System.read t slots_b.(i) + 1))
-            done))
+            done;
+            !evens))
   in
-  List.iter Domain.join domains;
-  Obs.Affinity.detach affinity;
-  let expect name (partition : Partition.t) =
-    let region = (Partition.region partition).Region.id in
-    let snap = Partition.snapshot partition in
-    match
-      List.find_opt (fun (r, _, _) -> r = region) (Obs.Affinity.region_totals affinity)
-    with
-    | None -> Alcotest.failf "%s: region %d missing from the affinity matrix" name region
-    | Some (_, commits, aborts) ->
-        check Alcotest.int (name ^ ": commits reconcile exactly")
-          snap.Region_stats.s_commits commits;
-        check Alcotest.int (name ^ ": aborts reconcile exactly") snap.Region_stats.s_aborts
-          aborts
-  in
-  expect "partition A" pa;
-  expect "partition B" pb;
-  (* Worker-level exactness for commits, against the per-worker stripes. *)
-  let region_a = (Partition.region pa).Region.id in
+  let evens = List.map Domain.join domains in
+  Metrics_plane.detach plane;
+  bump_outside_window ();
   let cells = Obs.Affinity.cells affinity in
-  for worker = 0 to workers - 1 do
-    let stripe = Region_stats.worker_snapshot (Partition.region pa).Region.stats worker in
-    let cell_commits =
+  let cell worker (p : Partition.t) =
+    let region = (Partition.region p).Region.id in
+    match
+      List.find_opt
+        (fun (c : Obs.Affinity.cell_total) ->
+          c.Obs.Affinity.ax_worker = worker && c.Obs.Affinity.ax_region = region)
+        cells
+    with
+    | Some c -> c
+    | None -> Alcotest.failf "worker %d: region %d missing from the matrix" worker region
+  in
+  let check_cell worker name p ~commits =
+    let c = cell worker p in
+    let label what = Printf.sprintf "worker %d %s on %s" worker what name in
+    check Alcotest.int (label "commits") commits c.Obs.Affinity.ax_commits;
+    (* One read and one write per attempt that gets that far: at least one
+       per commit, at most one more per aborted attempt. *)
+    List.iter
+      (fun (what, n) ->
+        check Alcotest.bool (label what) true
+          (n >= commits && n <= commits + c.Obs.Affinity.ax_aborts))
+      [ ("reads", c.Obs.Affinity.ax_reads); ("writes", c.Obs.Affinity.ax_writes) ]
+  in
+  List.iteri
+    (fun worker evens ->
+      check_cell worker "A" pa ~commits:per_worker;
+      check_cell worker "B" pb ~commits:evens)
+    evens;
+  check Alcotest.int "only the four workers appear" (2 * workers) (List.length cells);
+  (* Every attempt touched A first, so the tap's whole-attempt histograms
+     see every commit and exactly A's aborts. *)
+  check Alcotest.int "commit latency observed once per commit" (workers * per_worker)
+    (Histogram.count (Obs.Affinity.commit_latency affinity));
+  check Alcotest.int "abort latency observed once per aborted attempt"
+    (List.fold_left (fun acc w -> acc + (cell w pa).Obs.Affinity.ax_aborts) 0
+       (List.init workers Fun.id))
+    (Histogram.count (Obs.Affinity.abort_latency affinity))
+
+(* The plane's tap watches attempts only: attached alone it leaves the
+   engine's access fan-out empty (no access hook fires, no slot log is
+   kept), and beside a tracer it does not change what the tracer counts on
+   a seeded simulated schedule. *)
+let test_plane_leaves_access_hooks_alone () =
+  let run ~with_plane =
+    let system = System.create ~max_workers:12 () in
+    let state = Bank.setup system ~strategy:Strategy.shared_invisible Bank.default_config in
+    Registry.reset_stats (System.registry system);
+    let engine = System.engine system in
+    let plane = Metrics_plane.create (System.registry system) in
+    let metrics = if with_plane then Some plane else None in
+    if with_plane then begin
+      Metrics_plane.attach plane;
+      check Alcotest.bool "plane alone: no access fan-out" true (engine.Engine.access = None);
+      check Alcotest.bool "plane alone: attempt hooks installed" true
+        (engine.Engine.recorder <> None)
+    end;
+    let tracer = Obs.Tracer.create ~ring_capacity:1_000_000 () in
+    Obs.Tracer.attach tracer engine;
+    check Alcotest.bool "tracer watches accesses" true (engine.Engine.access <> None);
+    ignore
+      (Driver.run ~tracer ?metrics ~seed:5
+         ~mode:(Driver.default_sim ~cycles:300_000 ())
+         ~workers:4 (Bank.worker state));
+    Obs.Tracer.detach tracer;
+    Option.iter Metrics_plane.detach metrics;
+    let spans = Obs.Tracer.spans tracer in
+    let sum f = List.fold_left (fun acc sp -> acc + f sp) 0 spans in
+    let conflicts =
       List.fold_left
-        (fun acc (c : Obs.Affinity.cell_total) ->
-          if c.Obs.Affinity.ax_worker = worker && c.Obs.Affinity.ax_region = region_a then
-            acc + c.Obs.Affinity.ax_commits
-          else acc)
-        0 cells
+        (fun acc rs ->
+          acc + rs.Obs.Tracer.rs_lock_fails + rs.Obs.Tracer.rs_reader_fails
+          + rs.Obs.Tracer.rs_validation_fails)
+        0 (Obs.Tracer.summary tracer)
     in
-    check Alcotest.int
-      (Printf.sprintf "worker %d commits on A reconcile" worker)
-      stripe.Region_stats.s_commits cell_commits
-  done;
-  (* Every committed attempt touched A, so the whole-attempt commit-latency
-     histogram observes exactly A's commit total. *)
-  check Alcotest.int "commit latency observed once per commit"
-    (Partition.snapshot pa).Region_stats.s_commits
-    (Histogram.count (Obs.Affinity.commit_latency affinity))
+    ( Obs.Tracer.dropped_spans tracer,
+      sum (fun sp -> sp.Obs.Tracer.sp_reads),
+      sum (fun sp -> sp.Obs.Tracer.sp_writes),
+      conflicts,
+      Json.to_string (Obs.Tracer.to_json tracer) )
+  in
+  let dropped, reads, writes, conflicts, heatmap = run ~with_plane:false in
+  let dropped', reads', writes', conflicts', heatmap' = run ~with_plane:true in
+  check Alcotest.int "no span evicted" 0 (dropped + dropped');
+  check Alcotest.bool "tracer saw reads" true (reads > 0);
+  check Alcotest.bool "tracer saw conflicts" true (conflicts > 0);
+  check Alcotest.int "reads" reads reads';
+  check Alcotest.int "writes" writes writes';
+  check Alcotest.int "conflicts" conflicts conflicts';
+  check Alcotest.string "heatmap byte-identical" heatmap heatmap'
 
 (* -- Metrics plane + driver ---------------------------------------------------- *)
 
@@ -481,6 +551,8 @@ let () =
             test_affinity_sim_deterministic;
           Alcotest.test_case "exact Region_stats reconciliation, 4 domains" `Quick
             test_affinity_reconciles_with_region_stats;
+          Alcotest.test_case "plane fires no access hook; tracer counts unchanged" `Quick
+            test_plane_leaves_access_hooks_alone;
         ] );
       ( "plane",
         [

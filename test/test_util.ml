@@ -220,7 +220,7 @@ let test_histogram_percentile_boundaries () =
      was empty. *)
   let single = Histogram.create () in
   Histogram.observe single 100;
-  let bucket_upper = 128 (* 100 lands in (64, 128] *) in
+  let bucket_upper = 128 (* 100 lands in [64, 127], bound 128 *) in
   List.iter
     (fun p ->
       check Alcotest.int (Printf.sprintf "single p%.0f" p) bucket_upper
@@ -235,7 +235,7 @@ let test_histogram_percentile_boundaries () =
   for i = 1 to 1000 do
     Histogram.observe h i
   done;
-  check Alcotest.int "p0 = min bucket" 2 (* 1 lands in (0, 2] *) (Histogram.percentile h 0.0);
+  check Alcotest.int "p0 = min bucket" 2 (* 1 lands in [1, 1], bound 2 *) (Histogram.percentile h 0.0);
   check Alcotest.bool "p100 covers max" true (Histogram.percentile h 100.0 >= 1000);
   check Alcotest.bool "p50 mid" true
     (Histogram.percentile h 50.0 >= Histogram.percentile h 0.0
@@ -244,7 +244,7 @@ let test_histogram_percentile_boundaries () =
 let test_histogram_buckets_json () =
   let h = Histogram.create () in
   List.iter (Histogram.observe h) [ 0; 0; 3; 100 ];
-  (* 0 -> bucket 0 (x2); 3 -> (2,4]; 100 -> (64,128]. *)
+  (* 0 -> bucket 0 (x2); 3 -> [2, 3], bound 4; 100 -> [64, 127], bound 128. *)
   check
     Alcotest.(list (pair int int))
     "buckets" [ (0, 2); (4, 1); (128, 1) ] (Histogram.buckets h);
@@ -258,6 +258,14 @@ let test_histogram_buckets_json () =
       let buckets = Option.bind (Json.member "buckets" json) Json.to_list in
       check Alcotest.(option int) "bucket list arity" (Some 3)
         (Option.map List.length buckets)
+
+(* Bucket b >= 1 holds [2^(b-1), 2^b - 1] under the bound 2^b: a power of
+   two opens the next bucket rather than closing its own. *)
+let test_histogram_bucket_edges () =
+  let h = Histogram.create () in
+  List.iter (Histogram.observe h) [ 1; 2; 4 ];
+  check Alcotest.(list (pair int int)) "buckets" [ (2, 1); (4, 1); (8, 1) ] (Histogram.buckets h);
+  check Alcotest.int "count_le 4 excludes the value 4" 2 (Histogram.count_le h 4)
 
 let test_histogram_merge_reset () =
   let a = Histogram.create () and b = Histogram.create () in
@@ -659,6 +667,7 @@ let () =
           Alcotest.test_case "percentile monotone" `Quick test_histogram_percentile_monotone;
           Alcotest.test_case "percentile boundaries" `Quick test_histogram_percentile_boundaries;
           Alcotest.test_case "buckets and json" `Quick test_histogram_buckets_json;
+          Alcotest.test_case "power-of-two bucket edges" `Quick test_histogram_bucket_edges;
           Alcotest.test_case "merge and reset" `Quick test_histogram_merge_reset;
         ] );
       ( "table_csv",
