@@ -20,6 +20,11 @@ type 'a t = {
          state) *)
 }
 
+(* A tvar with its value type forgotten, for the descriptor's write-back
+   log: [@@unboxed] makes [Any tv] the tvar pointer itself, so logging a
+   write allocates nothing. *)
+type any = Any : 'a t -> any [@@unboxed]
+
 let no_owner = -1
 
 let make region initial =

@@ -10,6 +10,11 @@ type 'a t = {
       (** multi-version history (swapped only by the orec lock holder) *)
 }
 
+type any = Any : 'a t -> any [@@unboxed]
+(** A tvar with its value type forgotten.  Unboxed, so [Any tv] is [tv]
+    itself: the transaction descriptor logs its write-back set as plain
+    data (no record, no closure per write). *)
+
 val no_owner : int
 
 val make : Region.t -> 'a -> 'a t

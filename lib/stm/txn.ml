@@ -55,7 +55,11 @@ type region_entry = {
   mutable re_epoch : int;  (* txn epoch of last activation; see [enter_region] *)
 }
 
-type write_entry = { w_commit : unit -> unit; w_reset : unit -> unit }
+(* A (tvar, value) pair with the value type forgotten: one 3-word block
+   per entry, no closure.  The write-through undo log holds the value to
+   restore; the commit-time-lock read log holds the value to revalidate.
+   Descriptor logs hold data, not closures (DESIGN.md §3.2). *)
+type logged = Logged : 'a Tvar.t * 'a -> logged
 
 type t = {
   engine : Engine.t;
@@ -90,7 +94,10 @@ type t = {
   lock_words : int Atomic.t Vec.t;  (* owned write locks ... *)
   lock_prev : int Vec.t;  (* ... and their pre-lock words *)
   vis_counters : int Atomic.t Vec.t;  (* held visible-reader counters *)
-  writes : write_entry Vec.t;
+  writes : Tvar.any Vec.t;
+      (* write-back set: each tvar's buffered value is in its [pending]
+         slot, so the log needs the tvar only *)
+  undo : logged Vec.t;  (* write-through undo log, replayed in reverse *)
   mutable last_serialization : int;  (* stamp of the last committed txn *)
   (* -- Protocol state (DESIGN.md §10) --
      [mv_stale]: some read was served from a multi-version history, so the
@@ -99,13 +106,13 @@ type t = {
      disables history serving for the descriptor's next attempts after an
      abort while stale (prevents history-induced retry livelock); cleared
      on success.  [commit_wv] carries the commit version into the
-     write-back closures (multi-version publish needs it).  [ctl_checks]
-     is the commit-time-lock read log: one value-revalidation closure per
-     such read. *)
+     publish phase (multi-version publish needs it).  [ctl_checks] is the
+     commit-time-lock read log: each such read's tvar and the value it
+     returned, revalidated by physical equality. *)
   mutable mv_stale : bool;
   mutable mv_inhibit : bool;
   mutable commit_wv : int;
-  ctl_checks : (unit -> bool) Vec.t;
+  ctl_checks : logged Vec.t;
   (* Descriptor indexes (DESIGN.md §3 "descriptor indexing").  Orecs are
      identified by [Lock_table.slot_key]; every index lookup and
      [own_bloom] test charges no simulated cycles, so the indexes cost
@@ -119,17 +126,35 @@ type t = {
          holds): a zero intersection proves non-membership, so a
          read-only-so-far transaction answers [holds_visible] with one
          [land] and no index probe *)
+  mutable publish_phase : unit -> unit;
+  mutable rollback_phase : unit -> unit;
+      (* the commit's publish/release and the rollback's undo/release
+         sequences, closed over this descriptor once at [create] so that
+         passing them to [Runtime_hook.critical] allocates nothing *)
 }
 
 let dummy_atomic = Atomic.make 0
-let dummy_write = { w_commit = (fun () -> ()); w_reset = (fun () -> ()) }
-let dummy_check () = true
 
-(* Placeholder for [cur_stripe] before any region is activated; never
-   written (guarded by [cur_epoch]).  Shared by all descriptors. *)
-let dummy_stripe = Region_stats.stripe (Region_stats.create ~max_workers:1) 0
+(* Fillers for the typed logs' unused capacity and for [cur_stripe] before
+   any region is activated; never read through (the logs read only
+   [0, length), [cur_stripe] is guarded by [cur_epoch]).  One private
+   region, shared by all descriptors: an unpadded single-worker engine and
+   a one-orec table keep it to a few hundred bytes per process. *)
+let dummy_region =
+  Region.create
+    (Engine.create ~max_workers:1 ~padded:false ())
+    ~name:"txn-log-filler"
+    ~mode:(Mode.make ~granularity_log2:Mode.granularity_min ())
+    ()
 
-let create engine ~worker_id =
+let dummy_tvar = Tvar.make dummy_region ()
+let dummy_any = Tvar.Any dummy_tvar
+let dummy_logged = Logged (dummy_tvar, ())
+let dummy_stripe = Region_stats.stripe dummy_region.Region.stats 0
+
+let no_phase () = ()
+
+let create_descriptor engine ~worker_id =
   if worker_id < 0 || worker_id >= engine.Engine.max_workers then
     invalid_arg "Txn.create: worker_id out of range";
   {
@@ -153,17 +178,20 @@ let create engine ~worker_id =
     lock_words = Vec.create ~dummy:dummy_atomic ();
     lock_prev = Vec.create ~dummy:0 ();
     vis_counters = Vec.create ~dummy:dummy_atomic ();
-    writes = Vec.create ~dummy:dummy_write ();
+    writes = Vec.create ~dummy:dummy_any ();
+    undo = Vec.create ~dummy:dummy_logged ();
     last_serialization = 0;
     mv_stale = false;
     mv_inhibit = false;
     commit_wv = 0;
-    ctl_checks = Vec.create ~dummy:dummy_check ();
+    ctl_checks = Vec.create ~dummy:dummy_logged ();
     read_keys = Vec.create ~dummy:0 ();
     read_index = Intmap.create ();
     lock_index = Intmap.create ();
     vis_index = Intmap.create ();
     own_bloom = 0;
+    publish_phase = no_phase;
+    rollback_phase = no_phase;
   }
 
 (* Two Bloom probes from one [Bits.mix_int] (non-negative, so [mod] is
@@ -190,6 +218,8 @@ let last_serialization t = t.last_serialization
 
 let check_active t operation =
   if not t.active then invalid_arg (operation ^ ": no transaction is running")
+
+let is_read_only t = Vec.is_empty t.writes && Vec.is_empty t.undo
 
 (* -- Region tracking ----------------------------------------------------- *)
 
@@ -272,35 +302,29 @@ let iter_active_entries t f = iter_active_aux t.txn_epoch f t.entries
 
 (* -- Validation and extension ------------------------------------------- *)
 
-(* The read entry's slot_key (logged in [read_keys]) resolves the owning
-   lock entry in O(1), so validating a read set with many self-locked
-   entries stays O(reads). *)
-let find_lock_prev_indexed t ~read_pos =
-  let j = Intmap.find t.lock_index (Vec.get t.read_keys read_pos) in
-  if j >= 0 then Some (Vec.get t.lock_prev j) else None
-
 (* A read entry is valid iff its orec still carries the exact word observed
    at read time, or we have since write-locked it ourselves (in which case
-   the pre-lock word must match).  Returns the index of the first invalid
-   entry, or -1 when the whole read set is valid. *)
-let first_invalid t =
-  let n = Vec.length t.read_words in
-  let rec loop i =
-    if i >= n then -1
-    else begin
-      Runtime_hook.charge Runtime_hook.Validate_entry;
-      let word = Vec.get t.read_words i in
-      let observed = Vec.get t.read_observed i in
-      let current = Atomic.get word in
-      if current = observed then loop (i + 1)
-      else if Orec.locked_by current ~owner:t.id then
-        match find_lock_prev_indexed t ~read_pos:i with
-        | Some previous when previous = observed -> loop (i + 1)
-        | Some _ | None -> i
-      else i
+   the pre-lock word must match; the read entry's slot_key, logged in
+   [read_keys], resolves the owning lock entry in O(1), so validating a
+   read set with many self-locked entries stays O(reads)).  Returns the
+   index of the first invalid entry, or -1 when the whole read set is
+   valid.  Top-level recursion: it runs on every validating commit. *)
+let rec first_invalid_from t i =
+  if i >= Vec.length t.read_words then -1
+  else begin
+    Runtime_hook.charge Runtime_hook.Validate_entry;
+    let word = Vec.get t.read_words i in
+    let observed = Vec.get t.read_observed i in
+    let current = Atomic.get word in
+    if current = observed then first_invalid_from t (i + 1)
+    else if Orec.locked_by current ~owner:t.id then begin
+      let j = Intmap.find t.lock_index (Vec.get t.read_keys i) in
+      if j >= 0 && Vec.get t.lock_prev j = observed then first_invalid_from t (i + 1) else i
     end
-  in
-  loop 0
+    else i
+  end
+
+let first_invalid t = first_invalid_from t 0
 
 let validate t = first_invalid t < 0
 
@@ -329,8 +353,8 @@ let record_validation_conflict t ~fallback_region ~failed_index =
 
 (* -- Commit-time-lock read-log validation ---------------------------------
 
-   The value-revalidation closures in [ctl_checks] prove the commit-time-
-   lock reads consistent *at the moment they all pass under stable sequence
+   The value-revalidation log [ctl_checks] proves the commit-time-lock
+   reads consistent *at the moment they all pass under stable sequence
    words* (NOrec's invariant).  Joint validation samples every active
    unheld commit-time-lock region's sequence word (even = no publish in
    flight), runs all checks, and confirms the words did not move — on
@@ -365,8 +389,12 @@ let rec ctl_confirm_phase t = function
    extensions (which share this pass) close every window in which a torn
    snapshot could form, leaving the commit-only skip with stale-but-
    consistent snapshots that remain serializable. *)
-let ctl_run_checks t =
-  Bug.enabled Bug.Ctl_skip_validation || Vec.for_all (fun check -> check ()) t.ctl_checks
+let rec ctl_values_hold log i =
+  i >= Vec.length log
+  || (match Vec.get log i with Logged (tvar, value) -> Atomic.get tvar.Tvar.cell == value)
+     && ctl_values_hold log (i + 1)
+
+let ctl_run_checks t = Bug.enabled Bug.Ctl_skip_validation || ctl_values_hold t.ctl_checks 0
 
 let rec ctl_all_valid_aux t retries =
   if retries > t.engine.Engine.sample_retry_limit then false
@@ -503,10 +531,10 @@ let mv_history_read : type a. t -> region_entry -> a Mv_history.state -> a optio
        validity windows are broken — no claims until a writer rebuilds
        it under the current epoch. *)
     None
-  else if (not buggy) && not (Vec.is_empty t.writes && Vec.is_empty t.ctl_checks) then None
+  else if (not buggy) && not (is_read_only t && Vec.is_empty t.ctl_checks) then None
   else begin
     Runtime_hook.charge (Runtime_hook.Step 1);
-    match Mv_history.find st ~at:t.rv with
+    match Mv_history.find st ~at:t.rv ~depth:entry.re_mv_depth with
     | None -> None
     | Some (version, value) ->
         if not buggy then t.mv_stale <- true;
@@ -640,7 +668,7 @@ let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : L
 
 (* Commit-time-lock read (DESIGN.md §10.2): no orec sampling, no read-set
    entry — the value is read under a stable (even, unchanged) region
-   sequence word and logged as a value-revalidation closure.  All reads
+   sequence word and logged with its tvar for value revalidation.  All reads
    under one snapshot value of the sequence word are mutually consistent
    (no commit published between them); when the word has moved since this
    transaction's snapshot, a joint revalidation (orec read set via
@@ -685,7 +713,7 @@ let rec ctl_sample : type a. t -> region_entry -> a Tvar.t -> slot:int -> int ->
            be half-visible (in this value, not in earlier reads). *)
         if Engine.now t.engine > t.rv then extend t entry
       end;
-      Vec.push t.ctl_checks (fun () -> Atomic.get tvar.Tvar.cell == value);
+      Vec.push t.ctl_checks (Logged (tvar, value));
       (* slot -1: value-validated, not orec-versioned — the opacity oracle
          skips it (ABA makes value validation and version claims
          incomparable; see DESIGN.md §10.4). *)
@@ -728,84 +756,83 @@ let read t (tvar : 'a Tvar.t) : 'a =
 
 (* -- Writes --------------------------------------------------------------- *)
 
-(* Acquire the write lock on [word]; on success the lock is recorded for
-   release.  Then wait (bounded) for visible readers other than ourselves to
-   drain — an expired wait is a reader conflict and we abort ourselves, which
-   releases the lock via rollback. *)
-let acquire_slot t (entry : region_entry) ~slot (word : int Atomic.t) (counter : int Atomic.t) =
-  let key = Lock_table.slot_key entry.re_table slot in
-  let rec attempt retries =
-    if retries > t.engine.Engine.sample_retry_limit then lock_conflict t entry ~slot;
-    let w = Atomic.get word in
-    if Orec.locked_by w ~owner:t.id then ()
-    else if Orec.is_locked w then lock_conflict t entry ~slot
-    else begin
-      Runtime_hook.charge Runtime_hook.Lock_acquire;
-      if not (Atomic.compare_and_set word w (Orec.make_locked ~owner:t.id)) then begin
-        Runtime_hook.relax ();
-        attempt (retries + 1)
-      end
-      else begin
-        Vec.push t.lock_words word;
-        Vec.push t.lock_prev w;
-        Intmap.set t.lock_index key (Vec.length t.lock_words - 1);
-        t.own_bloom <- t.own_bloom lor bloom_bits key;
-        (* Visible holds are unique per counter (read_visible guards on
-           [holds_visible]), so our share of the counter is a membership
-           test: 1 if we hold this slot's counter, else 0. *)
-        let my_holds = if Intmap.find t.vis_index key >= 0 then 1 else 0 in
-        let rec wait spins =
-          if Atomic.get counter > my_holds then
-            if spins >= t.engine.Engine.writer_wait_limit then begin
-              Region_stats.incr_reader_conflicts entry.re_stripe;
-              record_conflict_raw t ~cause:Engine.Reader_wait
-                ~region:entry.re_region.Region.id ~slot;
-              raise Abort
-            end
-            else begin
-              Runtime_hook.relax ();
-              wait (spins + 1)
-            end
-          else spins
-        in
-        (* Seeded bug: ignoring the reader counters breaks the 2PL shared
-           hold that lets visible readers skip commit-time validation. *)
-        let drain_spins = if Bug.enabled Bug.Skip_reader_drain then 0 else wait 0 in
-        (match t.engine.Engine.access with
-        | None -> ()
-        | Some r ->
-            r.Engine.rec_lock_wait ~txn:t.id ~region:entry.re_region.Region.id ~slot
-              ~spins:(retries + drain_spins));
-        if Orec.version w > t.rv then extend t entry
-      end
+(* Bounded wait for visible readers other than ourselves ([my_holds] is
+   our own share of [counter]) to drain; returns the spins taken.  An
+   expired wait is a reader conflict and we abort ourselves, which releases
+   the lock via rollback.  Top-level recursion, like [invisible_sample]:
+   it runs once per write on the zero-allocation path. *)
+let rec drain_readers t (entry : region_entry) ~slot (counter : int Atomic.t) ~my_holds spins =
+  if Atomic.get counter > my_holds then
+    if spins >= t.engine.Engine.writer_wait_limit then begin
+      Region_stats.incr_reader_conflicts entry.re_stripe;
+      record_conflict_raw t ~cause:Engine.Reader_wait ~region:entry.re_region.Region.id ~slot;
+      raise Abort
     end
-  in
-  attempt 0
+    else begin
+      Runtime_hook.relax ();
+      drain_readers t entry ~slot counter ~my_holds (spins + 1)
+    end
+  else spins
+
+(* Acquire the write lock on [word] (orec [key]); on success the lock is
+   recorded for release, then visible readers are drained. *)
+let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t)
+    (counter : int Atomic.t) retries =
+  if retries > t.engine.Engine.sample_retry_limit then lock_conflict t entry ~slot;
+  let w = Atomic.get word in
+  if Orec.locked_by w ~owner:t.id then ()
+  else if Orec.is_locked w then lock_conflict t entry ~slot
+  else begin
+    Runtime_hook.charge Runtime_hook.Lock_acquire;
+    if not (Atomic.compare_and_set word w (Orec.make_locked ~owner:t.id)) then begin
+      Runtime_hook.relax ();
+      acquire_attempt t entry ~slot ~key word counter (retries + 1)
+    end
+    else begin
+      Vec.push t.lock_words word;
+      Vec.push t.lock_prev w;
+      Intmap.set t.lock_index key (Vec.length t.lock_words - 1);
+      t.own_bloom <- t.own_bloom lor bloom_bits key;
+      (* Visible holds are unique per counter (read_visible guards on
+         [holds_visible]), so our share of the counter is a membership
+         test: 1 if we hold this slot's counter, else 0. *)
+      let my_holds = if Intmap.find t.vis_index key >= 0 then 1 else 0 in
+      (* Seeded bug: ignoring the reader counters breaks the 2PL shared
+         hold that lets visible readers skip commit-time validation. *)
+      let drain_spins =
+        if Bug.enabled Bug.Skip_reader_drain then 0
+        else drain_readers t entry ~slot counter ~my_holds 0
+      in
+      (match t.engine.Engine.access with
+      | None -> ()
+      | Some r ->
+          r.Engine.rec_lock_wait ~txn:t.id ~region:entry.re_region.Region.id ~slot
+            ~spins:(retries + drain_spins));
+      if Orec.version w > t.rv then extend t entry
+    end
+  end
+
+let acquire_slot t (entry : region_entry) ~slot word counter =
+  acquire_attempt t entry ~slot ~key:(Lock_table.slot_key entry.re_table slot) word counter 0
 
 let record_write t (entry : region_entry) ~slot =
   match t.engine.Engine.access with
   | None -> ()
   | Some r -> r.Engine.rec_write ~txn:t.id ~region:entry.re_region.Region.id ~slot
 
-(* First write to a multi-version tvar: retire the committed value into the
-   history (it is about to be superseded), rebuilding first when the state
-   is from an earlier configuration period.  Runs under the orec write
-   lock, so the state swap races with no one. *)
-let mv_retire (type a) t (entry : region_entry) (tvar : a Tvar.t) =
+(* First write to a multi-version tvar: rebuild the state when it is from
+   an earlier configuration period, so that commit or rollback retires the
+   committed value into a history of the current period.  Runs under the
+   orec write lock, so the state swap races with no one. *)
+let mv_prepare (type a) t (entry : region_entry) (tvar : a Tvar.t) =
   Runtime_hook.charge (Runtime_hook.Step 1);
-  let st = Atomic.get tvar.Tvar.mv in
-  let st =
-    if st.Mv_history.mv_epoch = entry.re_mv_epoch then st
-    else
-      (* Stale period: the history was not maintained, so the publish
-         version of the current value is unknown.  Claim "now" — an
-         overstatement that only ever sends readers to the fallback path,
-         never to a wrong value. *)
-      Mv_history.rebuild ~epoch:entry.re_mv_epoch ~version:(Engine.now t.engine)
-  in
-  let current = Atomic.get tvar.Tvar.cell in
-  Atomic.set tvar.Tvar.mv
-    (Mv_history.retire st ~epoch:entry.re_mv_epoch ~depth:entry.re_mv_depth ~current)
+  if (Atomic.get tvar.Tvar.mv).Mv_history.mv_epoch <> entry.re_mv_epoch then
+    (* Stale period: the history was not maintained, so the publish
+       version of the current value is unknown.  Claim "now" — an
+       overstatement that only ever sends readers to the fallback path,
+       never to a wrong value. *)
+    Atomic.set tvar.Tvar.mv
+      (Mv_history.rebuild ~epoch:entry.re_mv_epoch ~version:(Engine.now t.engine))
 
 let write (type a) t (tvar : a Tvar.t) (value : a) =
   check_active t "Txn.write";
@@ -831,35 +858,8 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
         record_write t entry ~slot;
         tvar.Tvar.pending <- value;
         tvar.Tvar.pending_owner <- t.id;
-        if entry.re_mv_depth > 0 then begin
-          mv_retire t entry tvar;
-          Vec.push t.writes
-            {
-              w_commit =
-                (fun () ->
-                  Runtime_hook.charge Runtime_hook.Write_entry;
-                  Atomic.set tvar.Tvar.cell tvar.Tvar.pending;
-                  (* Publish order matters for the snapshot rule: the new
-                     cell value must not be observable with the old
-                     [mv_version] past the orec release, and both stores
-                     happen under the still-held orec lock, so readers
-                     whose double sample brackets them retry. *)
-                  Atomic.set tvar.Tvar.mv
-                    (Mv_history.published (Atomic.get tvar.Tvar.mv) ~version:t.commit_wv);
-                  tvar.Tvar.pending_owner <- Tvar.no_owner);
-              w_reset = (fun () -> tvar.Tvar.pending_owner <- Tvar.no_owner);
-            }
-        end
-        else
-          Vec.push t.writes
-            {
-              w_commit =
-                (fun () ->
-                  Runtime_hook.charge Runtime_hook.Write_entry;
-                  Atomic.set tvar.Tvar.cell tvar.Tvar.pending;
-                  tvar.Tvar.pending_owner <- Tvar.no_owner);
-              w_reset = (fun () -> tvar.Tvar.pending_owner <- Tvar.no_owner);
-            }
+        if entry.re_mv_depth > 0 then mv_prepare t entry tvar;
+        Vec.push t.writes (Tvar.Any tvar)
       end
   | Mode.Write_through ->
       (* Write in place under the lock; log the previous value for undo.
@@ -875,14 +875,7 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
       let previous = Atomic.get tvar.Tvar.cell in
       Runtime_hook.charge Runtime_hook.Write_entry;
       Atomic.set tvar.Tvar.cell value;
-      Vec.push t.writes
-        {
-          w_commit = (fun () -> ());
-          w_reset =
-            (fun () ->
-              Runtime_hook.charge Runtime_hook.Write_entry;
-              Atomic.set tvar.Tvar.cell previous);
-        }
+      Vec.push t.undo (Logged (tvar, previous))
 
 (* Convenience: transactional read-modify-write. *)
 let modify t tvar f = write t tvar (f (read t tvar))
@@ -909,6 +902,7 @@ let begin_txn t =
   Vec.clear t.lock_prev;
   Vec.clear t.vis_counters;
   Vec.clear t.writes;
+  Vec.clear t.undo;
   Vec.clear t.ctl_checks;
   Vec.clear t.read_keys;
   Intmap.clear t.read_index;
@@ -928,7 +922,7 @@ let release_visible_holds t =
 
 (* Descriptor reuse must not leak: [Vec.clear] only resets the length, so a
    completed transaction would keep pinning its orec words, reader counters
-   and write closures (and through the closures, whole tvar graphs) until
+   and logged tvars (and through their values, whole tvar graphs) until
    the worker's next transaction happened to overwrite the same slots.
    Wipe the used prefix of every pointer-holding vec at transaction end
    (O(entries used), not O(capacity)); the int vecs hold no references and
@@ -938,6 +932,7 @@ let release_references t =
   Vec.wipe t.lock_words;
   Vec.wipe t.vis_counters;
   Vec.wipe t.writes;
+  Vec.wipe t.undo;
   Vec.wipe t.ctl_checks;
   (* Deactivate every pooled region entry in O(1): stale epochs read as
      inactive.  The entries themselves stay — that is the pool. *)
@@ -950,7 +945,7 @@ let release_references t =
 let debug_resident t =
   let active = List.fold_left (fun n e -> if e.re_epoch = t.txn_epoch then n + 1 else n) 0 t.entries in
   Vec.resident t.read_words + Vec.resident t.lock_words + Vec.resident t.vis_counters
-  + Vec.resident t.writes + Vec.resident t.ctl_checks + active
+  + Vec.resident t.writes + Vec.resident t.undo + Vec.resident t.ctl_checks + active
 
 let finalize_success t =
   t.mv_inhibit <- false;
@@ -1010,8 +1005,81 @@ let rec ctl_abandon_held t = function
       end;
       ctl_abandon_held t rest
 
+(* Write-back publish of one logged tvar: its buffered value becomes the
+   committed one.  Whether it also publishes a multi-version state is the
+   region's current depth, which quiescence keeps fixed for the whole
+   transaction (the same value the write cached at activation). *)
+let publish (type a) t (tvar : a Tvar.t) =
+  Runtime_hook.charge Runtime_hook.Write_entry;
+  let current = Atomic.get tvar.Tvar.cell in
+  Atomic.set tvar.Tvar.cell tvar.Tvar.pending;
+  (* Publish order matters for the snapshot rule: the new cell value must
+     not be observable with the old [mv_version] past the orec release, and
+     both stores happen under the still-held orec lock, so readers whose
+     double sample brackets them retry. *)
+  let depth = tvar.Tvar.region.Region.mv_depth in
+  if depth > 0 then
+    Atomic.set tvar.Tvar.mv
+      (Mv_history.retire (Atomic.get tvar.Tvar.mv) ~depth ~current ~version:t.commit_wv);
+  tvar.Tvar.pending_owner <- Tvar.no_owner
+
+let rec publish_writes t i =
+  if i < Vec.length t.writes then begin
+    (match Vec.get t.writes i with Tvar.Any tvar -> publish t tvar);
+    publish_writes t (i + 1)
+  end
+
+(* Held sequence locks are released last: their release is what tells
+   value-validating readers that the region's cells are stable again. *)
+let publish_and_release t () =
+  publish_writes t 0;
+  let released = Orec.make_version t.commit_wv in
+  for i = 0 to Vec.length t.lock_words - 1 do
+    Atomic.set (Vec.get t.lock_words i) released
+  done;
+  ctl_release_held t t.entries
+
+(* An aborted multi-version write retires the still-current value with
+   its version unchanged (see [Mv_history.retire]). *)
+let retire_unpublished (type a) (tvar : a Tvar.t) =
+  let depth = tvar.Tvar.region.Region.mv_depth in
+  if depth > 0 then begin
+    let st = Atomic.get tvar.Tvar.mv in
+    Atomic.set tvar.Tvar.mv
+      (Mv_history.retire st ~depth ~current:(Atomic.get tvar.Tvar.cell)
+         ~version:st.Mv_history.mv_version)
+  end
+
+(* Undo entries replay in reverse write order, so multiple writes to one
+   tvar restore the oldest value last; write-back entries drop their owner
+   tag (charged nothing).  Both strictly before lock release: a later lock
+   owner must never observe our stale owner tag or our uncommitted
+   in-place values. *)
+let undo_and_release t () =
+  if not (Bug.enabled Bug.Skip_undo_log) then
+    for i = Vec.length t.undo - 1 downto 0 do
+      match Vec.get t.undo i with
+      | Logged (tvar, previous) ->
+          Runtime_hook.charge Runtime_hook.Write_entry;
+          Atomic.set tvar.Tvar.cell previous
+    done;
+  for i = 0 to Vec.length t.writes - 1 do
+    match Vec.get t.writes i with
+    | Tvar.Any tvar ->
+        retire_unpublished tvar;
+        if not (Bug.enabled Bug.Skip_undo_log) then tvar.Tvar.pending_owner <- Tvar.no_owner
+  done;
+  for i = 0 to Vec.length t.lock_words - 1 do
+    Atomic.set (Vec.get t.lock_words i) (Vec.get t.lock_prev i)
+  done;
+  (* Sequence locks captured by an aborted commit: nothing was published,
+     so restoring the captured even value keeps every reader snapshot
+     taken under it valid. *)
+  ctl_abandon_held t t.entries;
+  release_visible_holds t
+
 let commit t =
-  if Vec.is_empty t.writes then begin
+  if is_read_only t then begin
     t.last_serialization <- t.rv;
     record_commit t ~stamp:t.rv;
     finalize_success t
@@ -1054,37 +1122,18 @@ let commit t =
      end);
     (* Publish + release are not abortable: once the first buffered value
        lands, the only way forward is completion, so the phase is masked
-       against fault injection.  Held sequence locks are released last:
-       their release is what tells value-validating readers that the
-       region's cells are stable again. *)
+       against fault injection. *)
     t.commit_wv <- wv;
-    Runtime_hook.critical (fun () ->
-        Vec.iter (fun we -> we.w_commit ()) t.writes;
-        let released = Orec.make_version wv in
-        Vec.iter (fun word -> Atomic.set word released) t.lock_words;
-        ctl_release_held t t.entries);
+    Runtime_hook.critical t.publish_phase;
     t.last_serialization <- wv;
     record_commit t ~stamp:wv;
     finalize_success t
   end
 
 let rollback t =
-  (* Resets run in reverse write order (write-through undo entries must
-     restore the oldest value last) and strictly before lock release: a
-     later lock owner must never observe our stale owner tag or our
-     uncommitted in-place values.  The whole undo sequence is masked: a
-     fault-injection kill here would leave locks orphaned forever. *)
-  Runtime_hook.critical (fun () ->
-      if not (Bug.enabled Bug.Skip_undo_log) then
-        for i = Vec.length t.writes - 1 downto 0 do
-          (Vec.get t.writes i).w_reset ()
-        done;
-      Vec.iteri (fun i word -> Atomic.set word (Vec.get t.lock_prev i)) t.lock_words;
-      (* Sequence locks captured by an aborted commit: nothing was
-         published, so restoring the captured even value keeps every
-         reader snapshot taken under it valid. *)
-      ctl_abandon_held t t.entries;
-      release_visible_holds t);
+  (* The whole undo sequence is masked: a fault-injection kill here would
+     leave locks orphaned forever. *)
+  Runtime_hook.critical t.rollback_phase;
   (match t.engine.Engine.recorder with
   | None -> ()
   | Some r -> r.Engine.rec_abort ~txn:t.id);
@@ -1163,3 +1212,11 @@ let atomically t f =
   t.attempt <- 0;
   t.mv_inhibit <- false;
   atomically_loop t f
+
+(* The phase thunks close over the descriptor itself: built once here, so
+   no commit or rollback allocates one. *)
+let create engine ~worker_id =
+  let t = create_descriptor engine ~worker_id in
+  t.publish_phase <- publish_and_release t;
+  t.rollback_phase <- undo_and_release t;
+  t

@@ -155,6 +155,59 @@ let zero_alloc_probe ~with_plane () =
     true
     (delta <= 64.0)
 
+(* Warm update transactions on one domain: each writes [writes] tvars of
+   one partition in [mode].  Returns the minor words allocated by 10k
+   transactions after warm-up.  Descriptor logs hold data, not closures:
+   a write-back write logs the tvar itself (unboxed, 0 words), a
+   write-through write one 3-word undo block, and a multi-version write
+   its history cell and states. *)
+let update_alloc_probe ~mode ~writes =
+  let system = System.create ~max_workers:4 () in
+  let p = System.partition system ~mode "alloc-update" in
+  let tvars = Array.init writes (fun i -> System.tvar p i) in
+  Domain.join
+    (Domain.spawn (fun () ->
+         let txn = System.domain_descriptor system in
+         let body t =
+           for i = 0 to writes - 1 do
+             System.write t tvars.(i) (System.read t tvars.(i) + 1)
+           done
+         in
+         for _ = 1 to 256 do
+           System.atomically txn body
+         done;
+         let before = Gc.minor_words () in
+         for _ = 1 to 10_000 do
+           System.atomically txn body
+         done;
+         Gc.minor_words () -. before))
+
+let check_update_budget ~name ~mode ~budget =
+  List.iter
+    (fun writes ->
+      let words = update_alloc_probe ~mode ~writes in
+      let limit = budget ~writes in
+      check Alcotest.bool
+        (Printf.sprintf "%s: 10k warm %d-write txns allocated %.0f minor words (budget %.0f)" name
+           writes words limit)
+        true (words <= limit))
+    [ 1; 16 ]
+
+let txns = 10_000.0
+
+let test_write_back_alloc () =
+  check_update_budget ~name:"write-back sv" ~mode:Mode.default ~budget:(fun ~writes:_ -> 64.0)
+
+let test_write_through_alloc () =
+  check_update_budget ~name:"write-through sv"
+    ~mode:(Mode.make ~update:Mode.Write_through ())
+    ~budget:(fun ~writes -> (3.0 *. float_of_int writes *. txns) +. 64.0)
+
+let test_multi_version_alloc () =
+  check_update_budget ~name:"mv8"
+    ~mode:(Mode.make ~protocol:(Protocol.Multi_version { depth = 8 }) ())
+    ~budget:(fun ~writes -> 20.0 *. float_of_int writes *. txns)
+
 (* -- Descriptor indexes under real domains ---------------------------------- *)
 
 (* The descriptor's indexed lookups must stay correct under true
@@ -275,6 +328,12 @@ let () =
             (zero_alloc_probe ~with_plane:false);
           Alcotest.test_case "allocation-free with the metrics plane attached" `Quick
             (zero_alloc_probe ~with_plane:true);
+          Alcotest.test_case "write-back update path is allocation-free" `Quick
+            test_write_back_alloc;
+          Alcotest.test_case "write-through allocates only its undo log" `Quick
+            test_write_through_alloc;
+          Alcotest.test_case "mv8 update path within 20 words per write" `Quick
+            test_multi_version_alloc;
         ] );
       ( "transfers",
         [ Alcotest.test_case "indexed descriptors under domains" `Quick test_transfers_domains ] );

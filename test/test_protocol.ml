@@ -297,6 +297,65 @@ let test_switch_concurrent_domains () =
 
 (* -- M1 bench acceptance at quick scale -------------------------------------- *)
 
+(* -- Multi-version history vs. the eager-truncation model ------------------ *)
+
+(* Reference model: the history as a plain list truncated to [depth - 1]
+   on every retire, with the same abort-duplicate head replacement.  The
+   amortised history may retain more, but must serve exactly what this
+   model serves, at every snapshot. *)
+type model = { m_epoch : int; m_version : int; m_hist : (int * int) list }
+
+let model_retire m ~depth ~current =
+  let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
+  match m.m_hist with
+  | (v, _) :: rest when v = m.m_version -> { m with m_hist = (v, current) :: rest }
+  | hist -> { m with m_hist = take (depth - 1) ((m.m_version, current) :: hist) }
+
+let model_find m ~at = List.find_opt (fun (v, _) -> v <= at) m.m_hist
+
+(* A random run of one tvar's history: [`Commit] retires the value and
+   publishes a new one, [`Abort] retires it with the version unchanged
+   (the aborted writer's head duplicate), [`Rebuild] starts a new
+   configuration period.  Every op ticks the clock. *)
+let mv_ops_gen =
+  QCheck2.Gen.(
+    pair (oneofl [ 2; 4; 8 ])
+      (list_size (int_range 1 120)
+         (frequency [ (6, return `Commit); (3, return `Abort); (1, return `Rebuild) ])))
+
+let prop_mv_history_model =
+  qtest "amortised history serves the eager model's values" mv_ops_gen (fun (depth, ops) ->
+      let ok = ref true in
+      let agree st m clock =
+        ok :=
+          !ok && st.Mv_history.mv_version = m.m_version
+          && st.Mv_history.mv_epoch = m.m_epoch
+          && st.Mv_history.mv_length <= 2 * (depth - 1);
+        for at = 0 to clock + 1 do
+          if Mv_history.find st ~at ~depth <> model_find m ~at then ok := false
+        done
+      in
+      let st = ref (Mv_history.rebuild ~epoch:0 ~version:0) in
+      let m = ref { m_epoch = 0; m_version = 0; m_hist = [] } in
+      let cell = ref 0 in
+      List.iteri
+        (fun i op ->
+          let clock = i + 1 in
+          (match op with
+          | `Rebuild ->
+              st := Mv_history.rebuild ~epoch:(!m.m_epoch + 1) ~version:clock;
+              m := { m_epoch = !m.m_epoch + 1; m_version = clock; m_hist = [] }
+          | `Abort ->
+              st := Mv_history.retire !st ~depth ~current:!cell ~version:!m.m_version;
+              m := model_retire !m ~depth ~current:!cell
+          | `Commit ->
+              st := Mv_history.retire !st ~depth ~current:!cell ~version:clock;
+              m := { (model_retire !m ~depth ~current:!cell) with m_version = clock };
+              cell := 1000 + clock);
+          agree !st !m clock)
+        ops;
+      !ok)
+
 let test_protocol_bench_checks () =
   let report = Protocol_bench.run Protocol_bench.quick_config in
   List.iter
@@ -342,5 +401,6 @@ let () =
           Alcotest.test_case "concurrent cycle under domains" `Quick
             test_switch_concurrent_domains;
         ] );
+      ("mv-history", [ prop_mv_history_model ]);
       ("bench", [ Alcotest.test_case "m1 quick checks pass" `Quick test_protocol_bench_checks ]);
     ]

@@ -127,6 +127,60 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "same multiset" (Array.init 50 Fun.id) sorted
 
+(* Golden streams: these values were drawn from the four-[int64]-field
+   implementation this one replaced, so the byte-state generator is proven
+   to produce bit-identical streams (and every seeded schedule built on
+   them stays the same).  Per seed: bits, bits, int 1000, int 64,
+   int (2/3 max_int) (rejection path), the IEEE bits of float, then bits
+   and int 7 of [split ~index:3], then bits of the parent again. *)
+let rng_golden =
+  [
+    ( 1,
+      [ 3743247123249303749; 376989097743764714; 92; 39; 2648436617965840162;
+        4589783768001017104; 3741965832250173116; 1; 2419925914553018525 ] );
+    ( 42,
+      [ 1546998764402558742; 2379265674537155198; 201; 33; 364128774783586872;
+        4604653724871904443; 3118035142161328611; 4; 1844830170035650695 ] );
+    ( 0x7C0FFEE,
+      [ 2361860011479534314; 2632710376044137913; 215; 63; 2851013895513824603;
+        4606785856967930831; 1346655071741489586; 2; 1277150421779591374 ] );
+  ]
+
+let test_rng_golden () =
+  List.iter
+    (fun (seed, expected) ->
+      let r = Rng.make seed in
+      let b1 = Rng.bits r in
+      let b2 = Rng.bits r in
+      let i1 = Rng.int r 1000 in
+      let i2 = Rng.int r 64 in
+      let i3 = Rng.int r (max_int / 3 * 2) in
+      let f = Rng.float r in
+      let c = Rng.split r ~index:3 in
+      let s1 = Rng.bits c in
+      let s2 = Rng.int c 7 in
+      let after = Rng.bits r in
+      check Alcotest.(list int)
+        (Printf.sprintf "seed %d" seed)
+        expected
+        [ b1; b2; i1; i2; i3; Int64.to_int (Int64.bits_of_float f); s1; s2; after ])
+    rng_golden
+
+(* Every worker draws on every operation and the contention manager on
+   every abort, so integer draws must not allocate. *)
+let test_rng_draws_allocation_free () =
+  let r = Rng.make 9 in
+  let sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    sink := !sink lxor Rng.bits r lxor Rng.int r 1000 lxor Rng.int r 64
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !sink);
+  check Alcotest.bool
+    (Printf.sprintf "30k integer draws allocated %.0f minor words (budget 64)" words)
+    true (words <= 64.0)
+
 let test_zipf_range_and_skew () =
   let rng = Rng.make 13 in
   let z = Rng.zipf ~n:100 ~theta:1.0 in
@@ -645,6 +699,8 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden;
+          Alcotest.test_case "integer draws allocation-free" `Quick test_rng_draws_allocation_free;
           Alcotest.test_case "float unit interval" `Quick test_rng_float_unit_interval;
           Alcotest.test_case "chance extremes" `Quick test_rng_chance_extremes;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
