@@ -38,8 +38,8 @@ let recorder t =
     Engine.rec_begin = (fun ~txn ~worker:_ ~rv -> push t (Begin { txn; rv }));
     rec_read = (fun ~txn ~region ~slot ~version -> push t (Read { txn; region; slot; version }));
     rec_write = (fun ~txn ~region ~slot -> push t (Write { txn; region; slot }));
-    rec_commit = (fun ~txn ~stamp -> push t (Commit { txn; stamp }));
-    rec_abort = (fun ~txn -> push t (Abort { txn }));
+    rec_commit = (fun ~txn ~stamp ~reads:_ ~writes:_ ~region:_ -> push t (Commit { txn; stamp }));
+    rec_abort = (fun ~txn ~reads:_ ~writes:_ ~region:_ -> push t (Abort { txn }));
     rec_generation = (fun ~region ~version -> push t (Generation { region; version }));
   }
 

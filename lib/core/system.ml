@@ -15,12 +15,8 @@ type t = {
    leak from one system to another. *)
 let uid_counter = Atomic.make 0
 
-let create ?max_workers ?contention_manager ?writer_wait_limit ?sample_retry_limit ?max_attempts
-    ?padded () =
-  let engine =
-    Engine.create ?max_workers ?contention_manager ?writer_wait_limit ?sample_retry_limit
-      ?max_attempts ?padded ()
-  in
+let create ?max_workers ?contention_manager ?max_attempts ?padded () =
+  let engine = Engine.create ?max_workers ?contention_manager ?max_attempts ?padded () in
   {
     engine;
     registry = Registry.create engine;

@@ -18,8 +18,6 @@ type t
 val create :
   ?max_workers:int ->
   ?contention_manager:Cm.t ->
-  ?writer_wait_limit:int ->
-  ?sample_retry_limit:int ->
   ?max_attempts:int ->
   ?padded:bool ->
   unit ->

@@ -39,7 +39,6 @@ type entry = { t_partition : Partition.t; mutable t_prev : Region_stats.snapshot
 
 type t = {
   registry : Registry.t;
-  max_samples : int;
   mutable entries : entry list;  (* registration order *)
   mutable samples : sample list;  (* newest first *)
   mutable sample_count : int;
@@ -50,8 +49,10 @@ type t = {
   mutable attached : Tuner.t list;
 }
 
-let create ?(max_samples = 100_000) registry =
-  if max_samples < 1 then invalid_arg "Telemetry.create: max_samples";
+(* Bound on the in-memory record count; the oldest records go past it. *)
+let max_samples = 100_000
+
+let create registry =
   let entries =
     List.map
       (fun partition -> { t_partition = partition; t_prev = Partition.snapshot partition })
@@ -59,7 +60,6 @@ let create ?(max_samples = 100_000) registry =
   in
   {
     registry;
-    max_samples;
     entries;
     samples = [];
     sample_count = 0;
@@ -83,10 +83,10 @@ let sync_entries t =
     (Registry.partitions t.registry)
 
 let record t sample =
-  if t.sample_count >= t.max_samples then begin
-    t.samples <- List.filteri (fun i _ -> i < t.max_samples - 1) t.samples;
-    t.dropped <- t.dropped + (t.sample_count - (t.max_samples - 1));
-    t.sample_count <- t.max_samples - 1
+  if t.sample_count >= max_samples then begin
+    t.samples <- List.filteri (fun i _ -> i < max_samples - 1) t.samples;
+    t.dropped <- t.dropped + (t.sample_count - (max_samples - 1));
+    t.sample_count <- max_samples - 1
   end;
   t.samples <- sample :: t.samples;
   t.sample_count <- t.sample_count + 1

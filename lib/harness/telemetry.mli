@@ -25,11 +25,10 @@ type decision = { dc_time : float; dc_event : Tuner.event }
 
 type t
 
-val create : ?max_samples:int -> Registry.t -> t
+val create : Registry.t -> t
 (** Watch every partition of [registry]. Partitions existing now are
     baselined at their current counters; partitions registered later are
-    baselined at zero. [max_samples] (default 100_000) bounds the in-memory
-    record count; the oldest records are evicted past it (and the
+    baselined at zero. At most 100_000 records stay in memory; the oldest records are evicted past it (and the
     sum-to-snapshot invariant no longer holds — see {!dropped_samples}). *)
 
 val sample : t -> time:float -> unit

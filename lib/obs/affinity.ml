@@ -96,8 +96,9 @@ let recorder t =
   {
     Engine.null_recorder with
     Engine.rec_begin = (fun ~txn ~worker:_ ~rv:_ -> on_begin t ~txn);
-    rec_commit = (fun ~txn ~stamp:_ -> on_end t ~txn (fun s -> s.commit_h));
-    rec_abort = (fun ~txn -> on_end t ~txn (fun s -> s.abort_h));
+    rec_commit =
+      (fun ~txn ~stamp:_ ~reads:_ ~writes:_ ~region:_ -> on_end t ~txn (fun s -> s.commit_h));
+    rec_abort = (fun ~txn ~reads:_ ~writes:_ ~region:_ -> on_end t ~txn (fun s -> s.abort_h));
   }
 
 (* -- The matrix, from the per-worker stripes -------------------------------- *)

@@ -10,8 +10,8 @@
    Storage is per-shard ring buffers, sharded by descriptor id.  Each
    descriptor is driven by exactly one worker, so a shard has a single
    writer as long as descriptor ids do not collide modulo the shard count
-   (the default, 1024, makes collisions impossible below 1024 descriptors
-   per engine; a collision can only corrupt *counts*, never memory).
+   (1024, which makes collisions impossible below 1024 descriptors per
+   engine; a collision can only corrupt *counts*, never memory).
    Shards are created lazily, so the default geometry costs only one
    pointer array until descriptors actually run.
 
@@ -21,6 +21,10 @@
    time.  The aggregates (attempt/commit/abort counts and the per-region
    heatmap and histograms below) are always exact; sampling only thins the
    stored spans.
+
+   The tracer watches attempts, not accesses: an attempt's read and write
+   counts and its region arrive with its commit or abort, totalled by the
+   descriptor, so the engine never calls the tracer on a read or a write.
 
    Timestamps come from an installable clock: virtual cycles on the
    Simulated backend, monotonic-ish nanoseconds since run start on
@@ -38,13 +42,13 @@
      update transactions only), abort (begin → rollback) and lock-wait
      spins per acquisition.
    Conflict counts go to the region the conflict event names.  Latencies
-   go to the attempt's region (the first region seen by a read, a write
-   or a conflict), so every abort that touched a region lands in exactly
-   one abort histogram.  The engine charges a validation failure to the
-   region of the *triggering* access while the conflict event names the
-   region of the *stale read*; the two differ only for transactions
-   spanning several partitions, where per-region splits may differ from
-   [Region_stats] even though global totals agree. *)
+   go to the attempt's region (the first region it touched), so every
+   abort that touched a region lands in exactly one abort histogram.  The
+   engine charges a validation failure to the region of the *triggering*
+   access while the conflict event names the region of the *stale read*;
+   the two differ only for transactions spanning several partitions,
+   where per-region splits may differ from [Region_stats] even though
+   global totals agree. *)
 
 open Partstm_util
 open Partstm_stm
@@ -116,9 +120,6 @@ type shard = {
   mutable c_begin : int;
   mutable c_commit_begin : int;
   mutable c_rv : int;
-  mutable c_reads : int;
-  mutable c_writes : int;
-  mutable c_region : int;
   mutable c_cause : Engine.abort_cause option;
   (* retry-chain state *)
   mutable chain : int;
@@ -151,13 +152,13 @@ type t = {
 
 let default_clock () = 0
 
-let create ?(shards = 1024) ?(ring_capacity = 4096) ?(sample_every = 1) ?(seed = 0x0B5EC0DE) ()
-    =
-  if shards <= 0 then invalid_arg "Tracer.create: shards";
+let shard_count = 1024
+
+let create ?(ring_capacity = 4096) ?(sample_every = 1) ?(seed = 0x0B5EC0DE) () =
   if ring_capacity <= 0 then invalid_arg "Tracer.create: ring_capacity";
   if sample_every <= 0 then invalid_arg "Tracer.create: sample_every";
   {
-    shards = Array.make shards None;
+    shards = Array.make shard_count None;
     ring_capacity;
     sample_every;
     seed;
@@ -186,9 +187,6 @@ let make_shard t index =
     c_begin = 0;
     c_commit_begin = -1;
     c_rv = 0;
-    c_reads = 0;
-    c_writes = 0;
-    c_region = -1;
     c_cause = None;
     chain = 0;
     chain_open = false;
@@ -264,27 +262,12 @@ let on_begin t ~txn ~worker ~rv =
   s.c_begin <- t.clock ();
   s.c_commit_begin <- -1;
   s.c_rv <- rv;
-  s.c_reads <- 0;
-  s.c_writes <- 0;
-  s.c_region <- -1;
   s.c_cause <- None
 
 (* Later events are matched on the descriptor id: if a colliding descriptor
    overwrote the shard's in-progress state, the stale transaction's events
    are ignored instead of corrupting the new span. *)
-let with_cur t txn f =
-  let s = shard_of t txn in
-  if s.c_active && s.c_txn = txn then f s
-
-let on_read t ~txn ~region ~slot:_ ~version:_ =
-  with_cur t txn (fun s ->
-      s.c_reads <- s.c_reads + 1;
-      if s.c_region < 0 then s.c_region <- region)
-
-let on_write t ~txn ~region ~slot:_ =
-  with_cur t txn (fun s ->
-      s.c_writes <- s.c_writes + 1;
-      if s.c_region < 0 then s.c_region <- region)
+let is_current s txn = s.c_active && s.c_txn = txn
 
 (* Heatmap counts are keyed on the event alone, not on the in-progress
    attempt, so a descriptor collision cannot lose a conflict. *)
@@ -302,18 +285,17 @@ let count_conflict s ~cause ~region ~slot =
 let on_conflict t ~txn ~cause ~region ~slot =
   let s = shard_of t txn in
   if region >= 0 then count_conflict s ~cause ~region ~slot;
-  if s.c_active && s.c_txn = txn then begin
-    s.c_cause <- Some cause;
-    if s.c_region < 0 && region >= 0 then s.c_region <- region
-  end
+  if is_current s txn then s.c_cause <- Some cause
 
 let on_lock_wait t ~txn ~region ~slot:_ ~spins =
   let s = shard_of t txn in
   Histogram.observe (region_agg s.regions region).lock_wait_h spins
 
-let on_commit_begin t ~txn = with_cur t txn (fun s -> s.c_commit_begin <- t.clock ())
+let on_commit_begin t ~txn =
+  let s = shard_of t txn in
+  if is_current s txn then s.c_commit_begin <- t.clock ()
 
-let finish_span s ~outcome ~stamp ~now =
+let finish_span s ~outcome ~stamp ~now ~reads ~writes ~region =
   if s.c_sampled then
     push_span s
       {
@@ -328,47 +310,49 @@ let finish_span s ~outcome ~stamp ~now =
         sp_outcome = outcome;
         sp_rv = s.c_rv;
         sp_stamp = stamp;
-        sp_reads = s.c_reads;
-        sp_writes = s.c_writes;
-        sp_region = s.c_region;
+        sp_reads = reads;
+        sp_writes = writes;
+        sp_region = region;
       };
   s.c_active <- false
 
-let on_commit t ~txn ~stamp =
-  with_cur t txn (fun s ->
-      let now = t.clock () in
-      s.committed <- s.committed + 1;
-      s.chain_open <- false;
-      if s.c_commit_begin >= 0 && s.c_region >= 0 then
-        Histogram.observe (region_agg s.regions s.c_region).commit_h (now - s.c_commit_begin);
-      finish_span s ~outcome:Committed ~stamp ~now)
+let on_commit t ~txn ~stamp ~reads ~writes ~region =
+  let s = shard_of t txn in
+  if is_current s txn then begin
+    let now = t.clock () in
+    s.committed <- s.committed + 1;
+    s.chain_open <- false;
+    if s.c_commit_begin >= 0 && region >= 0 then
+      Histogram.observe (region_agg s.regions region).commit_h (now - s.c_commit_begin);
+    finish_span s ~outcome:Committed ~stamp ~now ~reads ~writes ~region
+  end
 
-let on_abort t ~txn =
-  with_cur t txn (fun s ->
-      let now = t.clock () in
-      s.aborted <- s.aborted + 1;
-      if s.c_region >= 0 then
-        Histogram.observe (region_agg s.regions s.c_region).abort_h (now - s.c_begin);
-      (* Every engine abort path reports its cause before unwinding; an
-         absent cause can only mean a tap raced a collision, so fall back
-         to the least specific one. *)
-      let cause = Option.value s.c_cause ~default:Engine.Exception_unwind in
-      (* An explicit retry parks the descriptor and starts over: the next
-         attempt is a fresh chain, not a continuation of this one. *)
-      if cause = Engine.Explicit_retry then s.chain_open <- false;
-      finish_span s ~outcome:(Aborted cause) ~stamp:(-1) ~now)
+let on_abort t ~txn ~reads ~writes ~region =
+  let s = shard_of t txn in
+  if is_current s txn then begin
+    let now = t.clock () in
+    s.aborted <- s.aborted + 1;
+    if region >= 0 then Histogram.observe (region_agg s.regions region).abort_h (now - s.c_begin);
+    (* Every engine abort path reports its cause before unwinding; an
+       absent cause can only mean a tap raced a collision, so fall back to
+       the least specific one. *)
+    let cause = Option.value s.c_cause ~default:Engine.Exception_unwind in
+    (* An explicit retry parks the descriptor and starts over: the next
+       attempt is a fresh chain, not a continuation of this one. *)
+    if cause = Engine.Explicit_retry then s.chain_open <- false;
+    finish_span s ~outcome:(Aborted cause) ~stamp:(-1) ~now ~reads ~writes ~region
+  end
 
 let recorder t =
   {
     Engine.null_recorder with
     Engine.rec_begin = (fun ~txn ~worker ~rv -> on_begin t ~txn ~worker ~rv);
-    rec_read = (fun ~txn ~region ~slot ~version -> on_read t ~txn ~region ~slot ~version);
-    rec_write = (fun ~txn ~region ~slot -> on_write t ~txn ~region ~slot);
     rec_conflict = (fun ~txn ~cause ~region ~slot -> on_conflict t ~txn ~cause ~region ~slot);
     rec_lock_wait = (fun ~txn ~region ~slot ~spins -> on_lock_wait t ~txn ~region ~slot ~spins);
     rec_commit_begin = (fun ~txn -> on_commit_begin t ~txn);
-    rec_commit = (fun ~txn ~stamp -> on_commit t ~txn ~stamp);
-    rec_abort = (fun ~txn -> on_abort t ~txn);
+    rec_commit =
+      (fun ~txn ~stamp ~reads ~writes ~region -> on_commit t ~txn ~stamp ~reads ~writes ~region);
+    rec_abort = (fun ~txn ~reads ~writes ~region -> on_abort t ~txn ~reads ~writes ~region);
   }
 
 let attach t engine =

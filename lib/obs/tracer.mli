@@ -1,9 +1,10 @@
 (** Structured per-attempt transaction tracing (DESIGN.md §8.2).
 
     An {!Partstm_stm.Engine} tap that records one span per transaction
-    attempt — begin, reads/writes, validation outcome, commit/abort with
-    cause — into per-shard ring buffers (sharded by descriptor id, one
-    writer per shard), with optional deterministic 1-in-N sampling and
+    attempt — begin, read/write totals, validation outcome, commit/abort
+    with cause — into per-shard ring buffers (1024 shards keyed by
+    descriptor id, one writer per shard), with optional deterministic
+    1-in-N sampling and
     retry-chain linkage — plus exact per-region aggregates: a hot-orec
     heatmap keyed by [Lock_table] slot and commit-phase, abort and
     lock-wait-spin histograms ({!summary}).  Counting is never sampled: on
@@ -11,8 +12,11 @@
     {!Partstm_stm.Region_stats} conflict counters (globally; per-region
     splits can differ for multi-partition transactions), and the abort
     histograms together count every aborted attempt that touched a region.
-    Attach alongside other taps (e.g. the checker's history recorder) via
-    the engine fan-out. *)
+    The tap watches attempts only: the read/write totals and the region
+    arrive with the commit or abort, so the engine calls it on no read or
+    write, and an unsampled attempt allocates nothing. Attach alongside
+    other taps (e.g. the checker's history recorder) via the engine
+    fan-out. *)
 
 open Partstm_util
 open Partstm_stm
@@ -33,7 +37,7 @@ type span = {
   sp_stamp : int;  (** commit stamp, -1 otherwise *)
   sp_reads : int;
   sp_writes : int;
-  sp_region : int;  (** first-touched region, -1 when none *)
+  sp_region : int;  (** first region the attempt touched, -1 when none *)
 }
 
 type decision = {
@@ -46,12 +50,10 @@ type decision = {
 
 type t
 
-val create :
-  ?shards:int -> ?ring_capacity:int -> ?sample_every:int -> ?seed:int -> unit -> t
-(** [shards] (default 1024) should exceed the engine's descriptor count:
-    shards are keyed by descriptor id modulo [shards], and a collision
-    between two concurrently live descriptors can mis-count (never
-    corrupt memory). [ring_capacity] (default 4096) bounds stored spans
+val create : ?ring_capacity:int -> ?sample_every:int -> ?seed:int -> unit -> t
+(** Shards are keyed by descriptor id modulo 1024: a collision between
+    two concurrently live descriptors can mis-count (never corrupt
+    memory). [ring_capacity] (default 4096) bounds stored spans
     per shard; the oldest are evicted and counted in {!dropped_spans}.
     [sample_every] = n keeps each attempt with probability 1/n, decided
     from a per-shard deterministic stream seeded by [seed] (counters,
@@ -105,8 +107,8 @@ val pp_span : Format.formatter -> span -> unit
 (** {2 Per-region aggregates}
 
     Conflict counts are charged to the region the conflict event names.
-    Latencies are charged to the attempt's region: the first region seen
-    by a read, a write or a conflict (the span's [sp_region]). *)
+    Latencies are charged to the attempt's region: the first region it
+    touched (the span's [sp_region]). *)
 
 type slot_total = {
   st_region : int;

@@ -10,9 +10,9 @@
    [region]/[slot] name an orec, versions and stamps come from the global
    clock. *)
 
-(* Why a conflict aborted an attempt.  [slot] is -1 when the failing orec
-   could not be attributed (e.g. the transaction's read-site log was not
-   being kept when the read happened). *)
+(* Why a conflict aborted an attempt.  [slot] is -1 when the failure has
+   no single orec (e.g. a commit-time-lock value check or a frozen
+   multi-version snapshot). *)
 type abort_cause =
   | Lock_busy  (* orec write-locked by another transaction *)
   | Reader_wait  (* visible-reader drain timed out *)
@@ -29,15 +29,13 @@ let cause_to_string = function
 
 type recorder = {
   rec_begin : txn:int -> worker:int -> rv:int -> unit;
-  rec_touch : txn:int -> region:int -> unit;
-      (* first touch of [region] by the current attempt, exactly once per
-         active region entry — the set of regions reported by [rec_touch]
-         between a [rec_begin] and its [rec_commit]/[rec_abort] is exactly
-         the set whose per-region commit/abort counters that attempt bumps *)
   rec_read : txn:int -> region:int -> slot:int -> version:int -> unit;
   rec_write : txn:int -> region:int -> slot:int -> unit;
-  rec_commit : txn:int -> stamp:int -> unit;
-  rec_abort : txn:int -> unit;
+  rec_commit : txn:int -> stamp:int -> reads:int -> writes:int -> region:int -> unit;
+  rec_abort : txn:int -> reads:int -> writes:int -> region:int -> unit;
+      (* the attempt's totals from the descriptor: [reads] counts the
+         [rec_read] sites, [writes] the [rec_write] sites, [region] is the
+         first region the attempt activated (-1 when none) *)
   rec_generation : region:int -> version:int -> unit;
       (* a region (re)created its lock table; fresh slots carry [version] *)
   rec_conflict : txn:int -> cause:abort_cause -> region:int -> slot:int -> unit;
@@ -56,11 +54,10 @@ type recorder = {
 let null_recorder =
   {
     rec_begin = (fun ~txn:_ ~worker:_ ~rv:_ -> ());
-    rec_touch = (fun ~txn:_ ~region:_ -> ());
     rec_read = (fun ~txn:_ ~region:_ ~slot:_ ~version:_ -> ());
     rec_write = (fun ~txn:_ ~region:_ ~slot:_ -> ());
-    rec_commit = (fun ~txn:_ ~stamp:_ -> ());
-    rec_abort = (fun ~txn:_ -> ());
+    rec_commit = (fun ~txn:_ ~stamp:_ ~reads:_ ~writes:_ ~region:_ -> ());
+    rec_abort = (fun ~txn:_ ~reads:_ ~writes:_ ~region:_ -> ());
     rec_generation = (fun ~region:_ ~version:_ -> ());
     rec_conflict = (fun ~txn:_ ~cause:_ ~region:_ ~slot:_ -> ());
     rec_lock_wait = (fun ~txn:_ ~region:_ ~slot:_ ~spins:_ -> ());
@@ -79,8 +76,6 @@ type t = {
          waits for the count to drain, swaps, and unfreezes. *)
   max_workers : int;
   contention_manager : Cm.t;
-  writer_wait_limit : int;
-  sample_retry_limit : int;
   max_attempts : int;
   padded : bool;
       (* hot shared words (clock, in-flight state, orec words, reader
@@ -89,8 +84,8 @@ type t = {
   mutable recorder : recorder option;
       (* the composed fan-out over [taps]; attempt hooks read this field *)
   mutable access : recorder option;
-      (* the fan-out over the taps that override an access hook; the access
-         hook sites and the conflict-attribution slot log read this field *)
+      (* the fan-out over the taps that override [rec_read] or [rec_write];
+         the read and write hook sites read this field *)
   mutable taps : (int * recorder) list;  (* attach order; ids never reused *)
   mutable tap_counter : int;
 }
@@ -98,12 +93,15 @@ type t = {
 let frozen_bit = 1
 let inflight_unit = 2
 
-(* writer_wait_limit default: a writer should outwait a reader mid-traversal
-   (hundreds of cycles) rather than abort — visible readers drain quickly
-   because new readers abort against the held write lock. *)
-let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(writer_wait_limit = 512)
-    ?(sample_retry_limit = 64) ?(max_attempts = 1_000_000) ?(padded = true)
-    () =
+(* A writer should outwait a reader mid-traversal (hundreds of cycles)
+   rather than abort — visible readers drain quickly because new readers
+   abort against the held write lock. *)
+let writer_wait_limit = 512
+
+let sample_retry_limit = 64
+
+let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(max_attempts = 1_000_000)
+    ?(padded = true) () =
   if max_workers <= 0 then invalid_arg "Engine.create: max_workers";
   (* The clock and the in-flight state word are the two globally contended
      words of the whole engine (every commit ticks the clock, every begin
@@ -122,8 +120,6 @@ let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(writer_wait_
     state = hot 0;
     max_workers;
     contention_manager;
-    writer_wait_limit;
-    sample_retry_limit;
     max_attempts;
     padded;
     recorder = None;
@@ -138,20 +134,16 @@ let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(writer_wait_
    the metrics plane's latency tap) can observe one engine at the same
    time.  Each [add_tap] recomposes the two fields that the hook sites
    read: [recorder] over every tap, and [access] over only the taps that
-   override one of the per-access hooks ([rec_touch], [rec_read],
-   [rec_write], [rec_conflict], [rec_lock_wait]) — so a tap that watches
-   attempts only costs the reads and writes nothing.  No taps costs the
-   historical one-load-one-branch, a single tap is called directly, and
-   only multiple taps pay a fan-out closure per event.  Attaching/detaching
-   must happen while no transaction is in flight (taps are installed before
-   workers start). *)
+   override a per-access hook ([rec_read], [rec_write]) — in practice the
+   checker's history alone, so the tracer and the metrics plane cost the
+   reads and writes nothing.  No taps costs the historical
+   one-load-one-branch, a single tap is called directly, and only multiple
+   taps pay a fan-out closure per event.  Attaching/detaching must happen
+   while no transaction is in flight (taps are installed before workers
+   start). *)
 
 let watches_access r =
-  r.rec_touch != null_recorder.rec_touch
-  || r.rec_read != null_recorder.rec_read
-  || r.rec_write != null_recorder.rec_write
-  || r.rec_conflict != null_recorder.rec_conflict
-  || r.rec_lock_wait != null_recorder.rec_lock_wait
+  r.rec_read != null_recorder.rec_read || r.rec_write != null_recorder.rec_write
 
 let compose = function
   | [] -> None
@@ -161,13 +153,16 @@ let compose = function
       Some
         {
           rec_begin = (fun ~txn ~worker ~rv -> each (fun r -> r.rec_begin ~txn ~worker ~rv));
-          rec_touch = (fun ~txn ~region -> each (fun r -> r.rec_touch ~txn ~region));
           rec_read =
             (fun ~txn ~region ~slot ~version ->
               each (fun r -> r.rec_read ~txn ~region ~slot ~version));
           rec_write = (fun ~txn ~region ~slot -> each (fun r -> r.rec_write ~txn ~region ~slot));
-          rec_commit = (fun ~txn ~stamp -> each (fun r -> r.rec_commit ~txn ~stamp));
-          rec_abort = (fun ~txn -> each (fun r -> r.rec_abort ~txn));
+          rec_commit =
+            (fun ~txn ~stamp ~reads ~writes ~region ->
+              each (fun r -> r.rec_commit ~txn ~stamp ~reads ~writes ~region));
+          rec_abort =
+            (fun ~txn ~reads ~writes ~region ->
+              each (fun r -> r.rec_abort ~txn ~reads ~writes ~region));
           rec_generation =
             (fun ~region ~version -> each (fun r -> r.rec_generation ~region ~version));
           rec_conflict =

@@ -13,21 +13,22 @@ val cause_to_string : abort_cause -> string
 
 type recorder = {
   rec_begin : txn:int -> worker:int -> rv:int -> unit;
-  rec_touch : txn:int -> region:int -> unit;
-      (** first touch of [region] by the current attempt, exactly once per
-          activated region entry. The regions reported between a
-          [rec_begin] and its [rec_commit]/[rec_abort] are exactly those
-          whose per-region [Region_stats] commit/abort counters that
-          attempt bumps. *)
   rec_read : txn:int -> region:int -> slot:int -> version:int -> unit;
   rec_write : txn:int -> region:int -> slot:int -> unit;
-  rec_commit : txn:int -> stamp:int -> unit;
-  rec_abort : txn:int -> unit;
+  rec_commit : txn:int -> stamp:int -> reads:int -> writes:int -> region:int -> unit;
+  rec_abort : txn:int -> reads:int -> writes:int -> region:int -> unit;
+      (** [rec_commit] and [rec_abort] carry the attempt's totals, taken
+          from the descriptor: [reads] counts the attempt's [rec_read]
+          sites and [writes] its [rec_write] sites, whether or not a tap
+          watches them, and [region] is the first region the attempt
+          activated (-1 when none). *)
   rec_generation : region:int -> version:int -> unit;
   rec_conflict : txn:int -> cause:abort_cause -> region:int -> slot:int -> unit;
       (** fired at the failure point, before the abort unwinds; exactly once
           per [Region_stats] conflict-counter increment. [slot] is -1 when
-          the failing orec could not be attributed. *)
+          the failure names no single orec. A validation failure is
+          attributed from the read set: [region]/[slot] name the first
+          stale read entry's orec. *)
   rec_lock_wait : txn:int -> region:int -> slot:int -> spins:int -> unit;
       (** write lock acquired after [spins] CAS retries + reader-drain
           spins (0 = uncontended) *)
@@ -37,19 +38,18 @@ type recorder = {
 (** Per-transaction event tap used by the checker ([lib/check]) and the
     tracing/profiling layer ([lib/obs]): the engine reports begins,
     orec-level reads (with the version observed), writes, commit stamps,
-    aborts, lock-table (re)creations, conflict causes with the failing
-    slot, lock-wait spin counts, and commit-sequence entry. All
-    identifiers are plain ints ([txn] = descriptor id).
+    aborts with the attempt's totals, lock-table (re)creations, conflict
+    causes with the failing slot, lock-wait spin counts, and
+    commit-sequence entry. All identifiers are plain ints ([txn] =
+    descriptor id).
 
-    [rec_touch], [rec_read], [rec_write], [rec_conflict] and
-    [rec_lock_wait] are the {e access hooks}: they fire per region entry,
-    read, write, conflict or lock acquisition, and the engine calls them
-    only on taps that override at least one of them (a field physically
-    different from {!null_recorder}'s). While no such tap is attached the
-    access hook sites cost one load and one branch and the
-    conflict-attribution slot log is not kept, whatever other taps are
-    attached. The other hooks ([rec_begin], [rec_commit], [rec_abort],
-    [rec_commit_begin], [rec_generation]) fire on every tap. *)
+    [rec_read] and [rec_write] are the {e access hooks}: they fire per
+    read or write, and the engine calls them only on taps that override at
+    least one of them (a field physically different from
+    {!null_recorder}'s) — the opacity checker's history. While no such tap
+    is attached the access hook sites cost one load and one branch,
+    whatever other taps are attached. Every other hook fires on every
+    tap. *)
 
 val null_recorder : recorder
 (** Every field ignores its arguments; build taps with
@@ -64,8 +64,6 @@ type t = {
   state : int Atomic.t;  (** bit 0 = frozen; bits 1.. = in-flight count *)
   max_workers : int;  (** size of per-region stats shard arrays *)
   contention_manager : Cm.t;
-  writer_wait_limit : int;  (** spins a writer waits for visible readers *)
-  sample_retry_limit : int;  (** retries of the read double-sampling loop *)
   max_attempts : int;  (** per-transaction retry budget before giving up *)
   padded : bool;
       (** hot shared words (clock, state, orecs, reader counters) are
@@ -76,8 +74,8 @@ type t = {
           hook sites. [None] (the default) costs one branch per hook site *)
   mutable access : recorder option;
       (** the fan-out over just the taps that override an access hook, read
-          by the access hook sites and the slot log; [None] while no
-          attached tap watches accesses *)
+          by the read and write hook sites; [None] while no attached tap
+          watches accesses *)
   mutable taps : (int * recorder) list;
   mutable tap_counter : int;
 }
@@ -85,8 +83,6 @@ type t = {
 val create :
   ?max_workers:int ->
   ?contention_manager:Cm.t ->
-  ?writer_wait_limit:int ->
-  ?sample_retry_limit:int ->
   ?max_attempts:int ->
   ?padded:bool ->
   unit ->
@@ -95,6 +91,14 @@ val create :
     in-flight state, and — via {!Region} — every lock table's orec words
     and reader counters) on their own cache lines; [false] is the packed
     baseline kept for A/B comparison (bench/exp_d1). *)
+
+val writer_wait_limit : int
+(** Spins a writer waits for visible readers to drain before it aborts
+    (512). *)
+
+val sample_retry_limit : int
+(** Retries of a read's double-sampling loop, a lock acquisition's CAS
+    race or a seqlock sample before the attempt aborts (64). *)
 
 val add_tap : t -> recorder -> int
 (** Attach an event sink; several taps can observe one engine (checker

@@ -57,6 +57,8 @@ let word t slot = t.words.(slot)
 (* Slot identity as a non-negative int key.  [Mode.granularity_max] is 16,
    so a slot index fits in 17 bits and (uid, slot) pairs are injective. *)
 let slot_key t slot = (t.uid lsl 17) lor slot
+let key_uid key = key lsr 17
+let key_slot key = key land ((1 lsl 17) - 1)
 let reader_counter t slot = t.readers.(slot)
 
 let locked_slots t =

@@ -29,6 +29,12 @@ val slot_key : t -> int -> int
     ([Mode.granularity_max] = 16).  Used to key the transaction
     descriptor's {!Partstm_util.Intmap} indexes. *)
 
+val key_uid : int -> int
+val key_slot : int -> int
+(** Decode a {!slot_key}: [key_uid (slot_key t s) = t.uid] and
+    [key_slot (slot_key t s) = s]. Conflict attribution names the failing
+    read entry's orec from its key. *)
+
 val reader_counter : t -> int -> int Atomic.t
 
 val locked_slots : t -> int

@@ -79,18 +79,19 @@ type t = {
   mutable txn_epoch : int;
   (* Scalar fallback for conflict attribution (the historical "head of the
      regions list"): the most recently activated entry's region id and
-     stripe, valid iff [cur_epoch = txn_epoch]. *)
+     stripe; and the first region activated in the attempt, reported with
+     the attempt's totals.  All three valid iff [cur_epoch = txn_epoch]. *)
   mutable cur_region_id : int;
   mutable cur_stripe : Region_stats.stripe;
+  mutable first_region_id : int;
   mutable cur_epoch : int;
+  mutable reads : int;  (* reads reported this attempt (the [record_read] calls) *)
   (* Invoked after every rollback inside [atomically]'s retry loop, so a
      harness deadline can be observed even by a livelocked worker that
      never returns from [atomically] (Driver wires its countdown here). *)
   mutable retry_hook : (unit -> unit) option;
   read_words : int Atomic.t Vec.t;  (* invisible read set: orec words ... *)
   read_observed : int Vec.t;  (* ... and the unlocked word observed *)
-  read_regions : int Vec.t;  (* access-tap-only: region id per read entry ... *)
-  read_slots : int Vec.t;  (* ... and its slot, for conflict attribution *)
   lock_words : int Atomic.t Vec.t;  (* owned write locks ... *)
   lock_prev : int Vec.t;  (* ... and their pre-lock words *)
   vis_counters : int Atomic.t Vec.t;  (* held visible-reader counters *)
@@ -169,12 +170,12 @@ let create_descriptor engine ~worker_id =
     txn_epoch = 1;  (* > 0 so a fresh entry's epoch 0 reads as inactive *)
     cur_region_id = -1;
     cur_stripe = dummy_stripe;
+    first_region_id = -1;
     cur_epoch = 0;
+    reads = 0;
     retry_hook = None;
     read_words = Vec.create ~dummy:dummy_atomic ();
     read_observed = Vec.create ~dummy:0 ();
-    read_regions = Vec.create ~dummy:0 ();
-    read_slots = Vec.create ~dummy:0 ();
     lock_words = Vec.create ~dummy:dummy_atomic ();
     lock_prev = Vec.create ~dummy:0 ();
     vis_counters = Vec.create ~dummy:dummy_atomic ();
@@ -242,12 +243,10 @@ let activate t (e : region_entry) =
   e.re_ctl_held <- -1;
   e.re_writes <- 0;
   e.re_epoch <- t.txn_epoch;
+  if t.cur_epoch <> t.txn_epoch then t.first_region_id <- region.Region.id;
   t.cur_region_id <- region.Region.id;
   t.cur_stripe <- e.re_stripe;
-  t.cur_epoch <- t.txn_epoch;
-  match t.engine.Engine.access with
-  | None -> ()
-  | Some r -> r.Engine.rec_touch ~txn:t.id ~region:region.Region.id
+  t.cur_epoch <- t.txn_epoch
 
 (* Top-level recursion: this runs once per read/write on the
    zero-allocation fast path; a local [let rec] capturing [t] and [region]
@@ -289,6 +288,8 @@ let enter_region t region = find_entry t region t.entries
    per-txn regions list". *)
 let fallback_region_id t = if t.cur_epoch = t.txn_epoch then t.cur_region_id else -1
 
+let first_region_id t = if t.cur_epoch = t.txn_epoch then t.first_region_id else -1
+
 (* Top-level recursion, not [List.iter (fun e -> ...)]: an intermediate
    closure would capture [t] and allocate on every commit/abort, and this
    runs on the zero-allocation fast path. *)
@@ -328,28 +329,32 @@ let first_invalid t = first_invalid_from t 0
 
 let validate t = first_invalid t < 0
 
-(* -- Conflict attribution (tracing taps) ---------------------------------
+(* -- Conflict attribution --------------------------------------------------
 
-   The slot log ([read_regions]/[read_slots]) mirrors the read set only
-   while an access tap is attached (pushes are guarded at the read sites), so
-   a validation failure can name the offending orec.  When the log was not
-   kept the failure is still reported, with the region charged by the
-   statistics and slot -1. *)
+   A validation failure names the orec of the first stale read entry,
+   decoded from the read set itself: its [read_keys] value packs (table
+   uid, slot), and its region is the active entry whose cached table
+   carries that uid.  The lookup runs on the failure path only. *)
 
-let read_site t i =
-  if i >= 0 && Vec.length t.read_slots = Vec.length t.read_words && i < Vec.length t.read_slots
-  then Some (Vec.get t.read_regions i, Vec.get t.read_slots i)
-  else None
+let rec region_of_table t uid = function
+  | [] -> -1
+  | e :: rest ->
+      if e.re_epoch = t.txn_epoch && e.re_table.Lock_table.uid = uid then e.re_region.Region.id
+      else region_of_table t uid rest
 
-let record_conflict_raw t ~cause ~region ~slot =
-  match t.engine.Engine.access with
+let record_conflict t ~cause ~region ~slot =
+  match t.engine.Engine.recorder with
   | None -> ()
   | Some r -> r.Engine.rec_conflict ~txn:t.id ~cause ~region ~slot
 
-let record_validation_conflict t ~fallback_region ~failed_index =
-  match read_site t failed_index with
-  | Some (region, slot) -> record_conflict_raw t ~cause:Engine.Validation ~region ~slot
-  | None -> record_conflict_raw t ~cause:Engine.Validation ~region:fallback_region ~slot:(-1)
+let record_validation_conflict t ~failed_index =
+  match t.engine.Engine.recorder with
+  | None -> ()
+  | Some r ->
+      let key = Vec.get t.read_keys failed_index in
+      r.Engine.rec_conflict ~txn:t.id ~cause:Engine.Validation
+        ~region:(region_of_table t (Lock_table.key_uid key) t.entries)
+        ~slot:(Lock_table.key_slot key)
 
 (* -- Commit-time-lock read-log validation ---------------------------------
 
@@ -365,16 +370,16 @@ let record_validation_conflict t ~fallback_region ~failed_index =
 let ctl_is_active t (e : region_entry) =
   e.re_epoch = t.txn_epoch && Protocol.is_commit_time_lock e.re_protocol && e.re_ctl_held < 0
 
-let rec ctl_sample_phase t spin_limit = function
+let rec ctl_sample_phase t = function
   | [] -> true
   | e :: rest ->
       if ctl_is_active t e then
-        match Seqlock.read_even e.re_region.Region.ctl_seq ~spin_limit with
+        match Seqlock.read_even e.re_region.Region.ctl_seq ~spin_limit:Engine.sample_retry_limit with
         | Some s ->
             e.re_ctl_snap <- s;
-            ctl_sample_phase t spin_limit rest
+            ctl_sample_phase t rest
         | None -> false
-      else ctl_sample_phase t spin_limit rest
+      else ctl_sample_phase t rest
 
 let rec ctl_confirm_phase t = function
   | [] -> true
@@ -397,8 +402,8 @@ let rec ctl_values_hold log i =
 let ctl_run_checks t = Bug.enabled Bug.Ctl_skip_validation || ctl_values_hold t.ctl_checks 0
 
 let rec ctl_all_valid_aux t retries =
-  if retries > t.engine.Engine.sample_retry_limit then false
-  else if not (ctl_sample_phase t t.engine.Engine.sample_retry_limit t.entries) then false
+  if retries > Engine.sample_retry_limit then false
+  else if not (ctl_sample_phase t t.entries) then false
   else begin
     Runtime_hook.charge (Runtime_hook.Step (Vec.length t.ctl_checks));
     if not (ctl_run_checks t) then false
@@ -435,7 +440,7 @@ let extend t (entry : region_entry) =
     ()
   else if t.mv_stale then begin
     Region_stats.incr_validation_fails entry.re_stripe;
-    record_conflict_raw t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
+    record_conflict t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
     raise Abort
   end
   else if Vec.is_empty t.read_words && Vec.is_empty t.ctl_checks then
@@ -449,14 +454,14 @@ let extend t (entry : region_entry) =
     let failed = if Vec.is_empty t.read_words then -1 else first_invalid t in
     if failed >= 0 then begin
       Region_stats.incr_validation_fails entry.re_stripe;
-      record_validation_conflict t ~fallback_region:entry.re_region.Region.id ~failed_index:failed;
+      record_validation_conflict t ~failed_index:failed;
       raise Abort
     end
     else if not (ctl_all_valid t) then begin
       (* Moving [rv] forward moves the whole-transaction snapshot point, so
          the value-logged commit-time-lock reads must also hold there. *)
       Region_stats.incr_validation_fails entry.re_stripe;
-      record_conflict_raw t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
+      record_conflict t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
       raise Abort
     end
     else begin
@@ -467,12 +472,13 @@ let extend t (entry : region_entry) =
 
 let lock_conflict t (entry : region_entry) ~slot =
   Region_stats.incr_lock_conflicts entry.re_stripe;
-  record_conflict_raw t ~cause:Engine.Lock_busy ~region:entry.re_region.Region.id ~slot;
+  record_conflict t ~cause:Engine.Lock_busy ~region:entry.re_region.Region.id ~slot;
   raise Abort
 
 (* -- Reads ---------------------------------------------------------------- *)
 
 let record_read t (entry : region_entry) ~slot ~version =
+  t.reads <- t.reads + 1;
   match t.engine.Engine.access with
   | None -> ()
   | Some r -> r.Engine.rec_read ~txn:t.id ~region:entry.re_region.Region.id ~slot ~version
@@ -502,14 +508,7 @@ let log_invisible_read t (entry : region_entry) ~slot (word : int Atomic.t) w1 =
     Intmap.set t.read_index key (Vec.length t.read_words);
     Vec.push t.read_keys key;
     Vec.push t.read_words word;
-    Vec.push t.read_observed w1;
-    (* Keep the conflict-attribution log in lockstep with the read
-       set, but only while an access tap is listening. *)
-    match t.engine.Engine.access with
-    | None -> ()
-    | Some _ ->
-        Vec.push t.read_regions entry.re_region.Region.id;
-        Vec.push t.read_slots slot
+    Vec.push t.read_observed w1
   end;
   record_read t entry ~slot ~version:(Orec.version w1)
 
@@ -553,7 +552,7 @@ let mv_history_read : type a. t -> region_entry -> a Mv_history.state -> a optio
 let rec invisible_sample : type a.
     t -> region_entry -> a Tvar.t -> slot:int -> int Atomic.t -> int -> a =
  fun t entry tvar ~slot word retries ->
-  if retries > t.engine.Engine.sample_retry_limit then lock_conflict t entry ~slot;
+  if retries > Engine.sample_retry_limit then lock_conflict t entry ~slot;
   let w1 = Atomic.get word in
   if Orec.is_locked w1 then
     if Orec.owner w1 = t.id then
@@ -676,7 +675,7 @@ let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : L
    retried.  Top-level recursion, like [invisible_sample]. *)
 let rec ctl_sample : type a. t -> region_entry -> a Tvar.t -> slot:int -> int -> a =
  fun t entry tvar ~slot retries ->
-  if retries > t.engine.Engine.sample_retry_limit then lock_conflict t entry ~slot;
+  if retries > Engine.sample_retry_limit then lock_conflict t entry ~slot;
   let seq = entry.re_region.Region.ctl_seq in
   let s1 = Seqlock.read seq in
   if Seqlock.is_locked s1 then begin
@@ -698,7 +697,7 @@ let rec ctl_sample : type a. t -> region_entry -> a Tvar.t -> slot:int -> int ->
       if now > t.rv then extend t entry
       else if not (ctl_all_valid t) then begin
         Region_stats.incr_validation_fails entry.re_stripe;
-        record_conflict_raw t ~cause:Engine.Validation ~region:entry.re_region.Region.id
+        record_conflict t ~cause:Engine.Validation ~region:entry.re_region.Region.id
           ~slot:(-1);
         raise Abort
       end;
@@ -730,7 +729,7 @@ let read_ctl t (entry : region_entry) tvar ~slot =
        inhibit history serving so the retry takes the orec path. *)
     t.mv_inhibit <- true;
     Region_stats.incr_validation_fails entry.re_stripe;
-    record_conflict_raw t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
+    record_conflict t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
     raise Abort
   end;
   ctl_sample t entry tvar ~slot 0
@@ -763,9 +762,9 @@ let read t (tvar : 'a Tvar.t) : 'a =
    it runs once per write on the zero-allocation path. *)
 let rec drain_readers t (entry : region_entry) ~slot (counter : int Atomic.t) ~my_holds spins =
   if Atomic.get counter > my_holds then
-    if spins >= t.engine.Engine.writer_wait_limit then begin
+    if spins >= Engine.writer_wait_limit then begin
       Region_stats.incr_reader_conflicts entry.re_stripe;
-      record_conflict_raw t ~cause:Engine.Reader_wait ~region:entry.re_region.Region.id ~slot;
+      record_conflict t ~cause:Engine.Reader_wait ~region:entry.re_region.Region.id ~slot;
       raise Abort
     end
     else begin
@@ -778,7 +777,7 @@ let rec drain_readers t (entry : region_entry) ~slot (counter : int Atomic.t) ~m
    recorded for release, then visible readers are drained. *)
 let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t)
     (counter : int Atomic.t) retries =
-  if retries > t.engine.Engine.sample_retry_limit then lock_conflict t entry ~slot;
+  if retries > Engine.sample_retry_limit then lock_conflict t entry ~slot;
   let w = Atomic.get word in
   if Orec.locked_by w ~owner:t.id then ()
   else if Orec.is_locked w then lock_conflict t entry ~slot
@@ -803,7 +802,7 @@ let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t
         if Bug.enabled Bug.Skip_reader_drain then 0
         else drain_readers t entry ~slot counter ~my_holds 0
       in
-      (match t.engine.Engine.access with
+      (match t.engine.Engine.recorder with
       | None -> ()
       | Some r ->
           r.Engine.rec_lock_wait ~txn:t.id ~region:entry.re_region.Region.id ~slot
@@ -840,7 +839,7 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
     (* The snapshot is frozen by a history read and a commit could not
        validate it: abort now, and inhibit history serving for the retry. *)
     t.mv_inhibit <- true;
-    record_conflict_raw t ~cause:Engine.Validation ~region:(fallback_region_id t) ~slot:(-1);
+    record_conflict t ~cause:Engine.Validation ~region:(fallback_region_id t) ~slot:(-1);
     raise Abort
   end;
   let entry = enter_region t tvar.Tvar.region in
@@ -887,7 +886,7 @@ let retry t =
   check_active t "Txn.retry";
   if Vec.is_empty t.read_words then
     invalid_arg "Txn.retry: nothing read invisibly (the wait set would be empty)";
-  record_conflict_raw t ~cause:Engine.Explicit_retry ~region:(fallback_region_id t) ~slot:(-1);
+  record_conflict t ~cause:Engine.Explicit_retry ~region:(fallback_region_id t) ~slot:(-1);
   raise Retry
 
 (* -- Lifecycle ------------------------------------------------------------ *)
@@ -896,8 +895,6 @@ let begin_txn t =
   Engine.enter t.engine;
   Vec.clear t.read_words;
   Vec.clear t.read_observed;
-  Vec.clear t.read_regions;
-  Vec.clear t.read_slots;
   Vec.clear t.lock_words;
   Vec.clear t.lock_prev;
   Vec.clear t.vis_counters;
@@ -911,6 +908,7 @@ let begin_txn t =
   t.own_bloom <- 0;
   t.mv_stale <- false;
   t.commit_wv <- 0;
+  t.reads <- 0;
   t.rv <- Engine.now t.engine;
   t.active <- true;
   match t.engine.Engine.recorder with
@@ -957,10 +955,15 @@ let finalize_success t =
   Engine.leave t.engine;
   t.active <- false
 
+(* The attempt's write total: one log entry per [record_write] call. *)
+let writes_logged t = Vec.length t.writes + Vec.length t.undo
+
 let record_commit t ~stamp =
   match t.engine.Engine.recorder with
   | None -> ()
-  | Some r -> r.Engine.rec_commit ~txn:t.id ~stamp
+  | Some r ->
+      r.Engine.rec_commit ~txn:t.id ~stamp ~reads:t.reads ~writes:(writes_logged t)
+        ~region:(first_region_id t)
 
 (* Commit-time seqlock acquisition for every commit-time-lock region this
    transaction wrote.  On failure the abort path abandons whatever was
@@ -977,7 +980,7 @@ let rec ctl_acquire_writes t = function
       then begin
         match
           Seqlock.acquire e.re_region.Region.ctl_seq
-            ~spin_limit:t.engine.Engine.sample_retry_limit
+            ~spin_limit:Engine.sample_retry_limit
         with
         | Some captured ->
             e.re_ctl_held <- captured;
@@ -1106,7 +1109,7 @@ let commit t =
        let failed = first_invalid t in
        if failed >= 0 then begin
          if t.cur_epoch = t.txn_epoch then Region_stats.incr_validation_fails t.cur_stripe;
-         record_validation_conflict t ~fallback_region:(fallback_region_id t) ~failed_index:failed;
+         record_validation_conflict t ~failed_index:failed;
          raise Abort
        end;
        (* Value-revalidate the commit-time-lock read log (entries whose
@@ -1115,8 +1118,7 @@ let commit t =
           inside [ctl_run_checks]. *)
        if not (ctl_all_valid t) then begin
          if t.cur_epoch = t.txn_epoch then Region_stats.incr_validation_fails t.cur_stripe;
-         record_conflict_raw t ~cause:Engine.Validation ~region:(fallback_region_id t)
-           ~slot:(-1);
+         record_conflict t ~cause:Engine.Validation ~region:(fallback_region_id t) ~slot:(-1);
          raise Abort
        end
      end);
@@ -1136,7 +1138,9 @@ let rollback t =
   Runtime_hook.critical t.rollback_phase;
   (match t.engine.Engine.recorder with
   | None -> ()
-  | Some r -> r.Engine.rec_abort ~txn:t.id);
+  | Some r ->
+      r.Engine.rec_abort ~txn:t.id ~reads:t.reads ~writes:(writes_logged t)
+        ~region:(first_region_id t));
   (* One-attempt inhibit: an abort while the snapshot was frozen disables
      history serving for the retry (freezing at the same read and aborting
      again is the one deterministic loop the single-version path cannot
@@ -1202,8 +1206,7 @@ let rec atomically_loop : type a. t -> (t -> a) -> a =
       t.attempt <- 0;
       atomically_loop t f
   | exception exn ->
-      record_conflict_raw t ~cause:Engine.Exception_unwind ~region:(fallback_region_id t)
-        ~slot:(-1);
+      record_conflict t ~cause:Engine.Exception_unwind ~region:(fallback_region_id t) ~slot:(-1);
       rollback t;
       raise exn
 

@@ -155,6 +155,43 @@ let zero_alloc_probe ~with_plane () =
     true
     (delta <= 64.0)
 
+(* A 1-in-64 tracer keeps warm read-only transactions allocation-free apart
+   from the spans it keeps: it watches begins and commits only, takes the
+   read count from the commit, and an unsampled attempt allocates nothing.
+   A kept span is one record (~15 words), so the budget is 1 word per
+   transaction whatever the read count. *)
+let rec sum_reads t tvars i acc =
+  if i = Array.length tvars then acc else sum_reads t tvars (i + 1) (acc + System.read t tvars.(i))
+
+let test_tracer_alloc () =
+  List.iter
+    (fun reads ->
+      let system = System.create ~max_workers:4 () in
+      let p = System.partition system "alloc-traced" in
+      let tvars = Array.init reads (fun i -> System.tvar p i) in
+      let tracer = Partstm_obs.Tracer.create ~sample_every:64 () in
+      Partstm_obs.Tracer.attach tracer (System.engine system);
+      let words =
+        Domain.join
+          (Domain.spawn (fun () ->
+               let txn = System.domain_descriptor system in
+               let body t = sum_reads t tvars 0 0 in
+               for _ = 1 to 256 do
+                 ignore (System.atomically txn body)
+               done;
+               let before = Gc.minor_words () in
+               for _ = 1 to 10_000 do
+                 ignore (System.atomically txn body)
+               done;
+               Gc.minor_words () -. before))
+      in
+      Partstm_obs.Tracer.detach tracer;
+      check Alcotest.bool
+        (Printf.sprintf "10k warm %d-read txns, 1-in-64 tracer: %.0f minor words (budget 10000)"
+           reads words)
+        true (words <= 10_000.0))
+    [ 2; 16 ]
+
 (* Warm update transactions on one domain: each writes [writes] tvars of
    one partition in [mode].  Returns the minor words allocated by 10k
    transactions after warm-up.  Descriptor logs hold data, not closures:
@@ -328,6 +365,8 @@ let () =
             (zero_alloc_probe ~with_plane:false);
           Alcotest.test_case "allocation-free with the metrics plane attached" `Quick
             (zero_alloc_probe ~with_plane:true);
+          Alcotest.test_case "1-in-64 tracer allocates only its kept spans" `Quick
+            test_tracer_alloc;
           Alcotest.test_case "write-back update path is allocation-free" `Quick
             test_write_back_alloc;
           Alcotest.test_case "write-through allocates only its undo log" `Quick

@@ -292,10 +292,11 @@ let test_affinity_reconciles_with_region_stats () =
        (List.init workers Fun.id))
     (Histogram.count (Obs.Affinity.abort_latency affinity))
 
-(* The plane's tap watches attempts only: attached alone it leaves the
-   engine's access fan-out empty (no access hook fires, no slot log is
-   kept), and beside a tracer it does not change what the tracer counts on
-   a seeded simulated schedule. *)
+(* Only the checker's history watches accesses: the plane's tap and the
+   tracer's watch attempts only, so with both attached the engine's access
+   fan-out stays empty (no read or write hook fires) until a history
+   attaches.  Beside a tracer the plane does not change what the tracer
+   counts on a seeded simulated schedule. *)
 let test_plane_leaves_access_hooks_alone () =
   let run ~with_plane =
     let system = System.create ~max_workers:12 () in
@@ -312,11 +313,13 @@ let test_plane_leaves_access_hooks_alone () =
     end;
     let tracer = Obs.Tracer.create ~ring_capacity:1_000_000 () in
     Obs.Tracer.attach tracer engine;
-    check Alcotest.bool "tracer watches accesses" true (engine.Engine.access <> None);
+    check Alcotest.bool "tracer watches no access" true (engine.Engine.access = None);
     ignore
       (Driver.run ~tracer ?metrics ~seed:5
          ~mode:(Driver.default_sim ~cycles:300_000 ())
          ~workers:4 (Bank.worker state));
+    Partstm_check.History.attach (Partstm_check.History.create ()) engine;
+    check Alcotest.bool "history watches accesses" true (engine.Engine.access <> None);
     Obs.Tracer.detach tracer;
     Option.iter Metrics_plane.detach metrics;
     let spans = Obs.Tracer.spans tracer in

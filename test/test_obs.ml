@@ -82,6 +82,90 @@ let history_attach_twice_test =
         (fun () -> History.attach history engine);
       check Alcotest.int "one tap attached" 1 (List.length (Engine.taps engine)))
 
+(* The tracer takes each attempt's read/write totals and region from the
+   descriptor, not from the access hooks: on a seeded multi-partition run
+   they must equal what the history's access hook saw, attempt by attempt
+   — the count of Read and Write events, and the region of the first one.
+   An attempt that aborted before any read or write reached the history
+   (a conflict on its first access) has no such event; only its counts are
+   compared.  One partition per read path: visible, multi-version,
+   commit-time-lock, and write-through invisible. *)
+let every_read_path =
+  Partstm_workloads.Strategy.Per_partition
+    {
+      assignments =
+        [
+          ("mixed-list", Mode.make ~visibility:Mode.Visible ());
+          ("mixed-tree", Mode.make ~protocol:(Protocol.Multi_version { depth = 4 }) ());
+          ("mixed-set", Mode.make ~protocol:Protocol.Commit_time_lock ());
+          ("mixed-stats", Mode.make ~granularity_log2:0 ~update:Mode.Write_through ());
+        ];
+      fallback = Partstm_workloads.Strategy.invisible;
+    }
+
+let exact_totals_test =
+  Alcotest.test_case "span totals equal the history's access events" `Quick (fun () ->
+      let module Mixed = Partstm_workloads.Mixed in
+      let module Driver = Partstm_harness.Driver in
+      let system = System.create ~max_workers:8 () in
+      let state = Mixed.setup system ~strategy:every_read_path Mixed.default_config in
+      let engine = System.engine system in
+      let history = History.create () in
+      History.attach history engine;
+      let tracer = Obs.Tracer.create ~ring_capacity:1_000_000 ~sample_every:1 () in
+      Obs.Tracer.attach tracer engine;
+      ignore
+        (Driver.run ~tracer ~seed:17
+           ~mode:(Driver.default_sim ~cycles:300_000 ())
+           ~workers:4 (Mixed.worker state));
+      Obs.Tracer.detach tracer;
+      (* Per descriptor, newest first: each attempt's (reads, writes, first
+         region, whether a later access left the first region). *)
+      let attempts = Hashtbl.create 8 and current = Hashtbl.create 8 in
+      let access txn ~region ~read =
+        let r, w, first, spans = Hashtbl.find current txn in
+        let first = if first < 0 then region else first in
+        let r, w = if read then (r + 1, w) else (r, w + 1) in
+        Hashtbl.replace current txn (r, w, first, spans || region <> first)
+      in
+      List.iter
+        (function
+          | History.Begin { txn; _ } -> Hashtbl.replace current txn (0, 0, -1, false)
+          | History.Read { txn; region; _ } -> access txn ~region ~read:true
+          | History.Write { txn; region; _ } -> access txn ~region ~read:false
+          | History.Commit { txn; _ } | History.Abort { txn } ->
+              let done_ = Option.value ~default:[] (Hashtbl.find_opt attempts txn) in
+              Hashtbl.replace attempts txn (Hashtbl.find current txn :: done_)
+          | History.Generation _ -> ())
+        (History.events history);
+      let all = Hashtbl.fold (fun _ l acc -> l @ acc) attempts [] in
+      (* The run must exercise what the totals could get wrong. *)
+      check Alcotest.bool "some attempt spans partitions" true
+        (List.exists (fun (_, _, _, spans) -> spans) all);
+      check Alcotest.bool "some attempt writes" true (List.exists (fun (_, w, _, _) -> w > 0) all);
+      let spans = Obs.Tracer.spans tracer in
+      check Alcotest.int "no span evicted" 0 (Obs.Tracer.dropped_spans tracer);
+      check Alcotest.int "one span per history attempt" (List.length all) (List.length spans);
+      Hashtbl.iter
+        (fun txn expected ->
+          let mine =
+            List.filter (fun sp -> sp.Obs.Tracer.sp_txn = txn) spans
+            |> List.sort (fun a b ->
+                   Obs.Tracer.(compare (a.sp_chain, a.sp_attempt) (b.sp_chain, b.sp_attempt)))
+          in
+          check Alcotest.int "attempts per descriptor" (List.length expected) (List.length mine);
+          List.iter2
+            (fun (reads, writes, first, _) sp ->
+              let label what =
+                Obs.Tracer.(Printf.sprintf "txn %d chain %d.%d %s" txn sp.sp_chain sp.sp_attempt what)
+              in
+              check Alcotest.int (label "reads") reads sp.Obs.Tracer.sp_reads;
+              check Alcotest.int (label "writes") writes sp.Obs.Tracer.sp_writes;
+              if reads + writes > 0 then
+                check Alcotest.int (label "region") first sp.Obs.Tracer.sp_region)
+            (List.rev expected) mine)
+        attempts)
+
 (* -- Ring eviction accounting ------------------------------------------------ *)
 
 let ring_eviction_test =
@@ -267,7 +351,8 @@ let decision_test =
 let () =
   Alcotest.run "partstm_obs"
     [
-      ("fan-out", [ fan_out_test; add_remove_tap_test; history_attach_twice_test ]);
+      ( "fan-out",
+        [ fan_out_test; add_remove_tap_test; history_attach_twice_test; exact_totals_test ] );
       ("tracer", [ ring_eviction_test; sampling_test; decision_test ]);
       ("chrome", [ chrome_test ]);
       ("contention", [ heatmap_reconciliation_test ]);

@@ -10,8 +10,8 @@ let check = Alcotest.check
 let qtest ?(count = 200) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
 
-let fresh_engine ?max_workers ?contention_manager ?max_attempts ?writer_wait_limit () =
-  Engine.create ?max_workers ?contention_manager ?max_attempts ?writer_wait_limit ()
+let fresh_engine ?max_workers ?contention_manager ?max_attempts () =
+  Engine.create ?max_workers ?contention_manager ?max_attempts ()
 
 let invisible_mode g = Mode.make ~granularity_log2:g ()
 let visible_mode g = Mode.make ~visibility:Mode.Visible ~granularity_log2:g ()

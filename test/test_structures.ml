@@ -16,21 +16,6 @@ let fresh () =
   let txn = System.descriptor system ~worker_id:0 in
   (system, partition, txn)
 
-(* -- Tcounter ---------------------------------------------------------------- *)
-
-let test_counter () =
-  let _, p, txn = fresh () in
-  let c = Tcounter.make p 10 in
-  check Alcotest.int "initial" 10 (Tcounter.peek c);
-  Txn.atomically txn (fun t ->
-      Tcounter.incr t c;
-      Tcounter.add t c 5;
-      Tcounter.decr t c);
-  check Alcotest.int "after ops" 15 (Tcounter.peek c);
-  check Alcotest.int "get" 15 (Txn.atomically txn (fun t -> Tcounter.get t c));
-  Txn.atomically txn (fun t -> Tcounter.set t c 0);
-  check Alcotest.int "set" 0 (Tcounter.peek c)
-
 (* -- Tarray ------------------------------------------------------------------ *)
 
 let test_array_basics () =
@@ -319,129 +304,9 @@ let prop_queue_matches_model =
         ops
       && Tqueue.peek_to_list q = List.of_seq (Queue.to_seq model))
 
-(* -- Thashmap ---------------------------------------------------------------------- *)
-
-let test_hashmap_basics () =
-  let _, p, txn = fresh () in
-  let m = Thashmap.make p ~buckets:8 in
-  check Alcotest.(option int) "find absent" None (Txn.atomically txn (fun t -> Thashmap.find t m 1));
-  check Alcotest.bool "add new" true (Txn.atomically txn (fun t -> Thashmap.add t m 1 100));
-  check Alcotest.bool "add existing updates" false
-    (Txn.atomically txn (fun t -> Thashmap.add t m 1 200));
-  check Alcotest.(option int) "updated" (Some 200) (Txn.atomically txn (fun t -> Thashmap.find t m 1));
-  Txn.atomically txn (fun t -> Thashmap.update t m 1 ~default:0 (fun v -> v + 1));
-  Txn.atomically txn (fun t -> Thashmap.update t m 9 ~default:50 (fun v -> v + 1));
-  check Alcotest.(option int) "update existing" (Some 201)
-    (Txn.atomically txn (fun t -> Thashmap.find t m 1));
-  check Alcotest.(option int) "update absent uses default" (Some 51)
-    (Txn.atomically txn (fun t -> Thashmap.find t m 9));
-  check Alcotest.bool "remove" true (Txn.atomically txn (fun t -> Thashmap.remove t m 1));
-  check Alcotest.bool "remove absent" false (Txn.atomically txn (fun t -> Thashmap.remove t m 1));
-  check Alcotest.(list (pair int int)) "bindings" [ (9, 51) ] (Thashmap.peek_bindings m);
-  check Alcotest.bool "check" true (Thashmap.check m)
-
-module IntMap = Map.Make (Int)
-
-let prop_hashmap_matches_map =
-  let gen =
-    QCheck2.Gen.(list_size (int_range 0 150) (pair (int_range 0 3) (pair (int_range 0 20) (int_range 0 99))))
-  in
-  qtest "thashmap matches Map model" gen (fun ops ->
-      let _, p, txn = fresh () in
-      let m = Thashmap.make p ~buckets:8 in
-      let model = ref IntMap.empty in
-      let ok = ref true in
-      List.iter
-        (fun (op, (key, value)) ->
-          match op with
-          | 0 ->
-              let fresh_binding = not (IntMap.mem key !model) in
-              model := IntMap.add key value !model;
-              if Txn.atomically txn (fun t -> Thashmap.add t m key value) <> fresh_binding then
-                ok := false
-          | 1 ->
-              let present = IntMap.mem key !model in
-              model := IntMap.remove key !model;
-              if Txn.atomically txn (fun t -> Thashmap.remove t m key) <> present then ok := false
-          | 2 ->
-              model := IntMap.update key (fun b -> Some (Option.value ~default:0 b + value)) !model;
-              Txn.atomically txn (fun t -> Thashmap.update t m key ~default:0 (fun v -> v + value))
-          | _ ->
-              if Txn.atomically txn (fun t -> Thashmap.find t m key) <> IntMap.find_opt key !model
-              then ok := false)
-        ops;
-      !ok
-      && Thashmap.peek_bindings m = IntMap.bindings !model
-      && Thashmap.check m)
-
-let test_hashmap_concurrent_counters () =
-  (* Concurrent per-key counters via [update]: total increments preserved. *)
-  let system = System.create () in
-  let p = System.partition system "counters" in
-  let m = Thashmap.make p ~buckets:16 in
-  let workers = 4 and per_worker = 2000 and keys = 10 in
-  let domains =
-    List.init workers (fun w ->
-        Domain.spawn (fun () ->
-            let txn = System.descriptor system ~worker_id:w in
-            let rng = Partstm_util.Rng.make (w + 1) in
-            for _ = 1 to per_worker do
-              let key = Partstm_util.Rng.int rng keys in
-              Txn.atomically txn (fun t -> Thashmap.update t m key ~default:0 (fun v -> v + 1))
-            done))
-  in
-  List.iter Domain.join domains;
-  let total = List.fold_left (fun acc (_, v) -> acc + v) 0 (Thashmap.peek_bindings m) in
-  check Alcotest.int "all increments present" (workers * per_worker) total
-
-(* -- Tstack ------------------------------------------------------------------------ *)
-
-let test_stack_lifo () =
-  let _, p, txn = fresh () in
-  let s = Tstack.make p in
-  check Alcotest.bool "empty" true (Txn.atomically txn (fun t -> Tstack.is_empty t s));
-  check Alcotest.(option int) "pop empty" None (Txn.atomically txn (fun t -> Tstack.pop t s));
-  Txn.atomically txn (fun t ->
-      Tstack.push t s 1;
-      Tstack.push t s 2;
-      Tstack.push t s 3);
-  check Alcotest.(option int) "top" (Some 3) (Txn.atomically txn (fun t -> Tstack.top t s));
-  check Alcotest.int "length" 3 (Txn.atomically txn (fun t -> Tstack.length t s));
-  check Alcotest.(option int) "lifo" (Some 3) (Txn.atomically txn (fun t -> Tstack.pop t s));
-  check Alcotest.(list int) "snapshot top-first" [ 2; 1 ] (Tstack.peek_to_list s)
-
-let test_stack_concurrent_push_pop () =
-  let system = System.create () in
-  let p = System.partition system "stack" in
-  let s = Tstack.make p in
-  let workers = 3 and per_worker = 1500 in
-  let popped = Array.make workers [] in
-  let domains =
-    List.init workers (fun w ->
-        Domain.spawn (fun () ->
-            let txn = System.descriptor system ~worker_id:w in
-            for i = 0 to per_worker - 1 do
-              Txn.atomically txn (fun t -> Tstack.push t s ((w * 1_000_000) + i));
-              if i mod 2 = 0 then
-                match Txn.atomically txn (fun t -> Tstack.pop t s) with
-                | Some v -> popped.(w) <- v :: popped.(w)
-                | None -> ()
-            done))
-  in
-  List.iter Domain.join domains;
-  let taken = List.concat (Array.to_list popped) in
-  let remaining = Tstack.peek_to_list s in
-  let all = List.sort compare (taken @ remaining) in
-  let expected =
-    List.sort compare
-      (List.concat (List.init workers (fun w -> List.init per_worker (fun i -> (w * 1_000_000) + i))))
-  in
-  check Alcotest.(list int) "no element lost or duplicated" expected all
-
 let () =
   Alcotest.run "partstm_structures"
     [
-      ("tcounter", [ Alcotest.test_case "ops" `Quick test_counter ]);
       ( "tarray",
         [
           Alcotest.test_case "basics" `Quick test_array_basics;
@@ -468,15 +333,4 @@ let () =
         ] );
       ( "tqueue",
         [ Alcotest.test_case "fifo" `Quick test_queue_fifo; prop_queue_matches_model ] );
-      ( "thashmap",
-        [
-          Alcotest.test_case "basics" `Quick test_hashmap_basics;
-          prop_hashmap_matches_map;
-          Alcotest.test_case "concurrent counters" `Slow test_hashmap_concurrent_counters;
-        ] );
-      ( "tstack",
-        [
-          Alcotest.test_case "lifo" `Quick test_stack_lifo;
-          Alcotest.test_case "concurrent push/pop" `Slow test_stack_concurrent_push_pop;
-        ] );
     ]
