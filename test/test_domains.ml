@@ -365,14 +365,14 @@ let () =
             (zero_alloc_probe ~with_plane:false);
           Alcotest.test_case "allocation-free with the metrics plane attached" `Quick
             (zero_alloc_probe ~with_plane:true);
-          Alcotest.test_case "1-in-64 tracer allocates only its kept spans" `Quick
-            test_tracer_alloc;
           Alcotest.test_case "write-back update path is allocation-free" `Quick
             test_write_back_alloc;
           Alcotest.test_case "write-through allocates only its undo log" `Quick
             test_write_through_alloc;
           Alcotest.test_case "mv8 update path within 20 words per write" `Quick
             test_multi_version_alloc;
+          Alcotest.test_case "1-in-64 tracer allocates only its kept spans" `Quick
+            test_tracer_alloc;
         ] );
       ( "transfers",
         [ Alcotest.test_case "indexed descriptors under domains" `Quick test_transfers_domains ] );
