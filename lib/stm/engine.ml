@@ -70,10 +70,12 @@ type t = {
   descriptor_counter : int Atomic.t;
   region_counter : int Atomic.t;
   state : int Atomic.t;
-      (* bit 0 = frozen (a reconfiguration is quiescing); bits 1.. = count of
-         in-flight transactions.  Transactions register once at begin and
-         deregister at commit/abort; a reconfiguration freezes the engine,
-         waits for the count to drain, swaps, and unfreezes. *)
+      (* 1 while a reconfiguration is quiescing, else 0 *)
+  inflight_slots : int Atomic.t array;
+      (* one in-flight counter per worker id.  A transaction increments its
+         worker's slot once at begin and decrements it at commit/abort; a
+         reconfiguration sets [state], waits for every slot to read 0,
+         swaps, and clears [state]. *)
   max_workers : int;
   contention_manager : Cm.t;
   max_attempts : int;
@@ -90,9 +92,6 @@ type t = {
   mutable tap_counter : int;
 }
 
-let frozen_bit = 1
-let inflight_unit = 2
-
 (* A writer should outwait a reader mid-traversal (hundreds of cycles)
    rather than abort — visible readers drain quickly because new readers
    abort against the held write lock. *)
@@ -103,12 +102,13 @@ let sample_retry_limit = 64
 let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(max_attempts = 1_000_000)
     ?(padded = true) () =
   if max_workers <= 0 then invalid_arg "Engine.create: max_workers";
-  (* The clock and the in-flight state word are the two globally contended
-     words of the whole engine (every commit ticks the clock, every begin
-     and end CASes the state): keep each on its own cache line so they
-     neither fight each other nor whatever the allocator packs next to
-     them.  The id counters are cold (allocation-time only) and stay
-     packed. *)
+  (* The clock is the one globally contended word of the whole engine
+     (every commit ticks it): keep it on its own cache line.  The freeze
+     word is read by every begin but written only by a reconfiguration, so
+     it stays shared in every reader's cache.  Each in-flight slot is
+     written by one worker at every begin and end: padding keeps the
+     workers' slots off each other's lines.  The id counters are cold
+     (allocation-time only) and stay packed. *)
   let hot initial =
     if padded then Partstm_util.Padding.atomic_int initial else Atomic.make initial
   in
@@ -118,6 +118,7 @@ let create ?(max_workers = 64) ?(contention_manager = Cm.default) ?(max_attempts
     descriptor_counter = Atomic.make 0;
     region_counter = Atomic.make 0;
     state = hot 0;
+    inflight_slots = Array.init max_workers (fun _ -> hot 0);
     max_workers;
     contention_manager;
     max_attempts;
@@ -198,29 +199,46 @@ let next_tvar_id t = Atomic.fetch_and_add t.tvar_counter 1
 let next_descriptor_id t = Atomic.fetch_and_add t.descriptor_counter 1
 let next_region_id t = Atomic.fetch_and_add t.region_counter 1
 
-let inflight t = Atomic.get t.state lsr 1
-let is_frozen t = Atomic.get t.state land frozen_bit <> 0
+let rec sum_slots slots i acc =
+  if i < 0 then acc else sum_slots slots (i - 1) (acc + Atomic.get slots.(i))
 
-(* Register an in-flight transaction; spins while a reconfiguration is
-   quiescing (brief: a few loads and stores under the freeze). *)
+let inflight t = sum_slots t.inflight_slots (Array.length t.inflight_slots - 1) 0
+let is_frozen t = Atomic.get t.state <> 0
+
+(* Register an in-flight transaction on [worker]'s slot; spins while a
+   reconfiguration is quiescing (brief: a few loads and stores under the
+   freeze).  Increment first, then read the freeze word: OCaml atomics are
+   sequentially consistent, so either this read sees the freeze (and the
+   worker backs out) or the quiescer's later scan sees the increment.  A
+   backed-out worker waits with loads only, so its slot stays 0 while the
+   quiescer scans.  Under the simulator [enter] costs one [First_touch]
+   plus one [relax] per frozen observation; the slot operations charge
+   nothing, so schedules do not depend on the slot layout. *)
 (* Top-level recursion (not a local [let rec] closure): [enter] runs once
    per transaction on the zero-allocation fast path, and a local loop
    capturing [t] would allocate its closure every call. *)
-let rec enter_loop t =
-  let s = Atomic.get t.state in
-  if s land frozen_bit <> 0 then begin
+let rec enter_loop t slot =
+  Atomic.incr slot;
+  if Atomic.get t.state <> 0 then begin
+    Atomic.decr slot;
     Partstm_util.Runtime_hook.relax ();
-    enter_loop t
+    wait_unfrozen t slot
   end
-  else if not (Atomic.compare_and_set t.state s (s + inflight_unit)) then enter_loop t
 
-let enter t =
+and wait_unfrozen t slot =
+  if Atomic.get t.state <> 0 then begin
+    Partstm_util.Runtime_hook.relax ();
+    wait_unfrozen t slot
+  end
+  else enter_loop t slot
+
+let enter t ~worker =
   Partstm_util.Runtime_hook.charge Partstm_util.Runtime_hook.First_touch;
-  enter_loop t
+  enter_loop t t.inflight_slots.(worker)
 
-let leave t =
-  let previous = Atomic.fetch_and_add t.state (-inflight_unit) in
-  assert (previous lsr 1 > 0)
+let leave t ~worker =
+  let previous = Atomic.fetch_and_add t.inflight_slots.(worker) (-1) in
+  assert (previous > 0)
 
 (* Run [f] with the engine quiesced: no transaction is in flight while [f]
    executes.  At most one quiesce at a time (the tuner is single-threaded);
@@ -231,21 +249,10 @@ let leave t =
 let quiesce t f =
   let result = ref None in
   Partstm_util.Runtime_hook.critical (fun () ->
-      let rec freeze () =
-        let s = Atomic.get t.state in
-        if s land frozen_bit <> 0 then invalid_arg "Engine.quiesce: concurrent reconfiguration"
-        else if not (Atomic.compare_and_set t.state s (s lor frozen_bit)) then freeze ()
-      in
-      freeze ();
-      while Atomic.get t.state lsr 1 > 0 do
+      if not (Atomic.compare_and_set t.state 0 1) then
+        invalid_arg "Engine.quiesce: concurrent reconfiguration";
+      while inflight t > 0 do
         Partstm_util.Runtime_hook.relax ()
       done;
-      let unfreeze () =
-        let rec loop () =
-          let s = Atomic.get t.state in
-          if not (Atomic.compare_and_set t.state s (s land lnot frozen_bit)) then loop ()
-        in
-        loop ()
-      in
-      Fun.protect ~finally:unfreeze (fun () -> result := Some (f ())));
+      Fun.protect ~finally:(fun () -> Atomic.set t.state 0) (fun () -> result := Some (f ())));
   match !result with Some v -> v | None -> assert false

@@ -61,14 +61,17 @@ type t = {
   tvar_counter : int Atomic.t;
   descriptor_counter : int Atomic.t;
   region_counter : int Atomic.t;
-  state : int Atomic.t;  (** bit 0 = frozen; bits 1.. = in-flight count *)
+  state : int Atomic.t;  (** 1 while a reconfiguration is quiescing, else 0 *)
+  inflight_slots : int Atomic.t array;
+      (** one in-flight counter per worker id, each on its own cache line
+          when [padded] *)
   max_workers : int;  (** size of per-region stats shard arrays *)
   contention_manager : Cm.t;
   max_attempts : int;  (** per-transaction retry budget before giving up *)
   padded : bool;
-      (** hot shared words (clock, state, orecs, reader counters) are
-          cache-line-padded; [false] is the packed baseline (A/B,
-          bench/exp_d1) *)
+      (** hot shared words (clock, freeze word, in-flight slots, orecs,
+          reader counters) are cache-line-padded; [false] is the packed
+          baseline (A/B, bench/exp_d1) *)
   mutable recorder : recorder option;
       (** the composed fan-out over all attached taps, read by the attempt
           hook sites. [None] (the default) costs one branch per hook site *)
@@ -88,9 +91,10 @@ val create :
   unit ->
   t
 (** [padded] (default [true]) places the hot shared words (global clock,
-    in-flight state, and — via {!Region} — every lock table's orec words
-    and reader counters) on their own cache lines; [false] is the packed
-    baseline kept for A/B comparison (bench/exp_d1). *)
+    freeze word, each worker's in-flight slot, and — via {!Region} — every
+    lock table's orec words and reader counters) on their own cache lines;
+    [false] is the packed baseline kept for A/B comparison
+    (bench/exp_d1). *)
 
 val writer_wait_limit : int
 (** Spins a writer waits for visible readers to drain before it aborts
@@ -123,15 +127,21 @@ val next_descriptor_id : t -> int
 val next_region_id : t -> int
 
 val inflight : t -> int
+(** Transactions in flight: the sum of every worker's slot. *)
+
 val is_frozen : t -> bool
 
-val enter : t -> unit
-(** Register an in-flight transaction; spins while a reconfiguration is
-    quiescing. Called once per transaction attempt. *)
+val enter : t -> worker:int -> unit
+(** Register an in-flight transaction on [worker]'s slot (one uncontended
+    atomic increment); while a reconfiguration is quiescing it backs out
+    and spins. Called once per transaction attempt; [worker] must be below
+    [max_workers]. *)
 
-val leave : t -> unit
-(** Deregister; must pair with {!enter}. *)
+val leave : t -> worker:int -> unit
+(** Deregister from [worker]'s slot; must pair with {!enter} on the same
+    worker. *)
 
 val quiesce : t -> (unit -> 'a) -> 'a
-(** Run with no transaction in flight (freeze, drain, run, unfreeze). At
-    most one quiesce at a time; the caller must not be in a transaction. *)
+(** Run with no transaction in flight (freeze, wait until every slot reads
+    0, run, unfreeze). At most one quiesce at a time; the caller must not
+    be in a transaction. *)

@@ -1,6 +1,7 @@
 (* A region's lock table: one orec word plus one visible-reader counter per
-   slot.  Tables are immutable once created; online granularity changes swap
-   in a whole new table under the region quiesce protocol. *)
+   slot.  Tables are immutable once published (only [restamp] touches a
+   table before then); online granularity changes swap in a whole new table
+   under the region quiesce protocol. *)
 
 open Partstm_util
 
@@ -44,6 +45,14 @@ let create ~padded ~clock_now ~granularity_log2 =
     uid = Atomic.fetch_and_add uid_counter 1;
     padded;
   }
+
+(* Raise every orec of a table not yet published to [clock_now]: a table
+   built before a quiesce is stamped at the quiesce's clock, exactly as if
+   it had been created there.  Only valid before any transaction can see
+   the table (no orec is locked, no reader registered). *)
+let restamp t ~clock_now =
+  let version = Orec.make_version clock_now in
+  Array.iter (fun w -> Atomic.set w version) t.words
 
 let is_padded t = t.padded
 

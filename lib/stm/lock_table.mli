@@ -1,6 +1,6 @@
 (** A region's lock table: orec words plus visible-reader counters.
-    Immutable once created; granularity changes swap in a new table under the
-    region quiesce protocol. *)
+    Immutable once published; granularity changes swap in a new table under
+    the region quiesce protocol. *)
 
 type t = {
   words : int Atomic.t array;
@@ -16,6 +16,11 @@ val create : padded:bool -> clock_now:int -> granularity_log2:int -> t
     its own cache line ({!Partstm_util.Padding}) so concurrent CASes on
     adjacent slots do not false-share; it is capped internally for very
     large tables and can be disabled for A/B comparison (bench/exp_d1). *)
+
+val restamp : t -> clock_now:int -> unit
+(** Set every orec to version [clock_now]. Only for a table no transaction
+    can reach yet: {!Region.reconfigure} builds the replacement table before
+    the quiesce and restamps it inside if the clock moved meanwhile. *)
 
 val is_padded : t -> bool
 

@@ -5,11 +5,12 @@
 
    Online reconfiguration safety comes from the engine-wide quiesce
    protocol ({!Engine.quiesce}): transactions register in-flight once at
-   begin, the tuner freezes the engine and waits for the count to drain
-   before swapping [table]/[visibility].  A transaction therefore observes
-   one configuration per region for its whole lifetime (it caches the table
-   at first touch, and no swap can happen while it is in flight). *)
-
+   begin, on their worker's own slot; the tuner freezes the engine and
+   waits for every slot to drain before swapping [table]/[visibility].  A
+   transaction therefore observes one configuration per region for its
+   whole lifetime (it caches the table at first touch, and no swap can
+   happen while it is in flight).  A replacement lock table is built before
+   the freeze, so workers wait only for the swap, not for the allocation. *)
 
 type t = {
   id : int;
@@ -77,17 +78,30 @@ let tvar_count t = Atomic.get t.tvars
    Protocol transitions need no per-tvar work: bumping [mv_epoch] makes
    every existing multi-version history stale (Mv_history rebuilds lazily
    on the next write under the new configuration), and the sequence lock is
-   free by quiescence (no transaction is in flight, so no commit holds it). *)
+   free by quiescence (no transaction is in flight, so no commit holds it).
+
+   A granularity change allocates its table (up to 2 x 2^16 atomics) before
+   the freeze; inside, the table takes the quiesce-time clock, restamped
+   only if commits moved the clock since it was built. *)
 let reconfigure t (new_mode : Mode.t) =
   Mode.validate new_mode;
+  let replacement =
+    if t.table.Lock_table.granularity_log2 = new_mode.Mode.granularity_log2 then None
+    else
+      let built_at = Engine.now t.engine in
+      Some
+        ( built_at,
+          Lock_table.create ~padded:t.engine.Engine.padded ~clock_now:built_at
+            ~granularity_log2:new_mode.Mode.granularity_log2 )
+  in
   Engine.quiesce t.engine (fun () ->
-      if t.table.Lock_table.granularity_log2 <> new_mode.Mode.granularity_log2 then begin
-        let base = Engine.now t.engine in
-        record_generation t.engine ~region:t.id ~version:base;
-        t.table <-
-          Lock_table.create ~padded:t.engine.Engine.padded ~clock_now:base
-            ~granularity_log2:new_mode.Mode.granularity_log2
-      end;
+      Option.iter
+        (fun (built_at, table) ->
+          let base = Engine.now t.engine in
+          record_generation t.engine ~region:t.id ~version:base;
+          if base <> built_at then Lock_table.restamp table ~clock_now:base;
+          t.table <- table)
+        replacement;
       t.visibility <- new_mode.Mode.visibility;
       t.update <- new_mode.Mode.update;
       if not (Protocol.equal t.protocol new_mode.Mode.protocol) then begin

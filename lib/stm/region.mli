@@ -27,9 +27,10 @@ val tvar_count : t -> int
 (** Number of tvars allocated in this region. *)
 
 val reconfigure : t -> Mode.t -> unit
-(** Swap the lock table (only if the granularity changed), visibility,
-    update strategy and protocol under the engine-wide quiesce
-    ({!Engine.quiesce}); a protocol change bumps [mv_epoch] so stale
+(** Swap the lock table (only if the granularity changed; the new table is
+    built before the freeze), visibility, update strategy and protocol
+    under the engine-wide quiesce ({!Engine.quiesce}); a protocol change
+    bumps [mv_epoch] so stale
     multi-version histories are rebuilt lazily. At most one reconfiguration
     at a time per engine; the caller must not be inside a transaction. *)
 

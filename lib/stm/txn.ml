@@ -892,7 +892,7 @@ let retry t =
 (* -- Lifecycle ------------------------------------------------------------ *)
 
 let begin_txn t =
-  Engine.enter t.engine;
+  Engine.enter t.engine ~worker:t.worker_id;
   Vec.clear t.read_words;
   Vec.clear t.read_observed;
   Vec.clear t.lock_words;
@@ -952,7 +952,7 @@ let finalize_success t =
       Region_stats.incr_commits e.re_stripe;
       if e.re_writes = 0 then Region_stats.incr_ro_commits e.re_stripe);
   release_references t;
-  Engine.leave t.engine;
+  Engine.leave t.engine ~worker:t.worker_id;
   t.active <- false
 
 (* The attempt's write total: one log entry per [record_write] call. *)
@@ -1155,7 +1155,7 @@ let rollback t =
       Region_stats.incr_aborts e.re_stripe;
       if e.re_writes = 0 then Region_stats.incr_ro_aborts e.re_stripe);
   release_references t;
-  Engine.leave t.engine;
+  Engine.leave t.engine ~worker:t.worker_id;
   t.active <- false;
   Runtime_hook.charge Runtime_hook.Abort_restart
 

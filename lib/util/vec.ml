@@ -34,10 +34,14 @@ let deep_clear t =
 
 (* Bounded deep clear: only the used prefix can hold non-dummy elements
    (push never skips slots), so overwriting [0, length) releases every
-   reference in O(length) rather than O(capacity). *)
+   reference in O(length) rather than O(capacity).  An empty vec skips the
+   [Array.fill] C call: most transactions leave most of their six logs
+   empty, and the call's fixed cost is then the whole cost. *)
 let wipe t =
-  Array.fill t.data 0 t.length t.dummy;
-  t.length <- 0
+  if t.length > 0 then begin
+    Array.fill t.data 0 t.length t.dummy;
+    t.length <- 0
+  end
 
 let resident t =
   let n = ref 0 in

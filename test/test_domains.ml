@@ -1,8 +1,9 @@
 (* Tests for the Domains backend productionization: cache-line padding
    primitives, exact (race-free) statistics accounting under real domains,
    the per-domain descriptor pool, the zero-allocation transaction fast
-   path, fast-index parity under true parallelism, and the retry hook that
-   lets the driver's deadline countdown observe aborted attempts.
+   path, fast-index parity under true parallelism, the retry hook that
+   lets the driver's deadline countdown observe aborted attempts, and online
+   reconfiguration under concurrent transactions.
 
    These tests spawn real domains.  On a single-core host they still
    exercise every cross-domain code path (preemptive interleaving), just
@@ -279,6 +280,77 @@ let test_transfers_domains () =
   check Alcotest.int "money conserved" (n_accounts * 100) total;
   check Alcotest.int "commits exact" (workers * per_worker) snap.Region_stats.s_commits
 
+(* -- Reconfiguration under load ---------------------------------------------- *)
+
+(* Two domains run bank transfers while the main domain flips the
+   partition's granularity: money is conserved, nothing is left registered
+   in flight, no transaction sees the region's lock table change under it,
+   and every orec of each new table starts at or above the version its
+   [rec_generation] event announced (the table is built before the freeze
+   and restamped inside it when the clock moved meanwhile). *)
+let test_reconfigure_under_load () =
+  let workers = 2 and flips = 200 and n_accounts = 16 in
+  let system = System.create ~max_workers:4 () in
+  let engine = System.engine system in
+  let p = System.partition system ~tunable:false "acct" in
+  let region = Partition.region p in
+  let generation = Atomic.make (-1) and generations = Atomic.make 0 in
+  ignore
+    (Engine.add_tap engine
+       {
+         Engine.null_recorder with
+         rec_generation =
+           (fun ~region:id ~version ->
+             if id = region.Region.id then begin
+               Atomic.set generation version;
+               Atomic.incr generations
+             end);
+       });
+  let accounts = Array.init n_accounts (fun _ -> System.tvar p 100) in
+  let stop = Atomic.make false and torn = Atomic.make 0 and running = Atomic.make 0 in
+  let domains =
+    List.init workers (fun id ->
+        Domain.spawn (fun () ->
+            let txn = System.descriptor system ~worker_id:id in
+            let rng = Rng.make (0x5EED + id) in
+            Atomic.incr running;
+            while not (Atomic.get stop) do
+              let a = Rng.int rng n_accounts and b = Rng.int rng n_accounts in
+              System.atomically txn (fun t ->
+                  let table = region.Region.table in
+                  System.write t accounts.(a) (System.read t accounts.(a) - 1);
+                  System.write t accounts.(b) (System.read t accounts.(b) + 1);
+                  if region.Region.table != table then Atomic.incr torn)
+            done))
+  in
+  (* Flip only once both workers are transacting. *)
+  while Atomic.get running < workers do
+    Domain.cpu_relax ()
+  done;
+  let stale = ref 0 in
+  for i = 1 to flips do
+    Partition.set_mode p (Mode.make ~granularity_log2:(if i land 1 = 1 then 6 else 4) ());
+    Engine.quiesce engine (fun () ->
+        let floor = Atomic.get generation in
+        Array.iter
+          (fun w ->
+            let word = Atomic.get w in
+            if Orec.is_locked word || Orec.version word < floor then incr stale)
+          region.Region.table.Lock_table.words)
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join domains;
+  let txn = System.descriptor system ~worker_id:workers in
+  let total =
+    System.atomically txn (fun t ->
+        Array.fold_left (fun acc v -> acc + System.read t v) 0 accounts)
+  in
+  check Alcotest.int "money conserved" (n_accounts * 100) total;
+  check Alcotest.int "nothing in flight" 0 (Engine.inflight engine);
+  check Alcotest.int "one generation per flip" flips (Atomic.get generations);
+  check Alcotest.int "no table swap seen in flight" 0 (Atomic.get torn);
+  check Alcotest.int "no orec below its generation" 0 !stale
+
 (* -- Retry hook -------------------------------------------------------------- *)
 
 let test_retry_hook_unit () =
@@ -383,4 +455,6 @@ let () =
             test_driver_livelock_observes_deadline;
         ] );
       ("scaling", [ Alcotest.test_case "run_once smoke" `Quick test_scaling_run_once ]);
+      ( "reconfig",
+        [ Alcotest.test_case "granularity flips under load" `Quick test_reconfigure_under_load ] );
     ]

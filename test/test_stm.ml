@@ -68,16 +68,27 @@ let test_engine_ids_unique () =
   let ids = List.init 100 (fun _ -> Engine.next_tvar_id e) in
   check Alcotest.int "distinct" 100 (List.length (List.sort_uniq compare ids))
 
+(* Each worker id registers on its own slot; [inflight] sums them, packed
+   or padded alike. *)
 let test_engine_enter_leave () =
-  let e = fresh_engine () in
-  check Alcotest.int "idle" 0 (Engine.inflight e);
-  Engine.enter e;
-  Engine.enter e;
-  check Alcotest.int "two in flight" 2 (Engine.inflight e);
-  Engine.leave e;
-  check Alcotest.int "one left" 1 (Engine.inflight e);
-  Engine.leave e;
-  check Alcotest.int "drained" 0 (Engine.inflight e)
+  List.iter
+    (fun padded ->
+      let e = Engine.create ~max_workers:4 ~padded () in
+      check Alcotest.int "idle" 0 (Engine.inflight e);
+      Engine.enter e ~worker:0;
+      Engine.enter e ~worker:3;
+      Engine.enter e ~worker:3;
+      Engine.enter e ~worker:1;
+      check Alcotest.int "slots add up" 4 (Engine.inflight e);
+      check Alcotest.int "worker 3's slot" 2 (Atomic.get e.Engine.inflight_slots.(3));
+      Engine.leave e ~worker:3;
+      Engine.leave e ~worker:0;
+      check Alcotest.int "two left" 2 (Engine.inflight e);
+      check Alcotest.int "worker 0 idle" 0 (Atomic.get e.Engine.inflight_slots.(0));
+      Engine.leave e ~worker:1;
+      Engine.leave e ~worker:3;
+      check Alcotest.int "drained" 0 (Engine.inflight e))
+    [ true; false ]
 
 let test_engine_quiesce () =
   let e = fresh_engine () in
@@ -95,16 +106,20 @@ let test_engine_quiesce () =
   (try Engine.quiesce e (fun () -> raise Exit) with Exit -> ());
   check Alcotest.bool "unfrozen after exn" false (Engine.is_frozen e)
 
+(* Two transactions in flight, on the first and the last worker slot: the
+   quiesce must wait for both. *)
 let test_engine_quiesce_waits_for_inflight () =
   let e = fresh_engine () in
+  let last = e.Engine.max_workers - 1 in
   let release = Atomic.make false in
-  Engine.enter e;
+  Engine.enter e ~worker:0;
+  Engine.enter e ~worker:last;
   let worker =
     Domain.spawn (fun () ->
         while not (Atomic.get release) do
           Domain.cpu_relax ()
         done;
-        Engine.leave e)
+        Engine.leave e ~worker:0)
   in
   let quiesced = Atomic.make false in
   let quiescer =
@@ -118,6 +133,11 @@ let test_engine_quiesce_waits_for_inflight () =
   check Alcotest.bool "blocked on in-flight txn" false (Atomic.get quiesced);
   Atomic.set release true;
   Domain.join worker;
+  for _ = 1 to 100_000 do
+    Domain.cpu_relax ()
+  done;
+  check Alcotest.bool "blocked on the last worker's txn" false (Atomic.get quiesced);
+  Engine.leave e ~worker:last;
   Domain.join quiescer;
   check Alcotest.bool "completed after drain" true (Atomic.get quiesced)
 
