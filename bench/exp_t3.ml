@@ -2,7 +2,8 @@
    converges to.
 
    Runs the mixed application and the contended linked list under the tuner
-   with telemetry attached, and prints the per-period abort-rate trace, the
+   with an unattached metrics plane recording the telemetry series, and
+   prints the per-period abort-rate trace, the
    full decision log (virtual-time stamped) and the final per-partition
    modes with their mode-switch counts.  Expected convergence: mixed-stats
    to whole-region granularity, mixed-tree refined invisible, the hot list
@@ -18,17 +19,15 @@ let trace_of cfg name setup worker =
   let state = setup system ~strategy:Strategy.tuned in
   Registry.reset_stats (System.registry system);
   let tuner = System.tuner system in
-  let telemetry = Telemetry.create (System.registry system) in
+  let plane = Metrics_plane.create (System.registry system) in
   ignore
-    (Driver.run ~tuner ~telemetry
+    (Driver.run ~tuner ~metrics:plane ~metrics_steps:40
        ~mode:(Driver.default_sim ~cycles:(2 * Bench_config.sim_cycles cfg) ())
        ~workers:16 (worker state));
   Printf.printf "%s: %d tuner decisions over %d sampling periods\n" name (Tuner.switches tuner)
-    (Telemetry.periods telemetry);
-  List.iter
-    (fun d -> Format.printf "  %a@." Telemetry.pp_decision d)
-    (Telemetry.decisions telemetry);
-  let abort_figure = Telemetry.to_figure ~metric:"abort_rate" telemetry in
+    (Metrics_plane.samples plane);
+  List.iter (fun ev -> Format.printf "  %a@." Tuner.pp_event ev) (Tuner.trace tuner);
+  let abort_figure = Telemetry.to_figure ~metric:"abort_rate" plane in
   print_string (Figure.ascii_plot abort_figure);
   let table =
     Partstm_util.Table.create
@@ -48,7 +47,9 @@ let trace_of cfg name setup worker =
   Partstm_util.Table.print table;
   (match cfg.Bench_config.csv_dir with
   | Some dir ->
-      let csv, json = Telemetry.save ~dir ~basename:("rt3-" ^ name ^ "-telemetry") telemetry in
+      let csv, json =
+        Telemetry.save ~dir ~basename:("rt3-" ^ name ^ "-telemetry") ~tuner:(Some tuner) plane
+      in
       Printf.printf "(telemetry: %s, %s)\n" csv json
   | None -> ());
   print_newline ()

@@ -183,7 +183,7 @@ type run_outcome = {
   ro_result : Driver.result;
   ro_system : System.t;
   ro_tuner : Tuner.t option;
-  ro_telemetry : Telemetry.t option;
+  ro_plane : Metrics_plane.t option;  (* holds the telemetry series *)
   ro_verified : bool;
   ro_strategy : Strategy.t;
   ro_mode : Driver.mode;
@@ -243,15 +243,17 @@ let prepare spec =
           Printf.eprintf "unknown backend %S (sim|domains)\n" other;
           Error 2)
 
-(* Run a prepared workload; [with_telemetry] forces a telemetry instance
-   even without --telemetry-out (the stats/trace subcommands).
-   [tracer]/[metrics] are attached to the system's engine for the duration
-   of the run. *)
+(* Run a prepared workload; [tracer]/[metrics] are attached to the
+   system's engine for the duration of the run.  The telemetry series
+   comes from [metrics] when given; otherwise [with_telemetry] (the
+   stats/trace subcommands) or --telemetry-out runs an unattached plane,
+   sampled at the tuner's default cadence. *)
 let run_prepared ?tracer ?metrics ?(metrics_steps = 0) spec p ~with_telemetry =
-  let telemetry =
-    if with_telemetry || Option.is_some spec.telemetry_out then
-      Some (Telemetry.create (System.registry p.pr_system))
-    else None
+  let plane, metrics_steps =
+    match metrics with
+    | None when with_telemetry || Option.is_some spec.telemetry_out ->
+        (Some (Metrics_plane.create (System.registry p.pr_system)), 40)
+    | _ -> (metrics, metrics_steps)
   in
   Option.iter (fun tracer -> Partstm_obs.Tracer.attach tracer (System.engine p.pr_system)) tracer;
   Option.iter Metrics_plane.attach metrics;
@@ -261,24 +263,22 @@ let run_prepared ?tracer ?metrics ?(metrics_steps = 0) spec p ~with_telemetry =
         Option.iter Partstm_obs.Tracer.detach tracer;
         Option.iter Metrics_plane.detach metrics)
       (fun () ->
-        Driver.run ?tuner:p.pr_tuner ?telemetry ?tracer ?metrics ~metrics_steps
-          ~seed:spec.seed ~mode:p.pr_mode ~workers:spec.workers p.pr_worker)
+        Driver.run ?tuner:p.pr_tuner ?tracer ?metrics:plane ~metrics_steps ~seed:spec.seed
+          ~mode:p.pr_mode ~workers:spec.workers p.pr_worker)
   in
   Option.iter
     (fun dir ->
-      match telemetry with
-      | Some telemetry ->
-          let csv, json =
-            Telemetry.save ~dir ~basename:(spec.workload_name ^ "-telemetry") telemetry
-          in
-          Printf.printf "telemetry  : %s, %s\n" csv json
-      | None -> ())
+      let csv, json =
+        Telemetry.save ~dir ~basename:(spec.workload_name ^ "-telemetry") ~tuner:p.pr_tuner
+          (Option.get plane)
+      in
+      Printf.printf "telemetry  : %s, %s\n" csv json)
     spec.telemetry_out;
   {
     ro_result = result;
     ro_system = p.pr_system;
     ro_tuner = p.pr_tuner;
-    ro_telemetry = telemetry;
+    ro_plane = plane;
     ro_verified = p.pr_verify ();
     ro_strategy = p.pr_strategy;
     ro_mode = p.pr_mode;
@@ -300,13 +300,8 @@ let print_run_header spec outcome =
   Printf.printf "verified   : %b\n\n" outcome.ro_verified
 
 let print_decisions outcome =
-  match (outcome.ro_telemetry, outcome.ro_tuner) with
-  | Some telemetry, Some _ when Telemetry.decisions telemetry <> [] ->
-      print_endline "\ntuner decisions:";
-      List.iter
-        (fun d -> Format.printf "  %a@." Telemetry.pp_decision d)
-        (Telemetry.decisions telemetry)
-  | _, Some tuner when Tuner.switches tuner > 0 ->
+  match outcome.ro_tuner with
+  | Some tuner when Tuner.switches tuner > 0 ->
       print_endline "\ntuner decisions:";
       List.iter (fun ev -> Format.printf "  %a@." Tuner.pp_event ev) (Tuner.trace tuner)
   | _ -> ()
@@ -470,10 +465,10 @@ let cmd_stats spec =
   | Error code -> code
   | Ok outcome ->
       print_run_header spec outcome;
-      let telemetry = Option.get outcome.ro_telemetry in
-      Partstm_util.Table.print (Telemetry.summary_table telemetry);
+      let plane = Option.get outcome.ro_plane in
+      Partstm_util.Table.print (Telemetry.summary_table plane);
       print_newline ();
-      Figure.print (Telemetry.to_figure ~metric:"commits" telemetry);
+      Figure.print (Telemetry.to_figure ~metric:"commits" plane);
       print_decisions outcome;
       if outcome.ro_verified then 0 else 1
 
@@ -482,8 +477,7 @@ let cmd_trace spec =
   | Error code -> code
   | Ok outcome ->
       print_run_header spec outcome;
-      let telemetry = Option.get outcome.ro_telemetry in
-      Partstm_util.Table.print (Telemetry.trace_table telemetry);
+      Partstm_util.Table.print (Telemetry.trace_table (Option.get outcome.ro_plane));
       print_decisions outcome;
       if outcome.ro_verified then 0 else 1
 

@@ -64,4 +64,4 @@ let retry = Txn.retry
 let set_retry_hook = Txn.set_retry_hook
 let tvar = Partition.tvar
 
-let tuner ?config ?cooldown ?max_trace t = Tuner.create ?config ?cooldown ?max_trace t.registry
+let tuner ?cooldown ?max_trace t = Tuner.create ?cooldown ?max_trace t.registry

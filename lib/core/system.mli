@@ -57,5 +57,4 @@ val set_retry_hook : Txn.t -> (unit -> unit) -> unit
 
 val tvar : Partition.t -> 'a -> 'a Tvar.t
 
-val tuner :
-  ?config:Tuning_policy.config -> ?cooldown:int -> ?max_trace:int -> t -> Tuner.t
+val tuner : ?cooldown:int -> ?max_trace:int -> t -> Tuner.t

@@ -6,6 +6,7 @@
    fiber) which invokes [step] once per sampling period; the tuner itself is
    single-threaded — a requirement of [Region.reconfigure]. *)
 
+open Partstm_util
 open Partstm_stm
 
 type entry = {
@@ -18,6 +19,7 @@ type entry = {
 
 type event = {
   ev_tick : int;
+  ev_time : int;
   ev_partition : string;
   ev_from : Mode.t;
   ev_to : Mode.t;
@@ -28,45 +30,36 @@ type event = {
 
 type t = {
   registry : Registry.t;
-  config : Tuning_policy.config;
   cooldown_periods : int;
-  max_trace : int;
+  trace : event Ring.t;  (* the newest [max_trace] applied switches *)
   mutable entries : entry list;
   mutable ticks : int;
-  mutable trace : event list;  (* newest first, capped at [max_trace] *)
-  mutable trace_len : int;
-  mutable dropped : int;  (* events evicted from [trace] by the cap *)
   mutable switches : int;
+  mutable clock : unit -> int;
   mutable listeners : (event -> unit) list;
 }
 
-let create ?(config = Tuning_policy.default_config) ?(cooldown = 2) ?(max_trace = 1024) registry =
+let no_clock () = -1
+
+let create ?(cooldown = 2) ?(max_trace = 1024) registry =
   if max_trace < 1 then invalid_arg "Tuner.create: max_trace";
   {
     registry;
-    config;
     cooldown_periods = cooldown;
-    max_trace;
+    trace = Ring.create ~capacity:max_trace;
     entries = [];
     ticks = 0;
-    trace = [];
-    trace_len = 0;
-    dropped = 0;
     switches = 0;
+    clock = no_clock;
     listeners = [];
   }
 
 let on_event t listener = t.listeners <- listener :: t.listeners
+let set_clock t clock = t.clock <- clock
+let clear_clock t = t.clock <- no_clock
 
 let record_event t event =
-  if t.trace_len >= t.max_trace then begin
-    (* Drop the oldest event (tail of the newest-first list). *)
-    t.trace <- List.filteri (fun i _ -> i < t.max_trace - 1) t.trace;
-    t.dropped <- t.dropped + (t.trace_len - (t.max_trace - 1));
-    t.trace_len <- t.max_trace - 1
-  end;
-  t.trace <- event :: t.trace;
-  t.trace_len <- t.trace_len + 1;
+  Ring.push t.trace event;
   List.iter (fun listener -> listener event) t.listeners
 
 let find_entry t partition =
@@ -101,7 +94,7 @@ let step t =
       else if Partition.tunable partition then begin
         let current_mode = Partition.mode partition in
         let decision, why =
-          Tuning_policy.explain t.config
+          Tuning_policy.explain Tuning_policy.default_config
             {
               Tuning_policy.delta;
               current = current_mode;
@@ -119,6 +112,7 @@ let step t =
             record_event t
               {
                 ev_tick = t.ticks;
+                ev_time = t.clock ();
                 ev_partition = Partition.name partition;
                 ev_from = current_mode;
                 ev_to = new_mode;
@@ -131,8 +125,8 @@ let step t =
 
 let ticks t = t.ticks
 let switches t = t.switches
-let dropped_events t = t.dropped
-let trace t = List.rev t.trace
+let dropped_events t = Ring.dropped t.trace
+let trace t = Ring.to_list t.trace
 
 type last = {
   ld_partition : string;
@@ -162,5 +156,6 @@ let last_decisions t =
   |> List.sort (fun a b -> compare a.ld_partition b.ld_partition)
 
 let pp_event ppf ev =
+  if ev.ev_time >= 0 then Fmt.pf ppf "t=%-10d " ev.ev_time;
   Fmt.pf ppf "tick %3d  %-16s %a -> %a  (abort=%.2f update=%.2f)" ev.ev_tick ev.ev_partition
     Mode.pp ev.ev_from Mode.pp ev.ev_to ev.ev_abort_rate ev.ev_update_ratio

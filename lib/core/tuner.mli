@@ -8,6 +8,10 @@ type t
 
 type event = {
   ev_tick : int;
+  ev_time : int;
+      (** run-clock time of the switch: virtual cycles (Simulated) or
+          nanoseconds since start (Domains) under [Driver.run]; [-1] when
+          no clock is installed ({!set_clock}) *)
   ev_partition : string;
   ev_from : Mode.t;
   ev_to : Mode.t;
@@ -16,18 +20,24 @@ type event = {
   ev_why : Tuning_policy.why;  (** full audit trail for the switch *)
 }
 
-val create :
-  ?config:Tuning_policy.config -> ?cooldown:int -> ?max_trace:int -> Registry.t -> t
-(** [cooldown] is the number of periods a freshly switched partition is left
-    alone. [max_trace] (default 1024) bounds the in-memory decision log:
-    once full, the oldest events are evicted ({!switches} keeps the exact
-    total, {!dropped_events} counts evictions). *)
+val create : ?cooldown:int -> ?max_trace:int -> Registry.t -> t
+(** The tuner decides with {!Tuning_policy.default_config}. [cooldown] is
+    the number of periods a freshly switched partition is left alone.
+    [max_trace] (default 1024) bounds the in-memory decision log: once
+    full, each new event evicts the oldest in O(1) ({!switches} keeps the
+    exact total, {!dropped_events} counts evictions). *)
 
 val on_event : t -> (event -> unit) -> unit
 (** Subscribe to decision events: the listener is called (from the tuner's
     thread/fiber) on each applied switch, after the region has been
-    reconfigured. This is how the telemetry layer observes decisions without
-    polling the trace. *)
+    reconfigured. The driver bridges decisions into a tracer's timeline
+    this way. *)
+
+val set_clock : t -> (unit -> int) -> unit
+(** Timestamp source for [ev_time]; [Driver.run] installs its run
+    clock for the duration of a run. *)
+
+val clear_clock : t -> unit
 
 val step : t -> unit
 (** Sample all partitions, decide, and apply switches (quiescing each
@@ -43,8 +53,8 @@ val dropped_events : t -> int
 (** Events evicted from the bounded trace so far. *)
 
 val trace : t -> event list
-(** Chronological switch log (the data behind Table R-T3); holds the most
-    recent [max_trace] events. *)
+(** Chronological switch log (the data behind Table R-T3 and the telemetry
+    exports' decisions); holds the most recent [max_trace] events. *)
 
 type last = {
   ld_partition : string;
@@ -60,3 +70,4 @@ val last_decisions : t -> last list
     every tick so far) are omitted. *)
 
 val pp_event : Format.formatter -> event -> unit
+(** One line per switch, prefixed with [t=<ev_time>] when stamped. *)

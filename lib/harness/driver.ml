@@ -58,26 +58,18 @@ let mode_label (m : Partstm_stm.Mode.t) =
     m.Partstm_stm.Mode.granularity_log2
     (Partstm_stm.Mode.update_to_string m.Partstm_stm.Mode.update)
 
-(* In-run service actions (tuner steps, telemetry and metrics samples)
-   form one schedule: each entry [(steps, act)] runs [act] [steps] times,
-   evenly spaced across the run, with the time since start in the
-   backend's units (virtual cycles or seconds).  Simulated runs give each
-   entry its own fiber; Domains runs serve them all from one service
-   domain.  Any observer perturbs a schedule slightly, so compare runs
-   with like instrumentation. *)
-let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?metrics
-    ?(metrics_steps = 0) ?(seed = 42) ~mode ~workers worker =
+(* In-run service actions (tuner steps and metrics samples) form one
+   schedule: each entry [(steps, act)] runs [act] [steps] times, evenly
+   spaced across the run.  Simulated runs give each entry its own fiber;
+   Domains runs serve them all from one service domain.  Any observer
+   perturbs a schedule slightly, so compare runs with like
+   instrumentation. *)
+let run ?tuner ?(tuner_steps = 40) ?tracer ?metrics ?(metrics_steps = 0) ?(seed = 42) ~mode
+    ~workers worker =
   if workers <= 0 then invalid_arg "Driver.run: workers";
   List.iter
     (fun (name, steps) -> if steps < 0 then invalid_arg ("Driver.run: " ^ name))
-    [
-      ("tuner_steps", tuner_steps);
-      ("telemetry_steps", telemetry_steps);
-      ("metrics_steps", metrics_steps);
-    ];
-  (match (telemetry, tuner) with
-  | Some telemetry, Some tuner -> Telemetry.attach_tuner telemetry tuner
-  | _ -> ());
+    [ ("tuner_steps", tuner_steps); ("metrics_steps", metrics_steps) ];
   (* Bridge tuner decisions into the tracer's timeline.  The subscription
      outlives the run (Tuner has no unsubscribe); tuners are created per
      run in practice, and a repeat run with the same pair only duplicates
@@ -90,36 +82,34 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?m
             ~to_mode:(mode_label ev.Tuner.ev_to))
   | _ -> ());
   (* [steps = 0] schedules nothing: the object still gets its clock and,
-     for telemetry and metrics, the final sample after the run. *)
+     for the metrics plane, the final sample after the run. *)
   let entry steps act = function
-    | Some x when steps > 0 -> Some (steps, act x)
+    | Some x when steps > 0 -> Some (steps, fun () -> act x)
     | _ -> None
   in
-  let tuner_entry = entry tuner_steps (fun tuner _ -> Tuner.step tuner) tuner in
-  let other_entries =
-    List.filter_map Fun.id
-      [
-        entry telemetry_steps (fun telemetry time -> Telemetry.sample telemetry ~time) telemetry;
-        entry metrics_steps (fun plane _ -> Metrics_plane.sample plane) metrics;
-      ]
-  in
-  let set_obs_clock clock =
+  let tuner_entry = entry tuner_steps Tuner.step tuner in
+  let metrics_entry = entry metrics_steps Metrics_plane.sample metrics in
+  (* One run clock stamps spans, latencies, series rows and decisions. *)
+  let set_clock clock =
     Option.iter (fun t -> Partstm_obs.Tracer.set_clock t clock) tracer;
-    Option.iter (fun m -> Metrics_plane.set_clock m clock) metrics
+    Option.iter (fun m -> Metrics_plane.set_clock m clock) metrics;
+    Option.iter (fun t -> Tuner.set_clock t clock) tuner
   in
   let finish ~time =
     Option.iter Partstm_obs.Tracer.clear_clock tracer;
-    Option.iter Metrics_plane.clear_clock metrics;
-    (* The metrics plane always gets one final sample after the run, so
-       counters, the affinity matrix and at least one SLO window reflect
-       the whole run even with [metrics_steps = 0] (the default, which
-       leaves simulated schedules bit-identical to a metrics-off run). *)
-    Option.iter Metrics_plane.sample metrics;
+    Option.iter Tuner.clear_clock tuner;
+    (* The metrics plane always gets one final sample after the run,
+       stamped with the run's actual end, so its series covers the last
+       (possibly partial) period and counters, the affinity matrix and at
+       least one SLO window reflect the whole run even with
+       [metrics_steps = 0] (the default, which leaves simulated schedules
+       bit-identical to a metrics-off run). *)
     Option.iter
-      (fun telemetry ->
-        Telemetry.clear_clock telemetry;
-        Telemetry.finish telemetry ~time)
-      telemetry
+      (fun plane ->
+        Metrics_plane.set_clock plane (Fun.const time);
+        Metrics_plane.sample plane;
+        Metrics_plane.clear_clock plane)
+      metrics
   in
   let master = Rng.make seed in
   let ops = Array.make workers 0 in
@@ -155,24 +145,20 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?m
           Sim.yield period;
           (* The last yield may overshoot the deadline; don't act outside
              the measured window. *)
-          if Sim.now () < cycles then act (float_of_int (Sim.now ()))
+          if Sim.now () < cycles then act ()
         done
       in
-      Option.iter
-        (fun telemetry ->
-          Telemetry.set_clock telemetry (fun () -> float_of_int (Sim.now ())))
-        telemetry;
-      (* Tracer timestamps are virtual cycles; the callbacks charge no
-         virtual time, so tracing cannot perturb a simulated schedule. *)
-      set_obs_clock Sim.now;
+      (* Timestamps are virtual cycles; the clock charges no virtual time,
+         so observing cannot perturb a simulated schedule. *)
+      set_clock Sim.now;
       (* The tuner's fiber slot is always present (idle without a tuner
-         or steps), which keeps historical schedules; the other entries
-         add a fiber only when scheduled, so the default metrics plane
-         replays the metrics-off schedule bit-for-bit. *)
+         or steps), which keeps historical schedules; the plane adds a
+         fiber only when scheduled, so the default metrics plane replays
+         the metrics-off schedule bit-for-bit. *)
       let bodies =
         List.init workers (fun id -> worker_body id)
         @ [ (match tuner_entry with Some e -> service_body e | None -> fun _ -> ()) ]
-        @ List.map service_body other_entries
+        @ List.map service_body (Option.to_list metrics_entry)
       in
       Sim_env.install ~model ();
       let outcome =
@@ -182,8 +168,9 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?m
       (* Workers stop at the first [should_stop] at or past the deadline, so
          the run really ends at the makespan, not at the nominal budget;
          using [cycles] here would overstate throughput. *)
-      let elapsed_cycles = float_of_int (max cycles outcome.Sim.makespan) in
-      finish ~time:elapsed_cycles;
+      let end_cycle = max cycles outcome.Sim.makespan in
+      finish ~time:end_cycle;
+      let elapsed_cycles = float_of_int end_cycle in
       result elapsed_cycles ~throughput:(fun ops -> ops /. (elapsed_cycles /. 1_000_000.))
   | Domains { seconds } ->
       let start = Unix.gettimeofday () in
@@ -222,11 +209,8 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?m
          [workers + 1] domains.  Each entry keeps its own absolute next-due
          time; the loop sleeps to the earliest, never past the deadline,
          and reschedules an entry from "now" after it runs (a slow step
-         skips missed slots instead of bursting to catch up).  One domain
-         also means the tuner's decision listener, which appends to the
-         telemetry instance ([Telemetry.attach_tuner]), never races
-         telemetry sampling. *)
-      let entries = Option.to_list tuner_entry @ other_entries in
+         skips missed slots instead of bursting to catch up). *)
+      let entries = Option.to_list tuner_entry @ Option.to_list metrics_entry in
       let serving = match metrics with Some plane -> Metrics_plane.has_server plane | None -> false in
       let service_thread () =
         let slots =
@@ -251,7 +235,7 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?m
               List.iter
                 (fun (period, act, due) ->
                   if !due <= now then begin
-                    act (now -. start);
+                    act ();
                     due := now +. period
                   end)
                 slots;
@@ -273,14 +257,9 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?m
           (if service_domains > 0 then " + 1 service" else "")
           recommended
       end;
-      Option.iter
-        (fun telemetry ->
-          Telemetry.set_clock telemetry (fun () -> Unix.gettimeofday () -. start))
-        telemetry;
-      (* Nanoseconds since run start, so span timestamps stay integral and
+      (* Nanoseconds since run start, so timestamps stay integral and
          Chrome export divides by 1000 to reach microseconds. *)
-      set_obs_clock (fun () ->
-          int_of_float ((Unix.gettimeofday () -. start) *. 1e9));
+      set_clock (fun () -> int_of_float ((Unix.gettimeofday () -. start) *. 1e9));
       let domains =
         List.init workers (fun id ->
             Domain.spawn (fun () -> ops.(id) <- worker (make_ctx id)))
@@ -291,5 +270,5 @@ let run ?tuner ?(tuner_steps = 40) ?telemetry ?(telemetry_steps = 40) ?tracer ?m
       List.iter Domain.join domains;
       Option.iter Domain.join service_domain;
       let elapsed = Unix.gettimeofday () -. start in
-      finish ~time:elapsed;
+      finish ~time:(int_of_float (elapsed *. 1e9));
       result elapsed ~throughput:(fun ops -> ops /. elapsed)

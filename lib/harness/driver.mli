@@ -38,8 +38,6 @@ type result = {
 val run :
   ?tuner:Tuner.t ->
   ?tuner_steps:int ->
-  ?telemetry:Telemetry.t ->
-  ?telemetry_steps:int ->
   ?tracer:Partstm_obs.Tracer.t ->
   ?metrics:Metrics_plane.t ->
   ?metrics_steps:int ->
@@ -52,8 +50,7 @@ val run :
     worker returns its operation count.
 
     In-run service actions are scheduled evenly across the run, never past
-    its deadline: [tuner]'s step [tuner_steps] times (default 40),
-    [telemetry]'s sample [telemetry_steps] times (default 40) and
+    its deadline: [tuner]'s step [tuner_steps] times (default 40) and
     [metrics]' sample [metrics_steps] times (default 0). A step count of 0
     schedules nothing; a negative one raises [Invalid_argument], as does
     [workers <= 0]. On the Domains backend all actions share ONE extra
@@ -61,22 +58,25 @@ val run :
     [workers] when nothing is scheduled); keep [workers] at or below
     [Domain.recommended_domain_count ()] — the driver warns (once per
     process) when the total exceeds it. On the Simulated backend each
-    action gets its own fiber after the workers' — tuner, telemetry,
-    metrics — and the tuner's fiber is always present, idle when nothing
-    is scheduled on it, preserving historical schedules. On the Simulated
+    action gets its own fiber after the workers' — tuner, then metrics —
+    and the tuner's fiber is always present, idle when nothing is
+    scheduled on it, preserving historical schedules. On the Simulated
     backend, [elapsed]/[throughput] use the actual makespan, not the
     nominal cycle budget.
 
-    [telemetry] is subscribed to [tuner]'s decision events and sampled
-    once more after the run. [tracer] and [metrics] get the backend clock
-    for the run (virtual cycles on Simulated, nanoseconds since start on
-    Domains), and [tuner]'s decisions are bridged into the tracer's
-    timeline. The metrics plane always takes one final
-    {!Metrics_plane.sample} after the run; with the default
-    [metrics_steps = 0] it adds no fiber or action at all, so a metrics-on
-    Simulated run replays the metrics-off schedule bit-for-bit (the
-    plane's taps charge no virtual time). If the plane's scrape endpoint
-    was started ({!Metrics_plane.serve}) before a Domains run, the service
-    loop also drains it (sleeps capped at ~50ms). Attaching the tracer
-    and the plane to the engine ({!Partstm_obs.Tracer.attach},
-    {!Metrics_plane.attach}) is the caller's job. *)
+    [tuner], [tracer] and [metrics] share one run clock for the run:
+    virtual cycles on Simulated, nanoseconds since start on Domains. It
+    stamps the tuner's decisions ({!Tuner.event}), the tracer's spans and
+    the plane's latencies and series rows; [tuner]'s decisions are also
+    bridged into the tracer's timeline. The metrics plane always takes one
+    final {!Metrics_plane.sample} after the run, stamped with the run's
+    end, so its telemetry series ({!Metrics_plane.series}) covers the
+    whole run; with the default [metrics_steps = 0] it adds no fiber or
+    action at all, so a metrics-on Simulated run replays the metrics-off
+    schedule bit-for-bit (the plane charges no virtual time). A plane
+    that serves only the telemetry series need not be attached. If the
+    plane's scrape endpoint was started ({!Metrics_plane.serve}) before a
+    Domains run, the service loop also drains it (sleeps capped at
+    ~50ms). Attaching the tracer and the plane to the engine
+    ({!Partstm_obs.Tracer.attach}, {!Metrics_plane.attach}) is the
+    caller's job. *)

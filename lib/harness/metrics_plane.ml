@@ -5,7 +5,9 @@
    striped [Region_stats] counters exactly as before; each [sample] (from
    the driver's service domain or fiber) mirrors the current per-partition
    snapshot into the metrics registry with service-stripe writes, refreshes
-   the derived gauges, and closes one SLO window.  Latency comes from the
+   the derived gauges, appends one row per partition to the bounded
+   telemetry series (the per-period view of the paper's evaluation, which
+   [Telemetry] exports), and closes one SLO window.  Latency comes from the
    [Affinity] engine tap, which watches attempts only (whole-attempt
    begin → commit / rollback) and never a read or a write; the same module
    reads the worker × partition matrix exported for sharing-aware mapping
@@ -16,8 +18,18 @@ open Partstm_stm
 open Partstm_obs
 open Partstm_core
 
+type sample = {
+  sm_index : int;
+  sm_time : int;
+  sm_partition : string;
+  sm_mode : Mode.t;
+  sm_delta : Region_stats.snapshot;
+  sm_total : Region_stats.snapshot;
+}
+
 type mirror = {
   mi_partition : Partition.t;
+  mutable mi_prev : Region_stats.snapshot;  (* counters at the previous sample *)
   mi_counters : (Metrics.counter * (Region_stats.snapshot -> int)) list;
   mi_abort_rate : Metrics.gauge;
   mi_update_ratio : Metrics.gauge;
@@ -30,17 +42,25 @@ type t = {
   slo : Slo.t;
   affinity : Affinity.t;
   sample_counter : Metrics.counter;
+  series : sample Ring.t;
   mutable mirrors : mirror list;  (* registration order *)
   mutable sample_count : int;
+  mutable clock : unit -> int;
   mutable server : Metrics_server.t option;
 }
+
+(* Bound on the in-memory series; the oldest rows go past it. *)
+let max_series = 100_000
 
 let metrics t = t.metrics
 let slo t = t.slo
 let affinity t = t.affinity
 let samples t = t.sample_count
+let series t = Ring.to_list t.series
+let dropped_samples t = Ring.dropped t.series
+let partitions t = List.map (fun m -> Partition.name m.mi_partition) t.mirrors
 
-let make_mirror metrics partition =
+let make_mirror metrics ~baseline partition =
   let labels = [ ("partition", Partition.name partition) ] in
   let counters =
     List.map
@@ -53,6 +73,7 @@ let make_mirror metrics partition =
   in
   {
     mi_partition = partition;
+    mi_prev = baseline partition;
     mi_counters = counters;
     mi_abort_rate =
       Metrics.gauge metrics ~labels ~help:"aborts / attempts over the partition's lifetime"
@@ -65,11 +86,15 @@ let make_mirror metrics partition =
         "partstm_granularity_log2";
   }
 
-let sync_mirrors t =
+(* Partitions present at [create] start the series from their current
+   counters (setup traffic before the plane existed is excluded);
+   partitions that appear later start from zero (their whole life happens
+   inside the observed run). *)
+let sync_mirrors t ~baseline =
   List.iter
     (fun partition ->
       if not (List.exists (fun m -> m.mi_partition == partition) t.mirrors) then
-        t.mirrors <- t.mirrors @ [ make_mirror t.metrics partition ])
+        t.mirrors <- t.mirrors @ [ make_mirror t.metrics ~baseline partition ])
     (Registry.partitions t.registry)
 
 let create ?max_workers ?(slos = []) registry =
@@ -122,31 +147,50 @@ let create ?max_workers ?(slos = []) registry =
       slo;
       affinity;
       sample_counter;
+      series = Ring.create ~capacity:max_series;
       mirrors = [];
       sample_count = 0;
+      clock = Fun.const 0;
       server = None;
     }
   in
-  sync_mirrors t;
+  sync_mirrors t ~baseline:Partition.snapshot;
   t
 
 let attach t = Affinity.attach t.affinity (Registry.engine t.registry)
 let detach t = Affinity.detach t.affinity
-let set_clock t clock = Affinity.set_clock t.affinity clock
-let clear_clock t = Affinity.clear_clock t.affinity
+let set_clock t clock =
+  t.clock <- clock;
+  Affinity.set_clock t.affinity clock
+
+let clear_clock t =
+  t.clock <- Fun.const 0;
+  Affinity.clear_clock t.affinity
 
 let sample t =
-  sync_mirrors t;
-  t.sample_count <- t.sample_count + 1;
+  sync_mirrors t ~baseline:(Fun.const Region_stats.empty_snapshot);
+  let index = t.sample_count in
+  let time = t.clock () in
+  t.sample_count <- index + 1;
   Metrics.set_counter t.sample_counter t.sample_count;
   List.iter
     (fun m ->
       let snapshot = Partition.snapshot m.mi_partition in
+      let mode = Partition.mode m.mi_partition in
       List.iter (fun (counter, get) -> Metrics.set_counter counter (get snapshot)) m.mi_counters;
       Metrics.set_gauge m.mi_abort_rate (Region_stats.abort_rate snapshot);
       Metrics.set_gauge m.mi_update_ratio (Region_stats.update_txn_ratio snapshot);
-      Metrics.set_gauge m.mi_granularity
-        (float_of_int (Partition.mode m.mi_partition).Mode.granularity_log2))
+      Metrics.set_gauge m.mi_granularity (float_of_int mode.Mode.granularity_log2);
+      Ring.push t.series
+        {
+          sm_index = index;
+          sm_time = time;
+          sm_partition = Partition.name m.mi_partition;
+          sm_mode = mode;
+          sm_delta = Region_stats.diff ~current:snapshot ~previous:m.mi_prev;
+          sm_total = snapshot;
+        };
+      m.mi_prev <- snapshot)
     t.mirrors;
   Slo.evaluate t.slo
 

@@ -4,22 +4,39 @@
 
     The plane mirrors every partition's [Region_stats] counters into the
     metrics registry on each {!sample} (service-stripe writes — the hot
-    paths keep their existing counters and never touch the plane), feeds
+    paths keep their existing counters and never touch the plane), records
+    the per-partition, per-period telemetry {!series} that {!Telemetry}
+    exports, feeds
     the SLO tracker from the affinity tap's whole-attempt commit/abort
     latency histograms (the tap watches attempts, never reads or writes),
     and exposes everything as OpenMetrics text, either one-shot
     ({!openmetrics}, {!save}) or over a scrape endpoint ({!serve} /
     {!poll_server}) driven by the driver's shared service domain. *)
 
+open Partstm_stm
 open Partstm_obs
 open Partstm_core
 
 type t
 
+(** One row of the telemetry series: one partition in one sampling period. *)
+type sample = {
+  sm_index : int;  (** sampling period, 0-based *)
+  sm_time : int;
+      (** plane clock at the sample: virtual cycles (Simulated) or
+          nanoseconds since start (Domains) under {!Driver.run} *)
+  sm_partition : string;
+  sm_mode : Mode.t;  (** mode at sample time *)
+  sm_delta : Region_stats.snapshot;  (** activity during this period *)
+  sm_total : Region_stats.snapshot;  (** cumulative counters at sample time *)
+}
+
 val create : ?max_workers:int -> ?slos:Slo.spec list -> Registry.t -> t
 (** SLO specs resolve their [sp_source] against the plane's latency
     histograms: ["commit"] (begin → commit) and ["abort"] (begin →
-    rollback). Raises [Invalid_argument] on an unknown source. *)
+    rollback). Raises [Invalid_argument] on an unknown source. Partitions
+    existing now start the series from their current counters; partitions
+    registered later start from zero. *)
 
 val metrics : t -> Metrics.t
 val slo : t -> Slo.t
@@ -28,22 +45,38 @@ val affinity : t -> Affinity.t
 val attach : t -> unit
 (** Take the affinity matrix's stripe baseline and install its
     attempt-only latency tap on the registry's engine (only while no
-    transaction is in flight). *)
+    transaction is in flight). The series needs no tap: an unattached
+    plane still records it. *)
 
 val detach : t -> unit
 
 val set_clock : t -> (unit -> int) -> unit
-(** Clock for latency histograms (virtual cycles or wall nanoseconds). *)
+(** Clock for latency histograms and series times (virtual cycles or wall
+    nanoseconds); without one, both read 0. *)
 
 val clear_clock : t -> unit
 
 val sample : t -> unit
 (** One sampling period: mirror every partition's [Region_stats] snapshot
-    into the registry, refresh derived gauges, close one SLO window.
-    Single-threaded (service domain / fiber). *)
+    into the registry, refresh derived gauges, append one {!type-sample} row
+    per partition (counter deltas since the previous call, stamped with the
+    plane's clock), close one SLO window. Single-threaded (service domain /
+    fiber). *)
 
 val samples : t -> int
-(** Number of {!sample} calls so far. *)
+(** Number of {!sample} calls so far: the series' period count. *)
+
+val series : t -> sample list
+(** Chronological, one row per partition per period. At most 100_000 rows
+    stay in memory; each row past that evicts the oldest in O(1) (and the
+    period deltas then no longer sum to the final snapshots — see
+    {!dropped_samples}). *)
+
+val dropped_samples : t -> int
+(** Rows evicted from the series so far. *)
+
+val partitions : t -> string list
+(** Names of the partitions in the series, in registration order. *)
 
 val name_of_region : Registry.t -> int -> string
 (** Partition name for a region id ([string_of_int] fallback); the one

@@ -2,11 +2,12 @@
 
    Deliberately not a real HTTP server: a non-blocking listener whose
    backlog is drained by [poll] from the driver's shared service domain
-   between tuner/telemetry/metrics actions.  One request per connection,
-   response fits in a single write, connection closed — exactly the
-   lifecycle of a Prometheus scrape.  Accepted clients are served
-   synchronously with a short receive timeout so a stalled scraper cannot
-   wedge the service loop for more than 200ms. *)
+   between tuner and metrics actions.  One request per connection, one
+   response, connection closed — exactly the lifecycle of a Prometheus
+   scrape.  Accepted clients are served synchronously with 200ms receive
+   and send timeouts, so a stalled scraper cannot wedge the service loop
+   for longer, and SIGPIPE is ignored during the reply, so a scraper that
+   hangs up early costs an [EPIPE], not the process. *)
 
 let content_type = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
@@ -55,6 +56,7 @@ let serve_client t client =
     ~finally:(fun () -> try Unix.close client with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.setsockopt_float client Unix.SO_RCVTIMEO 0.2;
+      Unix.setsockopt_float client Unix.SO_SNDTIMEO 0.2;
       let buf = Bytes.create 4096 in
       let n = try Unix.read client buf 0 4096 with Unix.Unix_error _ -> 0 in
       let request = Bytes.sub_string buf 0 n in
@@ -68,7 +70,10 @@ let serve_client t client =
         | "/" | "/metrics" -> response ~status:"200 OK" ~body:(t.content ())
         | _ -> response ~status:"404 Not Found" ~body:"# EOF\n"
       in
-      try write_all client reply with Unix.Unix_error _ -> ())
+      let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      Fun.protect
+        ~finally:(fun () -> Sys.set_signal Sys.sigpipe previous)
+        (fun () -> try write_all client reply with Unix.Unix_error _ -> ()))
 
 let poll t =
   if not t.closed then begin

@@ -16,8 +16,11 @@ val port : t -> int
 
 val poll : t -> unit
 (** Accept and answer every connection currently pending, then return
-    without blocking on the listener. Serving one accepted client blocks
-    for at most the 200ms receive timeout. Single-threaded. *)
+    without blocking on the listener. Serving one accepted client waits at
+    most 200ms for its request, and the reply is dropped once a write makes
+    no progress for 200ms. SIGPIPE is ignored while replying (the previous
+    disposition is restored), so a client that hangs up early only ends its
+    own reply. Single-threaded. *)
 
 val stop : t -> unit
 (** Close the listener. Idempotent. *)

@@ -119,30 +119,30 @@ let test_tuning_preserves_effects () =
     (Granularity.check w ~total_ops:result.Driver.total_ops)
 
 (* Each in-run action's step count on both backends: 0 schedules nothing
-   (telemetry and metrics keep only their final after-run sample), and a
-   negative count is rejected before anything runs. *)
+   (the metrics plane keeps only its final after-run sample, which is also
+   its series' only period), and a negative count is rejected before
+   anything runs. *)
 let test_driver_step_counts () =
-  let run ~mode ?(tuner_steps = 40) ?(telemetry_steps = 40) ?(metrics_steps = 0) () =
+  let run ~mode ?(tuner_steps = 40) ?(metrics_steps = 0) () =
     let system = System.create ~max_workers:16 () in
     let w = Bank.setup system ~strategy:Strategy.tuned Bank.default_config in
     let tuner = System.tuner system in
-    let telemetry = Telemetry.create (System.registry system) in
     let metrics = Metrics_plane.create (System.registry system) in
-    ignore
-      (Driver.run ~tuner ~tuner_steps ~telemetry ~telemetry_steps ~metrics ~metrics_steps ~mode
-         ~workers:2 (Bank.worker w));
+    ignore (Driver.run ~tuner ~tuner_steps ~metrics ~metrics_steps ~mode ~workers:2 (Bank.worker w));
     check Alcotest.bool "bank conserved" true (Bank.check w);
-    (Tuner.ticks tuner, Telemetry.periods telemetry, Metrics_plane.samples metrics)
+    (Tuner.ticks tuner, metrics)
   in
   List.iter
     (fun mode ->
       let label name = Driver.mode_to_string mode ^ " " ^ name in
-      let ticks, _, _ = run ~mode ~tuner_steps:0 () in
+      let ticks, _ = run ~mode ~tuner_steps:0 () in
       check Alcotest.int (label "tuner_steps=0: no tuner step") 0 ticks;
-      let _, periods, _ = run ~mode ~telemetry_steps:0 () in
-      check Alcotest.int (label "telemetry_steps=0: final sample only") 1 periods;
-      let _, _, samples = run ~mode ~metrics_steps:0 () in
-      check Alcotest.int (label "metrics_steps=0: final sample only") 1 samples;
+      let _, plane = run ~mode ~metrics_steps:0 () in
+      check Alcotest.int (label "metrics_steps=0: final sample only") 1
+        (Metrics_plane.samples plane);
+      let rows = Metrics_plane.series plane in
+      check Alcotest.bool (label "metrics_steps=0: one series period") true
+        (rows <> [] && List.for_all (fun s -> s.Metrics_plane.sm_index = 0) rows);
       List.iter
         (fun (name, steps) ->
           Alcotest.check_raises (label (name ^ " < 0"))
@@ -150,8 +150,7 @@ let test_driver_step_counts () =
             (fun () -> ignore (steps ())))
         [
           ("tuner_steps", fun () -> run ~mode ~tuner_steps:(-1) ());
-          ("telemetry_steps", fun () -> run ~mode ~telemetry_steps:(-3) ());
-          ("metrics_steps", fun () -> run ~mode ~metrics_steps:(-1) ());
+          ("metrics_steps", fun () -> run ~mode ~metrics_steps:(-3) ());
         ])
     [ Driver.default_sim ~cycles:200_000 (); Driver.Domains { seconds = 0.1 } ]
 

@@ -374,35 +374,36 @@ let test_plane_mirrors_and_slo () =
   check Alcotest.bool "latency histogram present" true
     (contains text "partstm_commit_latency_bucket")
 
-let test_scrape_endpoint () =
-  let m = sample_registry () in
-  let server = Metrics_server.start ~content:(fun () -> Obs.Metrics.render m) () in
-  let port = Metrics_server.port server in
-  check Alcotest.bool "ephemeral port assigned" true (port > 0);
-  let get path =
-    let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let request = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path in
-        ignore (Unix.write_substring sock request 0 (String.length request));
-        (* The connection sits in the listener's backlog until the next
-           poll — exactly how the driver's service loop drives it. *)
-        Metrics_server.poll server;
-        let buf = Buffer.create 1024 in
-        let chunk = Bytes.create 4096 in
-        let rec drain () =
-          match Unix.read sock chunk 0 4096 with
-          | 0 -> ()
-          | n ->
-              Buffer.add_subbytes buf chunk 0 n;
-              drain ()
-        in
-        drain ();
-        Buffer.contents buf)
-  in
-  let response = get "/metrics" in
+let request_metrics server path =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, Metrics_server.port server));
+  let request = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path in
+  ignore (Unix.write_substring sock request 0 (String.length request));
+  sock
+
+let scrape server path =
+  let sock = request_metrics server path in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+    (fun () ->
+      (* The connection sits in the listener's backlog until the next
+         poll — exactly how the driver's service loop drives it. *)
+      Metrics_server.poll server;
+      let buf = Buffer.create 1024 in
+      let chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read sock chunk 0 4096 with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            drain ()
+      in
+      drain ();
+      Buffer.contents buf)
+
+(* A scrape must answer 200 with a body the OpenMetrics parser accepts. *)
+let check_valid_scrape server =
+  let response = scrape server "/metrics" in
   check Alcotest.bool "200 OK" true
     (String.length response > 12 && String.sub response 9 3 = "200");
   let marker = "\r\n\r\n" in
@@ -411,16 +412,60 @@ let test_scrape_endpoint () =
     else if String.sub response i 4 = marker then Some (i + 4)
     else find_body (i + 1)
   in
-  (match find_body 0 with
+  match find_body 0 with
   | None -> Alcotest.fail "no header/body separator"
   | Some body_start -> (
       let body = String.sub response body_start (String.length response - body_start) in
       match Obs.Openmetrics.parse body with
       | Ok _ -> ()
-      | Error msg -> Alcotest.failf "scraped body invalid: %s" msg));
-  let missing = get "/nope" in
+      | Error msg -> Alcotest.failf "scraped body invalid: %s" msg)
+
+let test_scrape_endpoint () =
+  let m = sample_registry () in
+  let server = Metrics_server.start ~content:(fun () -> Obs.Metrics.render m) () in
+  check Alcotest.bool "ephemeral port assigned" true (Metrics_server.port server > 0);
+  check_valid_scrape server;
+  let missing = scrape server "/nope" in
   check Alcotest.bool "404 for other paths" true
     (String.length missing > 12 && String.sub missing 9 3 = "404");
+  Metrics_server.stop server
+
+(* A scraper that sends its request and hangs up before reading a large
+   reply must cost that reply only: the write fails with EPIPE instead of
+   SIGPIPE killing the process.  The server stays usable afterwards. *)
+let test_scrape_hang_up () =
+  let m = sample_registry () in
+  let body = ref (String.make 1_000_000 '#') in
+  let server = Metrics_server.start ~content:(fun () -> !body) () in
+  Unix.close (request_metrics server "/metrics");
+  Metrics_server.poll server;
+  body := Obs.Metrics.render m;
+  check_valid_scrape server;
+  Metrics_server.stop server
+
+(* A scraper that never reads a reply larger than the socket buffers must
+   not hold [poll] past the send timeout.  A helper domain closes the
+   stalled client after 2s, so without the timeout this test fails on the
+   elapsed time instead of hanging. *)
+let test_scrape_stalled_client () =
+  let m = sample_registry () in
+  let body = ref (String.make 4_000_000 '#') in
+  let server = Metrics_server.start ~content:(fun () -> !body) () in
+  let stalled = request_metrics server "/metrics" in
+  let closer =
+    Domain.spawn (fun () ->
+        Unix.sleepf 2.0;
+        Unix.close stalled)
+  in
+  let start = Unix.gettimeofday () in
+  Metrics_server.poll server;
+  let elapsed = Unix.gettimeofday () -. start in
+  Domain.join closer;
+  check Alcotest.bool
+    (Printf.sprintf "poll returned within 1s of a stalled scraper (took %.2fs)" elapsed)
+    true (elapsed < 1.0);
+  body := Obs.Metrics.render m;
+  check_valid_scrape server;
   Metrics_server.stop server
 
 (* A port outside the TCP range must be rejected, not wrapped modulo 2^16
@@ -565,6 +610,9 @@ let () =
             test_scrape_endpoint;
           Alcotest.test_case "scrape port outside 0..65535 raises" `Quick
             test_scrape_port_range;
+          Alcotest.test_case "scraper hang-up spares the process" `Quick test_scrape_hang_up;
+          Alcotest.test_case "stalled scraper bounded by send timeout" `Quick
+            test_scrape_stalled_client;
         ] );
       ( "explain",
         [

@@ -562,6 +562,26 @@ let prop_vec_matches_list_model =
       && Vec.length v = List.length !model
       && Vec.is_empty v = (!model = []))
 
+(* -- Ring ------------------------------------------------------------------- *)
+
+let test_ring_capacity_guard () =
+  Alcotest.check_raises "capacity 0" (Invalid_argument "Ring.create: capacity") (fun () ->
+      ignore (Ring.create ~capacity:0))
+
+(* Model-based property: after any number of pushes a ring holds the newest
+   [capacity] of them, oldest first, and counts the rest as dropped. *)
+let prop_ring_keeps_newest =
+  qtest "ring keeps the newest entries and counts the dropped"
+    QCheck2.Gen.(pair (int_range 1 20) (list_size (int_range 0 100) small_int))
+    (fun (capacity, xs) ->
+      let r = Ring.create ~capacity in
+      List.iter (Ring.push r) xs;
+      let n = List.length xs in
+      let dropped = max 0 (n - capacity) in
+      Ring.to_list r = List.filteri (fun i _ -> i >= dropped) xs
+      && Ring.length r = n - dropped
+      && Ring.dropped r = dropped)
+
 (* -- Intmap ----------------------------------------------------------------- *)
 
 let test_intmap_basics () =
@@ -747,6 +767,11 @@ let () =
           Alcotest.test_case "set deep_clear" `Quick test_vec_set_and_deep_clear;
           Alcotest.test_case "wipe and resident" `Quick test_vec_wipe_resident;
           prop_vec_matches_list_model;
+        ] );
+      ( "ring",
+        [
+          Alcotest.test_case "capacity guard" `Quick test_ring_capacity_guard;
+          prop_ring_keeps_newest;
         ] );
       ( "intmap",
         [
