@@ -552,18 +552,23 @@ let cmd_profile pspec =
 (* -- metrics / top: the always-on metrics plane -------------------------------- *)
 
 (* SLO thresholds are in the backend's latency units: virtual cycles on sim,
-   nanoseconds on domains — hence per-backend defaults. *)
+   nanoseconds on domains — hence per-backend defaults.  An objective's
+   name labels its exported series, so a name may appear only once. *)
 let parse_slos backend specs =
   let specs =
     match specs with
     | [] -> [ (if backend = "sim" then "commit_p99<4096" else "commit_p99<1000000") ]
     | specs -> specs
   in
+  let module Slo = Partstm_obs.Slo in
   List.fold_left
     (fun acc s ->
-      match (acc, Partstm_obs.Slo.parse s) with
+      match (acc, Slo.parse s) with
       | Error _, _ -> acc
       | Ok _, Error msg -> Error (Printf.sprintf "%S: %s" s msg)
+      | Ok parsed, Ok spec
+        when List.exists (fun (p : Slo.spec) -> p.Slo.sp_name = spec.Slo.sp_name) parsed ->
+          Error (Printf.sprintf "%S: objective %s given twice" s spec.Slo.sp_name)
       | Ok parsed, Ok spec -> Ok (parsed @ [ spec ]))
     (Ok []) specs
 
@@ -967,7 +972,7 @@ let slo_arg subcommand =
           (Printf.sprintf
              "Latency objective for %s, e.g. $(b,commit_p99<50000): source ($(b,commit) or \
               $(b,abort)), quantile, threshold in the backend's units (virtual cycles on \
-              $(b,sim), nanoseconds on $(b,domains)). Repeatable; default \
+              $(b,sim), nanoseconds on $(b,domains)). Repeatable, once per name; default \
               $(b,commit_p99<4096) on sim, $(b,commit_p99<1000000) on domains"
              subcommand))
 
@@ -1013,10 +1018,10 @@ let metrics_cmd =
          [
            `S Manpage.s_description;
            `P
-             "The metrics plane mirrors every partition's statistics counters into a striped \
-              metrics registry, tracks latency SLOs over the whole-attempt commit/abort \
-              histograms, and reads the worker×partition access-affinity matrix off the \
-              per-worker statistics stripes. With the default $(b,--metrics-steps 0) the \
+             "The metrics plane samples every partition's statistics counters, renders the \
+              exposition from the last sample, tracks latency SLOs over the whole-attempt \
+              commit/abort histograms, and reads the worker×partition access-affinity matrix \
+              off the per-worker statistics stripes. With the default $(b,--metrics-steps 0) the \
               plane adds no scheduling action at all: taps charge no virtual time, so a \
               $(b,sim) run's schedule is bit-identical to the same run without metrics.";
          ])

@@ -3,15 +3,16 @@
 
    Nothing here touches a transaction hot path.  Workers keep bumping their
    striped [Region_stats] counters exactly as before; each [sample] (from
-   the driver's service domain or fiber) mirrors the current per-partition
-   snapshot into the metrics registry with service-stripe writes, refreshes
-   the derived gauges, appends one row per partition to the bounded
+   the driver's service domain or fiber) takes the current per-partition
+   snapshot and mode, appends one row per partition to the bounded
    telemetry series (the per-period view of the paper's evaluation, which
-   [Telemetry] exports), and closes one SLO window.  Latency comes from the
-   [Affinity] engine tap, which watches attempts only (whole-attempt
-   begin → commit / rollback) and never a read or a write; the same module
-   reads the worker × partition matrix exported for sharing-aware mapping
-   off the per-worker [Region_stats] stripes. *)
+   [Telemetry] exports), and closes one SLO window.  [Region_stats] is the
+   store and the series the one per-period copy; the OpenMetrics
+   exposition is rendered on demand from the last sample.  Latency comes
+   from the [Affinity] engine tap, which watches attempts only
+   (whole-attempt begin → commit / rollback) and never a read or a write;
+   the same module reads the worker × partition matrix exported for
+   sharing-aware mapping off the per-worker [Region_stats] stripes. *)
 
 open Partstm_util
 open Partstm_stm
@@ -30,18 +31,13 @@ type sample = {
 type mirror = {
   mi_partition : Partition.t;
   mutable mi_prev : Region_stats.snapshot;  (* counters at the previous sample *)
-  mi_counters : (Metrics.counter * (Region_stats.snapshot -> int)) list;
-  mi_abort_rate : Metrics.gauge;
-  mi_update_ratio : Metrics.gauge;
-  mi_granularity : Metrics.gauge;
+  mutable mi_mode : Mode.t option;  (* mode at the last sample; [None] before it *)
 }
 
 type t = {
   registry : Registry.t;
-  metrics : Metrics.t;
   slo : Slo.t;
   affinity : Affinity.t;
-  sample_counter : Metrics.counter;
   series : sample Ring.t;
   mutable mirrors : mirror list;  (* registration order *)
   mutable sample_count : int;
@@ -52,39 +48,12 @@ type t = {
 (* Bound on the in-memory series; the oldest rows go past it. *)
 let max_series = 100_000
 
-let metrics t = t.metrics
 let slo t = t.slo
 let affinity t = t.affinity
 let samples t = t.sample_count
 let series t = Ring.to_list t.series
 let dropped_samples t = Ring.dropped t.series
 let partitions t = List.map (fun m -> Partition.name m.mi_partition) t.mirrors
-
-let make_mirror metrics ~baseline partition =
-  let labels = [ ("partition", Partition.name partition) ] in
-  let counters =
-    List.map
-      (fun (field, get) ->
-        ( Metrics.counter metrics ~labels
-            ~help:(Printf.sprintf "Region_stats %s, mirrored per sampling period" field)
-            (Printf.sprintf "partstm_%s" field),
-          get ))
-      Region_stats.fields
-  in
-  {
-    mi_partition = partition;
-    mi_prev = baseline partition;
-    mi_counters = counters;
-    mi_abort_rate =
-      Metrics.gauge metrics ~labels ~help:"aborts / attempts over the partition's lifetime"
-        "partstm_abort_rate";
-    mi_update_ratio =
-      Metrics.gauge metrics ~labels ~help:"update-transaction commit ratio"
-        "partstm_update_ratio";
-    mi_granularity =
-      Metrics.gauge metrics ~labels ~help:"current conflict-detection granularity (log2 slots)"
-        "partstm_granularity_log2";
-  }
 
 (* Partitions present at [create] start the series from their current
    counters (setup traffic before the plane existed is excluded);
@@ -94,11 +63,11 @@ let sync_mirrors t ~baseline =
   List.iter
     (fun partition ->
       if not (List.exists (fun m -> m.mi_partition == partition) t.mirrors) then
-        t.mirrors <- t.mirrors @ [ make_mirror t.metrics ~baseline partition ])
+        t.mirrors <-
+          t.mirrors @ [ { mi_partition = partition; mi_prev = baseline partition; mi_mode = None } ])
     (Registry.partitions t.registry)
 
-let create ?max_workers ?(slos = []) registry =
-  let metrics = Metrics.create ?max_workers () in
+let create ?(slos = []) registry =
   let affinity =
     Affinity.create (fun () -> List.map Partition.region (Registry.partitions registry))
   in
@@ -116,37 +85,11 @@ let create ?max_workers ?(slos = []) registry =
       in
       ignore (Slo.add slo spec ~source))
     slos;
-  Metrics.histogram_fn metrics ~help:"whole-attempt begin->commit latency (clock units)"
-    "partstm_commit_latency" (fun () -> Affinity.commit_latency affinity);
-  Metrics.histogram_fn metrics ~help:"whole-attempt begin->rollback latency (clock units)"
-    "partstm_abort_latency" (fun () -> Affinity.abort_latency affinity);
-  List.iter
-    (fun (spec : Slo.spec) ->
-      let labels = [ ("objective", spec.Slo.sp_name) ] in
-      let status () =
-        List.find_opt (fun st -> st.Slo.st_name = spec.Slo.sp_name) (Slo.statuses slo)
-      in
-      Metrics.gauge_fn metrics ~labels ~help:"cumulative SLO compliance (fraction of good events)"
-        "partstm_slo_compliance" (fun () ->
-          match status () with Some st -> st.Slo.st_compliance | None -> 1.0);
-      Metrics.gauge_fn metrics ~labels ~help:"fraction of the cumulative error budget consumed"
-        "partstm_slo_budget_burn" (fun () ->
-          match status () with Some st -> st.Slo.st_budget_burn | None -> 0.0);
-      Metrics.gauge_fn metrics ~labels
-        ~help:"1 when the last evaluated window met the objective, else 0" "partstm_slo_window_ok"
-        (fun () ->
-          match status () with Some st -> (if st.Slo.st_window_ok then 1.0 else 0.0) | None -> 1.0))
-    slos;
-  let sample_counter =
-    Metrics.counter metrics ~help:"metrics-plane sampling periods" "partstm_plane_samples"
-  in
   let t =
     {
       registry;
-      metrics;
       slo;
       affinity;
-      sample_counter;
       series = Ring.create ~capacity:max_series;
       mirrors = [];
       sample_count = 0;
@@ -172,15 +115,10 @@ let sample t =
   let index = t.sample_count in
   let time = t.clock () in
   t.sample_count <- index + 1;
-  Metrics.set_counter t.sample_counter t.sample_count;
   List.iter
     (fun m ->
       let snapshot = Partition.snapshot m.mi_partition in
       let mode = Partition.mode m.mi_partition in
-      List.iter (fun (counter, get) -> Metrics.set_counter counter (get snapshot)) m.mi_counters;
-      Metrics.set_gauge m.mi_abort_rate (Region_stats.abort_rate snapshot);
-      Metrics.set_gauge m.mi_update_ratio (Region_stats.update_txn_ratio snapshot);
-      Metrics.set_gauge m.mi_granularity (float_of_int mode.Mode.granularity_log2);
       Ring.push t.series
         {
           sm_index = index;
@@ -190,7 +128,8 @@ let sample t =
           sm_delta = Region_stats.diff ~current:snapshot ~previous:m.mi_prev;
           sm_total = snapshot;
         };
-      m.mi_prev <- snapshot)
+      m.mi_prev <- snapshot;
+      m.mi_mode <- Some mode)
     t.mirrors;
   Slo.evaluate t.slo
 
@@ -203,7 +142,106 @@ let name_of_region registry region =
   | Some p -> Partition.name p
   | None -> string_of_int region
 
-let openmetrics t = Metrics.render t.metrics
+(* -- Exposition ---------------------------------------------------------------- *)
+
+(* The exposition is rendered from what the plane already holds: each
+   partition's last sampled snapshot and mode (zeros until its first
+   sample), the sample count, the affinity tap's latency histograms and
+   the SLO statuses.  Families are sorted by name and the series of one
+   family by label value, so exports are byte-stable. *)
+
+let family kind name help samples =
+  { Openmetrics.f_name = name; f_kind = kind; f_help = help; f_samples = samples }
+
+let series_sample name labels value =
+  { Openmetrics.s_name = name; s_labels = labels; s_value = value }
+
+(* Cumulative [le] buckets, then [+Inf], [_count] and [_sum]. *)
+let histogram_samples name h =
+  let count = float_of_int (Histogram.count h) in
+  let _, buckets =
+    List.fold_left
+      (fun (cum, acc) (upper, n) ->
+        let cum = cum + n in
+        ( cum,
+          series_sample (name ^ "_bucket") [ ("le", string_of_int upper) ] (float_of_int cum)
+          :: acc ))
+      (0, []) (Histogram.buckets h)
+  in
+  List.rev buckets
+  @ [
+      series_sample (name ^ "_bucket") [ ("le", "+Inf") ] count;
+      series_sample (name ^ "_count") [] count;
+      series_sample (name ^ "_sum") [] (float_of_int (Histogram.sum h));
+    ]
+
+let openmetrics_families t =
+  let partitions =
+    List.map
+      (fun m ->
+        let snapshot, granularity =
+          match m.mi_mode with
+          | Some mode -> (m.mi_prev, mode.Mode.granularity_log2)
+          | None -> (Region_stats.empty_snapshot, 0)
+        in
+        (Partition.name m.mi_partition, snapshot, granularity))
+      t.mirrors
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  in
+  let per_partition kind name help value =
+    family kind name help
+      (List.map
+         (fun (partition, snapshot, granularity) ->
+           series_sample
+             (if kind = Openmetrics.Counter then name ^ "_total" else name)
+             [ ("partition", partition) ]
+             (value snapshot granularity))
+         partitions)
+  in
+  let statuses =
+    List.sort (fun a b -> String.compare a.Slo.st_name b.Slo.st_name) (Slo.statuses t.slo)
+  in
+  let per_objective name help value =
+    family Openmetrics.Gauge name help
+      (List.map
+         (fun st -> series_sample name [ ("objective", st.Slo.st_name) ] (value st))
+         statuses)
+  in
+  List.map
+    (fun (field, get) ->
+      per_partition Openmetrics.Counter ("partstm_" ^ field)
+        (Printf.sprintf "Region_stats %s, mirrored per sampling period" field)
+        (fun snapshot _ -> float_of_int (get snapshot)))
+    Region_stats.fields
+  @ [
+      per_partition Openmetrics.Gauge "partstm_abort_rate"
+        "aborts / attempts over the partition's lifetime" (fun snapshot _ ->
+          Region_stats.abort_rate snapshot);
+      per_partition Openmetrics.Gauge "partstm_update_ratio" "update-transaction commit ratio"
+        (fun snapshot _ -> Region_stats.update_txn_ratio snapshot);
+      per_partition Openmetrics.Gauge "partstm_granularity_log2"
+        "current conflict-detection granularity (log2 slots)" (fun _ granularity ->
+          float_of_int granularity);
+      family Openmetrics.Histogram "partstm_commit_latency"
+        "whole-attempt begin->commit latency (clock units)"
+        (histogram_samples "partstm_commit_latency" (Affinity.commit_latency t.affinity));
+      family Openmetrics.Histogram "partstm_abort_latency"
+        "whole-attempt begin->rollback latency (clock units)"
+        (histogram_samples "partstm_abort_latency" (Affinity.abort_latency t.affinity));
+      per_objective "partstm_slo_compliance" "cumulative SLO compliance (fraction of good events)"
+        (fun st -> st.Slo.st_compliance);
+      per_objective "partstm_slo_budget_burn" "fraction of the cumulative error budget consumed"
+        (fun st -> st.Slo.st_budget_burn);
+      per_objective "partstm_slo_window_ok"
+        "1 when the last evaluated window met the objective, else 0" (fun st ->
+          if st.Slo.st_window_ok then 1.0 else 0.0);
+      family Openmetrics.Counter "partstm_plane_samples" "metrics-plane sampling periods"
+        [ series_sample "partstm_plane_samples_total" [] (float_of_int t.sample_count) ];
+    ]
+  |> List.filter (fun f -> f.Openmetrics.f_samples <> [])
+  |> List.sort (fun a b -> String.compare a.Openmetrics.f_name b.Openmetrics.f_name)
+
+let openmetrics t = Openmetrics.render (openmetrics_families t)
 
 (* -- Scrape endpoint --------------------------------------------------------- *)
 

@@ -1,17 +1,17 @@
-(** The always-on metrics plane: one object bundling the striped metrics
-    registry, the OpenMetrics exporter, the SLO tracker and the
+(** The always-on metrics plane: one object bundling the per-period
+    telemetry series, the OpenMetrics exporter, the SLO tracker and the
     worker × partition affinity matrix for a partition registry.
 
-    The plane mirrors every partition's [Region_stats] counters into the
-    metrics registry on each {!sample} (service-stripe writes — the hot
-    paths keep their existing counters and never touch the plane), records
-    the per-partition, per-period telemetry {!series} that {!Telemetry}
-    exports, feeds
-    the SLO tracker from the affinity tap's whole-attempt commit/abort
-    latency histograms (the tap watches attempts, never reads or writes),
-    and exposes everything as OpenMetrics text, either one-shot
-    ({!openmetrics}, {!save}) or over a scrape endpoint ({!serve} /
-    {!poll_server}) driven by the driver's shared service domain. *)
+    Each {!sample} reads every partition's [Region_stats] snapshot and
+    mode (the hot paths keep their existing counters and never touch the
+    plane) and records the per-partition, per-period telemetry {!series}
+    that {!Telemetry} exports. The SLO tracker is fed from the affinity
+    tap's whole-attempt commit/abort latency histograms (the tap watches
+    attempts, never reads or writes). The OpenMetrics exposition is
+    rendered when asked from the last sample, the latency histograms and
+    the SLO statuses, either one-shot ({!openmetrics}, {!save}) or over a
+    scrape endpoint ({!serve} / {!poll_server}) driven by the driver's
+    shared service domain. *)
 
 open Partstm_stm
 open Partstm_obs
@@ -31,14 +31,14 @@ type sample = {
   sm_total : Region_stats.snapshot;  (** cumulative counters at sample time *)
 }
 
-val create : ?max_workers:int -> ?slos:Slo.spec list -> Registry.t -> t
+val create : ?slos:Slo.spec list -> Registry.t -> t
 (** SLO specs resolve their [sp_source] against the plane's latency
     histograms: ["commit"] (begin → commit) and ["abort"] (begin →
-    rollback). Raises [Invalid_argument] on an unknown source. Partitions
+    rollback). Raises [Invalid_argument] on an unknown source or a repeated
+    objective name ({!Slo.add}). Partitions
     existing now start the series from their current counters; partitions
     registered later start from zero. *)
 
-val metrics : t -> Metrics.t
 val slo : t -> Slo.t
 val affinity : t -> Affinity.t
 
@@ -57,11 +57,10 @@ val set_clock : t -> (unit -> int) -> unit
 val clear_clock : t -> unit
 
 val sample : t -> unit
-(** One sampling period: mirror every partition's [Region_stats] snapshot
-    into the registry, refresh derived gauges, append one {!type-sample} row
-    per partition (counter deltas since the previous call, stamped with the
-    plane's clock), close one SLO window. Single-threaded (service domain /
-    fiber). *)
+(** One sampling period: append one {!type-sample} row per partition
+    (counter deltas since the previous call, stamped with the plane's
+    clock), keep each partition's snapshot and mode for the exposition,
+    close one SLO window. Single-threaded (service domain / fiber). *)
 
 val samples : t -> int
 (** Number of {!sample} calls so far: the series' period count. *)
@@ -83,7 +82,13 @@ val name_of_region : Registry.t -> int -> string
     region-naming rule of every report and artifact. *)
 
 val openmetrics : t -> string
-(** Current OpenMetrics exposition ({!Openmetrics.render}). *)
+(** OpenMetrics exposition ({!Openmetrics.render}) of the last sample:
+    per partition, the [Region_stats] counters ([partstm_<field>_total])
+    and the abort-rate, update-ratio and granularity gauges (all 0 until
+    the partition's first sample); the commit/abort latency histograms;
+    one compliance, budget-burn and window-ok gauge per SLO objective; and
+    the sample count. Families are sorted by name and series by label
+    value, so the text is byte-stable. *)
 
 val serve : ?port:int -> t -> int
 (** Start the scrape endpoint on 127.0.0.1 (default ephemeral port);

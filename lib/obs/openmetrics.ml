@@ -5,7 +5,7 @@
    already-suffixed sample lines ([name_total] for counters, [name_bucket]/
    [name_count]/[name_sum] for histograms), so [parse (render fs)]
    round-trips structurally — the property CI's smoke asserts.  The
-   renderer writes families in the order given; [Metrics.families] sorts
+   renderer writes families in the order given; the metrics plane sorts
    them by name so exports are byte-stable across runs. *)
 
 type kind = Counter | Gauge | Histogram

@@ -6,9 +6,6 @@
 
 type kind = Counter | Gauge | Histogram
 
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
-
 type sample = {
   s_name : string;  (** full sample name, suffix included *)
   s_labels : (string * string) list;
@@ -16,9 +13,6 @@ type sample = {
 }
 
 type family = { f_name : string; f_kind : kind; f_help : string; f_samples : sample list }
-
-val valid_name : string -> bool
-(** Metric / label name validity: [[a-zA-Z_:][a-zA-Z0-9_:]*]. *)
 
 val render : family list -> string
 (** Exposition text, terminated by [# EOF]. Families render in the order

@@ -113,6 +113,8 @@ let initial_status spec =
   }
 
 let add t spec ~source =
+  if List.exists (fun o -> o.o_spec.sp_name = spec.sp_name) t.objectives then
+    invalid_arg (Printf.sprintf "Slo.add: objective %s given twice" spec.sp_name);
   let objective =
     { o_spec = spec; o_source = source; o_prev = Histogram.create (); o_status = initial_status spec }
   in

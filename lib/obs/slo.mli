@@ -49,7 +49,10 @@ val create : unit -> t
 
 val add : t -> spec -> source:(unit -> Histogram.t) -> objective
 (** Register an objective over a cumulative histogram source. The source is
-    re-read (and copied) at each {!evaluate}; it must grow monotonically. *)
+    re-read (and copied) at each {!evaluate}; it must grow monotonically.
+    Raises [Invalid_argument] if an objective with the same [sp_name] is
+    already registered: the name is the objective's identity in every
+    export. *)
 
 val evaluate : t -> unit
 (** Close one window per objective: diff the source against the previous

@@ -1,10 +1,12 @@
-(* Tests for the production metrics plane (DESIGN.md §8.3): the striped
-   metrics registry under real domains, the OpenMetrics exporter and its
-   validating parser (round-trip), the SLO tracker's window/budget
-   accounting, the worker × partition affinity matrix — including its
-   exact reconciliation against the workload's own counts under 4 real
-   domains and its attempt-only engine tap — the tuner's explainability
-   surface, and the scrape endpoint. *)
+(* Tests for the production metrics plane (DESIGN.md §8.3): its
+   OpenMetrics exposition, rendered from the last sample of the
+   partitions' [Region_stats] (exact under real domains, one series per
+   partition, shards merged at read time), the exporter and its validating
+   parser (round-trip), the SLO tracker's window/budget accounting, the
+   worker × partition affinity matrix — including its exact reconciliation
+   against the workload's own counts under 4 real domains and its
+   attempt-only engine tap — the tuner's explainability surface, and the
+   scrape endpoint. *)
 
 open Partstm_util
 open Partstm_stm
@@ -20,50 +22,129 @@ let contains haystack needle =
   let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
   n = 0 || scan 0
 
-(* -- Metrics registry -------------------------------------------------------- *)
+(* -- Exposition helpers -------------------------------------------------------- *)
 
-(* Four domains incrementing the same counter on private stripes: the sum
-   must be exact after the domains join — same single-writer-per-stripe
-   contract as [Region_stats]. *)
+let parse_exposition text =
+  match Obs.Openmetrics.parse text with
+  | Ok families -> families
+  | Error msg -> Alcotest.failf "exposition invalid: %s" msg
+
+let samples_named families name =
+  List.concat_map (fun f -> f.Obs.Openmetrics.f_samples) families
+  |> List.filter (fun s -> s.Obs.Openmetrics.s_name = name)
+
+(* The one sample of [name] labelled with [partition]. *)
+let partition_value families name partition =
+  match
+    List.filter
+      (fun s -> s.Obs.Openmetrics.s_labels = [ ("partition", partition) ])
+      (samples_named families name)
+  with
+  | [ s ] -> s.Obs.Openmetrics.s_value
+  | found -> Alcotest.failf "%s{partition=%S}: %d samples" name partition (List.length found)
+
+let sample_value families name =
+  match samples_named families name with
+  | [ s ] -> s.Obs.Openmetrics.s_value
+  | found -> Alcotest.failf "%s: %d samples" name (List.length found)
+
+(* -- Plane exposition over the statistics it samples ------------------------- *)
+
+(* Bank on four real domains with the plane attached: after the final
+   sample (taken once the domains have joined) every exported counter is
+   exactly the partition's [Region_stats] total. *)
 let test_counter_exact_under_domains () =
-  let m = Obs.Metrics.create ~max_workers:4 () in
-  let c = Obs.Metrics.counter m "test_ops" in
-  let per_worker = 50_000 in
-  let domains =
-    List.init 4 (fun worker ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_worker do
-              Obs.Metrics.incr c ~worker
-            done))
+  let system = System.create ~max_workers:12 () in
+  let state = Bank.setup system ~strategy:Strategy.global_invisible Bank.default_config in
+  let registry = System.registry system in
+  let plane = Metrics_plane.create registry in
+  Metrics_plane.attach plane;
+  let result =
+    Driver.run ~metrics:plane ~metrics_steps:4
+      ~mode:(Driver.Domains { seconds = 0.2 })
+      ~workers:4 (Bank.worker state)
   in
-  List.iter Domain.join domains;
-  check Alcotest.int "counter sums stripes exactly" (4 * per_worker)
-    (Obs.Metrics.counter_value c)
+  Metrics_plane.detach plane;
+  check Alcotest.bool "did some work" true (result.Driver.total_ops > 0);
+  let families = parse_exposition (Metrics_plane.openmetrics plane) in
+  List.iter
+    (fun p ->
+      let name = Partition.name p in
+      let snapshot = Partition.snapshot p in
+      List.iter
+        (fun (field, get) ->
+          check (Alcotest.float 0.0)
+            (Printf.sprintf "%s %s exact" name field)
+            (float_of_int (get snapshot))
+            (partition_value families ("partstm_" ^ field ^ "_total") name))
+        Region_stats.fields)
+    (Registry.partitions registry)
 
+(* A partition registered between two samples joins the exposition
+   without duplicating anyone's series; a family declared twice is not
+   valid OpenMetrics. *)
 let test_registration_idempotent () =
-  let m = Obs.Metrics.create ~max_workers:2 () in
-  let a = Obs.Metrics.counter m ~labels:[ ("p", "x") ] "dup" in
-  let b = Obs.Metrics.counter m ~labels:[ ("p", "x") ] "dup" in
-  Obs.Metrics.incr a ~worker:0;
-  Obs.Metrics.incr b ~worker:1;
-  check Alcotest.int "same (name, labels) is the same instrument" 2
-    (Obs.Metrics.counter_value a);
-  (* A different label set under the same name is a separate time series. *)
-  let other = Obs.Metrics.counter m ~labels:[ ("p", "y") ] "dup" in
-  check Alcotest.int "distinct labels are distinct series" 0
-    (Obs.Metrics.counter_value other);
-  Alcotest.check_raises "kind clash on a name raises"
-    (Invalid_argument "Metrics: dup already registered as counter") (fun () ->
-      ignore (Obs.Metrics.gauge m "dup"))
+  let system = System.create ~max_workers:4 () in
+  let first = System.partition system "first" in
+  let plane = Metrics_plane.create (System.registry system) in
+  Metrics_plane.sample plane;
+  let second = System.partition system "second" in
+  let v = System.tvar second 0 in
+  let txn = System.descriptor system ~worker_id:0 in
+  System.atomically txn (fun t -> System.write t v 1);
+  Metrics_plane.sample plane;
+  let families = parse_exposition (Metrics_plane.openmetrics plane) in
+  let series =
+    List.concat_map
+      (fun f ->
+        List.map (fun s -> (s.Obs.Openmetrics.s_name, s.Obs.Openmetrics.s_labels)) f.Obs.Openmetrics.f_samples)
+      families
+  in
+  check Alcotest.int "every (sample, labels) pair exported once" (List.length series)
+    (List.length (List.sort_uniq compare series));
+  List.iter
+    (fun name ->
+      check Alcotest.int (name ^ ": one series per partition") 2
+        (List.length (samples_named families name)))
+    [ "partstm_commits_total"; "partstm_abort_rate"; "partstm_granularity_log2" ];
+  check (Alcotest.float 0.0) "first partition idle" 0.0
+    (partition_value families "partstm_commits_total" (Partition.name first));
+  check (Alcotest.float 0.0) "late partition counted from zero" 1.0
+    (partition_value families "partstm_commits_total" (Partition.name second));
+  match
+    Obs.Openmetrics.parse
+      "# TYPE partstm_commits counter\npartstm_commits_total{partition=\"a\"} 1\n\
+       # TYPE partstm_commits counter\npartstm_commits_total{partition=\"b\"} 1\n# EOF\n"
+  with
+  | Ok _ -> Alcotest.fail "a family declared twice must not parse"
+  | Error _ -> ()
 
+(* Two descriptors land in different [Affinity] shards; the exposition
+   merges the shards each time it is read, with no sample in between. *)
 let test_histogram_merge () =
-  let m = Obs.Metrics.create ~max_workers:2 () in
-  let h = Obs.Metrics.histogram m "lat" in
-  Obs.Metrics.observe h ~worker:0 10;
-  Obs.Metrics.observe h ~worker:1 1000;
-  let merged = Obs.Metrics.merged h in
-  check Alcotest.int "merged count" 2 (Histogram.count merged);
-  check Alcotest.int "merged max" 1000 (Histogram.max_value merged)
+  let system = System.create ~max_workers:4 () in
+  let v = System.tvar (System.partition system "lat") 0 in
+  let plane = Metrics_plane.create (System.registry system) in
+  let now = ref 0 in
+  Metrics_plane.set_clock plane (fun () -> !now);
+  Metrics_plane.attach plane;
+  let commit worker ~cost =
+    System.atomically (System.descriptor system ~worker_id:worker) (fun t ->
+        now := !now + cost;
+        System.write t v (System.read t v + 1))
+  in
+  commit 0 ~cost:3;
+  commit 1 ~cost:1000;
+  let read () = parse_exposition (Metrics_plane.openmetrics plane) in
+  let families = read () in
+  check (Alcotest.float 0.0) "both descriptors counted" 2.0
+    (sample_value families "partstm_commit_latency_count");
+  check (Alcotest.float 0.0) "latencies summed across shards" 1003.0
+    (sample_value families "partstm_commit_latency_sum");
+  commit 1 ~cost:1000;
+  check (Alcotest.float 0.0) "merged again at the next read" 3.0
+    (sample_value (read ()) "partstm_commit_latency_count");
+  Metrics_plane.detach plane
 
 (* -- OpenMetrics exporter ----------------------------------------------------- *)
 
@@ -71,30 +152,49 @@ let families_testable =
   let pp ppf (f : Obs.Openmetrics.family) = Fmt.pf ppf "%s" f.Obs.Openmetrics.f_name in
   Alcotest.testable (Fmt.list pp) ( = )
 
-let sample_registry () =
-  let m = Obs.Metrics.create ~max_workers:2 () in
-  let c = Obs.Metrics.counter m ~help:"a counter" ~labels:[ ("p", "alpha") ] "om_ops" in
-  Obs.Metrics.add c ~worker:0 41;
-  Obs.Metrics.incr c ~worker:1;
-  let g = Obs.Metrics.gauge m ~help:"with \"quotes\" and \\ backslash\nnewline" "om_gauge" in
-  Obs.Metrics.set_gauge g 2.5;
-  let h = Obs.Metrics.histogram m "om_lat" in
-  Obs.Metrics.observe h ~worker:0 3;
-  Obs.Metrics.observe h ~worker:0 300;
-  m
+(* One family of each kind, the gauge's help exercising every escape. *)
+let sample_families () =
+  let sample name labels value =
+    { Obs.Openmetrics.s_name = name; s_labels = labels; s_value = value }
+  in
+  [
+    {
+      Obs.Openmetrics.f_name = "om_gauge";
+      f_kind = Obs.Openmetrics.Gauge;
+      f_help = "with \"quotes\" and \\ backslash\nnewline";
+      f_samples = [ sample "om_gauge" [] 2.5 ];
+    };
+    {
+      Obs.Openmetrics.f_name = "om_lat";
+      f_kind = Obs.Openmetrics.Histogram;
+      f_help = "";
+      f_samples =
+        [
+          sample "om_lat_bucket" [ ("le", "4") ] 1.0;
+          sample "om_lat_bucket" [ ("le", "+Inf") ] 2.0;
+          sample "om_lat_count" [] 2.0;
+          sample "om_lat_sum" [] 303.0;
+        ];
+    };
+    {
+      Obs.Openmetrics.f_name = "om_ops";
+      f_kind = Obs.Openmetrics.Counter;
+      f_help = "a counter";
+      f_samples = [ sample "om_ops_total" [ ("p", "alpha") ] 42.0 ];
+    };
+  ]
 
 let test_openmetrics_round_trip () =
-  let m = sample_registry () in
-  let families = Obs.Metrics.families m in
-  let text = Obs.Metrics.render m in
+  let families = sample_families () in
+  let text = Obs.Openmetrics.render families in
   check Alcotest.bool "terminated by # EOF" true
     (String.length text >= 6 && String.sub text (String.length text - 6) 6 = "# EOF\n");
   match Obs.Openmetrics.parse text with
   | Error msg -> Alcotest.failf "exporter output did not parse: %s" msg
   | Ok parsed ->
       check families_testable "parse (render families) = families" families parsed;
-      (* Render is deterministic: same registry, same bytes. *)
-      check Alcotest.string "render is stable" text (Obs.Metrics.render m)
+      (* Render is deterministic: same families, same bytes. *)
+      check Alcotest.string "render is stable" text (Obs.Openmetrics.render families)
 
 let test_openmetrics_rejects_malformed () =
   let expect_error name text =
@@ -111,19 +211,18 @@ let test_openmetrics_rejects_malformed () =
   expect_error "unparsable value" "# TYPE a gauge\na one\n# EOF\n"
 
 (* Registration order must not leak into the rendered bytes: two
-   registries populated in opposite orders render identically (the
-   artifact-diffability contract). *)
+   registries registering the same partitions in opposite orders render
+   identically (the artifact-diffability contract). *)
 let test_openmetrics_order_independent () =
-  let build order =
-    let m = Obs.Metrics.create ~max_workers:1 () in
-    List.iter
-      (fun (name, label) ->
-        Obs.Metrics.incr (Obs.Metrics.counter m ~labels:[ ("p", label) ] name) ~worker:0)
-      order;
-    Obs.Metrics.render m
+  let build names =
+    let system = System.create ~max_workers:2 () in
+    List.iter (fun name -> ignore (System.partition system name)) names;
+    let plane = Metrics_plane.create (System.registry system) in
+    Metrics_plane.sample plane;
+    Metrics_plane.openmetrics plane
   in
-  let a = build [ ("zzz", "b"); ("zzz", "a"); ("aaa", "x") ] in
-  let b = build [ ("aaa", "x"); ("zzz", "a"); ("zzz", "b") ] in
+  let a = build [ "zzz"; "mmm"; "aaa" ] in
+  let b = build [ "aaa"; "mmm"; "zzz" ] in
   check Alcotest.string "render independent of registration order" a b
 
 (* -- SLO tracker -------------------------------------------------------------- *)
@@ -177,6 +276,18 @@ let test_slo_windows_and_burn () =
   check Alcotest.string "slo json stable"
     (Json.to_string (Obs.Slo.to_json slo))
     (Json.to_string (Obs.Slo.to_json slo))
+
+(* An objective's name labels its exported series, so a second objective
+   with the same name would hide one of them from a scraper. *)
+let test_slo_repeated_name () =
+  let slo = Obs.Slo.create () in
+  let spec text = match Obs.Slo.parse text with Ok s -> s | Error m -> failwith m in
+  let source () = Histogram.create () in
+  ignore (Obs.Slo.add slo (spec "commit_p99<100") ~source);
+  Alcotest.check_raises "repeated objective name raises"
+    (Invalid_argument "Slo.add: objective commit_p99 given twice") (fun () ->
+      ignore (Obs.Slo.add slo (spec "commit_p99<100000") ~source));
+  check Alcotest.int "first objective kept alone" 1 (List.length (Obs.Slo.statuses slo))
 
 (* -- Affinity matrix ---------------------------------------------------------- *)
 
@@ -374,21 +485,23 @@ let test_plane_mirrors_and_slo () =
   check Alcotest.bool "latency histogram present" true
     (contains text "partstm_commit_latency_bucket")
 
-let request_metrics server path =
+let request_metrics port path =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, Metrics_server.port server));
+  Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let request = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path in
   ignore (Unix.write_substring sock request 0 (String.length request));
   sock
 
-let scrape server path =
-  let sock = request_metrics server path in
+(* [poll] answers pending requests: [Metrics_server.poll] on a bare server,
+   [Metrics_plane.poll_server] on a plane's endpoint. *)
+let scrape ~port ~poll path =
+  let sock = request_metrics port path in
   Fun.protect
     ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
     (fun () ->
       (* The connection sits in the listener's backlog until the next
          poll — exactly how the driver's service loop drives it. *)
-      Metrics_server.poll server;
+      poll ();
       let buf = Buffer.create 1024 in
       let chunk = Bytes.create 4096 in
       let rec drain () =
@@ -401,9 +514,10 @@ let scrape server path =
       drain ();
       Buffer.contents buf)
 
-(* A scrape must answer 200 with a body the OpenMetrics parser accepts. *)
-let check_valid_scrape server =
-  let response = scrape server "/metrics" in
+(* A scrape must answer 200 with a body the OpenMetrics parser accepts;
+   returns the parsed body. *)
+let check_valid_scrape ~port ~poll =
+  let response = scrape ~port ~poll "/metrics" in
   check Alcotest.bool "200 OK" true
     (String.length response > 12 && String.sub response 9 3 = "200");
   let marker = "\r\n\r\n" in
@@ -417,30 +531,46 @@ let check_valid_scrape server =
   | Some body_start -> (
       let body = String.sub response body_start (String.length response - body_start) in
       match Obs.Openmetrics.parse body with
-      | Ok _ -> ()
+      | Ok families -> families
       | Error msg -> Alcotest.failf "scraped body invalid: %s" msg)
 
+let server_endpoint server =
+  (Metrics_server.port server, fun () -> Metrics_server.poll server)
+
+(* A plane serves its exposition before its first sample: the partition
+   counters are there, and read 0. *)
 let test_scrape_endpoint () =
-  let m = sample_registry () in
-  let server = Metrics_server.start ~content:(fun () -> Obs.Metrics.render m) () in
-  check Alcotest.bool "ephemeral port assigned" true (Metrics_server.port server > 0);
-  check_valid_scrape server;
-  let missing = scrape server "/nope" in
+  let system = System.create ~max_workers:4 () in
+  let p = System.partition system "served" in
+  let v = System.tvar p 0 in
+  let txn = System.descriptor system ~worker_id:0 in
+  System.atomically txn (fun t -> System.write t v 1);
+  let plane = Metrics_plane.create (System.registry system) in
+  let port = Metrics_plane.serve plane in
+  let poll () = Metrics_plane.poll_server plane in
+  check Alcotest.bool "ephemeral port assigned" true (port > 0);
+  let families = check_valid_scrape ~port ~poll in
+  check (Alcotest.float 0.0) "unsampled partition reads 0" 0.0
+    (partition_value families "partstm_commits_total" "served");
+  check (Alcotest.float 0.0) "no sample yet" 0.0
+    (sample_value families "partstm_plane_samples_total");
+  let missing = scrape ~port ~poll "/nope" in
   check Alcotest.bool "404 for other paths" true
     (String.length missing > 12 && String.sub missing 9 3 = "404");
-  Metrics_server.stop server
+  Metrics_plane.stop_server plane;
+  check Alcotest.bool "server stopped" false (Metrics_plane.has_server plane)
 
 (* A scraper that sends its request and hangs up before reading a large
    reply must cost that reply only: the write fails with EPIPE instead of
    SIGPIPE killing the process.  The server stays usable afterwards. *)
 let test_scrape_hang_up () =
-  let m = sample_registry () in
   let body = ref (String.make 1_000_000 '#') in
   let server = Metrics_server.start ~content:(fun () -> !body) () in
-  Unix.close (request_metrics server "/metrics");
-  Metrics_server.poll server;
-  body := Obs.Metrics.render m;
-  check_valid_scrape server;
+  let port, poll = server_endpoint server in
+  Unix.close (request_metrics port "/metrics");
+  poll ();
+  body := Obs.Openmetrics.render (sample_families ());
+  ignore (check_valid_scrape ~port ~poll);
   Metrics_server.stop server
 
 (* A scraper that never reads a reply larger than the socket buffers must
@@ -448,24 +578,24 @@ let test_scrape_hang_up () =
    stalled client after 2s, so without the timeout this test fails on the
    elapsed time instead of hanging. *)
 let test_scrape_stalled_client () =
-  let m = sample_registry () in
   let body = ref (String.make 4_000_000 '#') in
   let server = Metrics_server.start ~content:(fun () -> !body) () in
-  let stalled = request_metrics server "/metrics" in
+  let port, poll = server_endpoint server in
+  let stalled = request_metrics port "/metrics" in
   let closer =
     Domain.spawn (fun () ->
         Unix.sleepf 2.0;
         Unix.close stalled)
   in
   let start = Unix.gettimeofday () in
-  Metrics_server.poll server;
+  poll ();
   let elapsed = Unix.gettimeofday () -. start in
   Domain.join closer;
   check Alcotest.bool
     (Printf.sprintf "poll returned within 1s of a stalled scraper (took %.2fs)" elapsed)
     true (elapsed < 1.0);
-  body := Obs.Metrics.render m;
-  check_valid_scrape server;
+  body := Obs.Openmetrics.render (sample_families ());
+  ignore (check_valid_scrape ~port ~poll);
   Metrics_server.stop server
 
 (* A port outside the TCP range must be rejected, not wrapped modulo 2^16
@@ -592,6 +722,7 @@ let () =
           Alcotest.test_case "spec parsing" `Quick test_slo_parse;
           Alcotest.test_case "windows, violations and budget burn" `Quick
             test_slo_windows_and_burn;
+          Alcotest.test_case "repeated objective name raises" `Quick test_slo_repeated_name;
         ] );
       ( "affinity",
         [
