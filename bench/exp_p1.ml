@@ -2,9 +2,11 @@
    "descriptor indexing").
 
    Host-time per-access cost by descriptor set size S (8/64/512), measured
-   on one thread with the direct Txn API, for the three descriptor lookups
+   on one thread with the direct Txn API, for the four descriptor lookups
    that would cost O(S) per access without the Intmap + Bloom indexes:
 
+     inv-read     S invisible reads of distinct-slot tvars, read-only —
+                  every read probes the read-set dedup index;
      vis-read     S visible reads of distinct-slot tvars — every read asks
                   [holds_visible];
      vis-write    S visible reads then S writes — every acquire looks up
@@ -56,6 +58,14 @@ let fine = 16 (* granularity_log2: 65536 slots, so distinct slots are easy *)
 
 let scenarios =
   [
+    {
+      sc_name = "inv-read";
+      sc_mode = Mode.make ~visibility:Mode.Invisible ~granularity_log2:fine ();
+      sc_ops = (fun s -> s);
+      sc_run =
+        (fun ~txn ~helper:_ ~tvars ~extra:_ ->
+          Txn.atomically txn (fun t -> Array.iter (fun tv -> ignore (Txn.read t tv)) tvars));
+    };
     {
       sc_name = "vis-read";
       sc_mode = Mode.make ~visibility:Mode.Visible ~granularity_log2:fine ();

@@ -91,9 +91,9 @@ type t = {
      never returns from [atomically] (Driver wires its countdown here). *)
   mutable retry_hook : (unit -> unit) option;
   read_words : int Atomic.t Vec.t;  (* invisible read set: orec words ... *)
-  read_observed : int Vec.t;  (* ... and the unlocked word observed *)
+  read_observed : Intvec.t;  (* ... and the unlocked word observed *)
   lock_words : int Atomic.t Vec.t;  (* owned write locks ... *)
-  lock_prev : int Vec.t;  (* ... and their pre-lock words *)
+  lock_prev : Intvec.t;  (* ... and their pre-lock words *)
   vis_counters : int Atomic.t Vec.t;  (* held visible-reader counters *)
   writes : Tvar.any Vec.t;
       (* write-back set: each tvar's buffered value is in its [pending]
@@ -118,7 +118,7 @@ type t = {
      identified by [Lock_table.slot_key]; every index lookup and
      [own_bloom] test charges no simulated cycles, so the indexes cost
      host time only and never shape a deterministic-sim schedule. *)
-  read_keys : int Vec.t;  (* slot_key per read entry *)
+  read_keys : Intvec.t;  (* slot_key per read entry *)
   read_index : Intmap.t;  (* slot_key -> read-set position (dedup) *)
   lock_index : Intmap.t;  (* slot_key -> lock_words position *)
   vis_index : Intmap.t;  (* slot_key -> vis_counters position *)
@@ -175,9 +175,9 @@ let create_descriptor engine ~worker_id =
     reads = 0;
     retry_hook = None;
     read_words = Vec.create ~dummy:dummy_atomic ();
-    read_observed = Vec.create ~dummy:0 ();
+    read_observed = Intvec.create ();
     lock_words = Vec.create ~dummy:dummy_atomic ();
-    lock_prev = Vec.create ~dummy:0 ();
+    lock_prev = Intvec.create ();
     vis_counters = Vec.create ~dummy:dummy_atomic ();
     writes = Vec.create ~dummy:dummy_any ();
     undo = Vec.create ~dummy:dummy_logged ();
@@ -186,7 +186,7 @@ let create_descriptor engine ~worker_id =
     mv_inhibit = false;
     commit_wv = 0;
     ctl_checks = Vec.create ~dummy:dummy_logged ();
-    read_keys = Vec.create ~dummy:0 ();
+    read_keys = Intvec.create ();
     read_index = Intmap.create ();
     lock_index = Intmap.create ();
     vis_index = Intmap.create ();
@@ -315,12 +315,12 @@ let rec first_invalid_from t i =
   else begin
     Runtime_hook.charge Runtime_hook.Validate_entry;
     let word = Vec.get t.read_words i in
-    let observed = Vec.get t.read_observed i in
+    let observed = Intvec.get t.read_observed i in
     let current = Atomic.get word in
     if current = observed then first_invalid_from t (i + 1)
     else if Orec.locked_by current ~owner:t.id then begin
-      let j = Intmap.find t.lock_index (Vec.get t.read_keys i) in
-      if j >= 0 && Vec.get t.lock_prev j = observed then first_invalid_from t (i + 1) else i
+      let j = Intmap.find t.lock_index (Intvec.get t.read_keys i) in
+      if j >= 0 && Intvec.get t.lock_prev j = observed then first_invalid_from t (i + 1) else i
     end
     else i
   end
@@ -351,7 +351,7 @@ let record_validation_conflict t ~failed_index =
   match t.engine.Engine.recorder with
   | None -> ()
   | Some r ->
-      let key = Vec.get t.read_keys failed_index in
+      let key = Intvec.get t.read_keys failed_index in
       r.Engine.rec_conflict ~txn:t.id ~cause:Engine.Validation
         ~region:(region_of_table t (Lock_table.key_uid key) t.entries)
         ~slot:(Lock_table.key_slot key)
@@ -501,14 +501,16 @@ let log_invisible_read t (entry : region_entry) ~slot (word : int Atomic.t) w1 =
      committed version would carry a tick past the validation that moved
      [rv].  The equality check keeps the dedup conservative anyway (under
      seeded zombie bugs a mismatch appends, so validation still sees the
-     stale entry and fails as it should). *)
+     stale entry and fails as it should).  One probe both finds a logged
+     entry and claims the position of a new one. *)
   let key = Lock_table.slot_key entry.re_table slot in
-  let i = Intmap.find t.read_index key in
-  if i < 0 || Vec.get t.read_observed i <> w1 then begin
-    Intmap.set t.read_index key (Vec.length t.read_words);
-    Vec.push t.read_keys key;
+  let n = Vec.length t.read_words in
+  let i = Intmap.find_or_add t.read_index key n in
+  if i < 0 || Intvec.get t.read_observed i <> w1 then begin
+    if i >= 0 then Intmap.set t.read_index key n;
+    Intvec.push t.read_keys key;
     Vec.push t.read_words word;
-    Vec.push t.read_observed w1
+    Intvec.push t.read_observed w1
   end;
   record_read t entry ~slot ~version:(Orec.version w1)
 
@@ -789,7 +791,7 @@ let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t
     end
     else begin
       Vec.push t.lock_words word;
-      Vec.push t.lock_prev w;
+      Intvec.push t.lock_prev w;
       Intmap.set t.lock_index key (Vec.length t.lock_words - 1);
       t.own_bloom <- t.own_bloom lor bloom_bits key;
       (* Visible holds are unique per counter (read_visible guards on
@@ -894,14 +896,14 @@ let retry t =
 let begin_txn t =
   Engine.enter t.engine ~worker:t.worker_id;
   Vec.clear t.read_words;
-  Vec.clear t.read_observed;
+  Intvec.clear t.read_observed;
   Vec.clear t.lock_words;
-  Vec.clear t.lock_prev;
+  Intvec.clear t.lock_prev;
   Vec.clear t.vis_counters;
   Vec.clear t.writes;
   Vec.clear t.undo;
   Vec.clear t.ctl_checks;
-  Vec.clear t.read_keys;
+  Intvec.clear t.read_keys;
   Intmap.clear t.read_index;
   Intmap.clear t.lock_index;
   Intmap.clear t.vis_index;
@@ -923,8 +925,8 @@ let release_visible_holds t =
    and logged tvars (and through their values, whole tvar graphs) until
    the worker's next transaction happened to overwrite the same slots.
    Wipe the used prefix of every pointer-holding vec at transaction end
-   (O(entries used), not O(capacity)); the int vecs hold no references and
-   reset lazily at [begin_txn]. *)
+   (O(entries used), not O(capacity)); the [Intvec] logs hold no
+   references and reset lazily at [begin_txn]. *)
 let release_references t =
   Vec.wipe t.read_words;
   Vec.wipe t.lock_words;
@@ -1073,7 +1075,7 @@ let undo_and_release t () =
         if not (Bug.enabled Bug.Skip_undo_log) then tvar.Tvar.pending_owner <- Tvar.no_owner
   done;
   for i = 0 to Vec.length t.lock_words - 1 do
-    Atomic.set (Vec.get t.lock_words i) (Vec.get t.lock_prev i)
+    Atomic.set (Vec.get t.lock_words i) (Intvec.get t.lock_prev i)
   done;
   (* Sequence locks captured by an aborted commit: nothing was published,
      so restoring the captured even value keeps every reader snapshot
@@ -1199,7 +1201,7 @@ let rec atomically_loop : type a. t -> (t -> a) -> a =
       (* Snapshot the wait set before rollback clears it. *)
       let n = Vec.length t.read_words in
       let watched = Array.init n (Vec.get t.read_words) in
-      let observed = Array.init n (Vec.get t.read_observed) in
+      let observed = Array.init n (Intvec.get t.read_observed) in
       rollback t;
       run_retry_hook t;
       wait_for_read_set_change watched observed;

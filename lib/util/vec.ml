@@ -22,15 +22,7 @@ let get t i =
   if i < 0 || i >= t.length then invalid_arg "Vec.get";
   t.data.(i)
 
-let set t i x =
-  if i < 0 || i >= t.length then invalid_arg "Vec.set";
-  t.data.(i) <- x
-
 let clear t = t.length <- 0
-
-let deep_clear t =
-  Array.fill t.data 0 (Array.length t.data) t.dummy;
-  t.length <- 0
 
 (* Bounded deep clear: only the used prefix can hold non-dummy elements
    (push never skips slots), so overwriting [0, length) releases every
@@ -52,33 +44,3 @@ let iter f t =
   for i = 0 to t.length - 1 do
     f t.data.(i)
   done
-
-let iteri f t =
-  for i = 0 to t.length - 1 do
-    f i t.data.(i)
-  done
-
-let exists predicate t =
-  let rec loop i = i < t.length && (predicate t.data.(i) || loop (i + 1)) in
-  loop 0
-
-let for_all predicate t =
-  let rec loop i = i >= t.length || (predicate t.data.(i) && loop (i + 1)) in
-  loop 0
-
-let find_opt predicate t =
-  let rec loop i =
-    if i >= t.length then None
-    else if predicate t.data.(i) then Some t.data.(i)
-    else loop (i + 1)
-  in
-  loop 0
-
-let count predicate t =
-  let n = ref 0 in
-  iter (fun x -> if predicate x then incr n) t;
-  !n
-
-let to_list t =
-  let rec loop acc i = if i < 0 then acc else loop (t.data.(i) :: acc) (i - 1) in
-  loop [] (t.length - 1)

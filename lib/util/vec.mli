@@ -8,20 +8,15 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 
 val clear : 'a t -> unit
 (** Resets the length; does not drop element references (see
-    {!deep_clear}). *)
-
-val deep_clear : 'a t -> unit
-(** Resets the length and overwrites capacity with the dummy, releasing
-    references. *)
+    {!wipe}). *)
 
 val wipe : 'a t -> unit
 (** Resets the length and overwrites the used prefix [0, length) with the
-    dummy: releases every element reference like {!deep_clear}, but in
-    O(length) rather than O(capacity). *)
+    dummy, releasing every element reference in O(length): [push] never
+    skips a slot, so nothing past the used prefix can be pinned. *)
 
 val resident : 'a t -> int
 (** Number of slots in the whole backing array (not just [0, length))
@@ -29,9 +24,3 @@ val resident : 'a t -> int
     references the vec still pins. Diagnostic for leak tests. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-val exists : ('a -> bool) -> 'a t -> bool
-val for_all : ('a -> bool) -> 'a t -> bool
-val find_opt : ('a -> bool) -> 'a t -> 'a option
-val count : ('a -> bool) -> 'a t -> int
-val to_list : 'a t -> 'a list

@@ -193,6 +193,51 @@ let test_tracer_alloc () =
         true (words <= 10_000.0))
     [ 2; 16 ]
 
+(* [count] tvars of [p] on pairwise-distinct orecs. *)
+let distinct_slot_tvars p ~count =
+  let table = (Partition.region p).Region.table in
+  let seen = Hashtbl.create count in
+  let rec gather acc n =
+    if n = count then Array.of_list (List.rev acc)
+    else
+      let tv = System.tvar p 1 in
+      let slot = Lock_table.slot_of_id table tv.Tvar.id in
+      if Hashtbl.mem seen slot then gather acc n
+      else begin
+        Hashtbl.add seen slot ();
+        gather (tv :: acc) (n + 1)
+      end
+  in
+  gather [] 0
+
+(* A read set past the initial capacity of the descriptor's dedup index
+   and int logs: 100 tvars on distinct orecs, so every read adds an entry.
+   Growth happens during warm-up; afterwards the logs are reused, 10k
+   transactions stay within the same 64-word budget, and a committed
+   transaction pins nothing. *)
+let test_large_read_set_alloc () =
+  let system = System.create ~max_workers:4 () in
+  let p = System.partition system "alloc-reads" in
+  let tvars = distinct_slot_tvars p ~count:100 in
+  let words, resident =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let txn = System.domain_descriptor system in
+           let body t = sum_reads t tvars 0 0 in
+           for _ = 1 to 256 do
+             ignore (System.atomically txn body)
+           done;
+           let before = Gc.minor_words () in
+           for _ = 1 to 10_000 do
+             ignore (System.atomically txn body)
+           done;
+           (Gc.minor_words () -. before, Txn.debug_resident txn)))
+  in
+  check Alcotest.bool
+    (Printf.sprintf "10k warm 100-read txns allocated %.0f minor words (budget 64)" words)
+    true (words <= 64.0);
+  check Alcotest.int "nothing pinned after commit" 0 resident
+
 (* Warm update transactions on one domain: each writes [writes] tvars of
    one partition in [mode].  Returns the minor words allocated by 10k
    transactions after warm-up.  Descriptor logs hold data, not closures:
@@ -445,6 +490,8 @@ let () =
             test_multi_version_alloc;
           Alcotest.test_case "1-in-64 tracer allocates only its kept spans" `Quick
             test_tracer_alloc;
+          Alcotest.test_case "100-read read set is allocation-free" `Quick
+            test_large_read_set_alloc;
         ] );
       ( "transfers",
         [ Alcotest.test_case "indexed descriptors under domains" `Quick test_transfers_domains ] );

@@ -255,10 +255,10 @@ let chrome_test =
 
 (* -- Contention heatmap reconciles with engine counters ---------------------- *)
 
-(* Single-partition scenarios keep per-region attribution exact (see the
-   caveat in tracer.ml), so the heatmap totals must equal the engine's own
-   [Region_stats] conflict counters, and the per-region abort histograms
-   must count every abort the tracer saw. *)
+(* Single-partition scenarios keep per-region attribution exact, so the
+   heatmap totals must equal the engine's own [Region_stats] conflict
+   counters, and the per-region abort histograms must count every abort
+   the tracer saw. *)
 let heatmap_reconciliation_test =
   Alcotest.test_case "heatmap totals equal engine conflict counters" `Quick (fun () ->
       List.iter

@@ -590,6 +590,97 @@ let test_retry_requires_reads () =
         (Invalid_argument "Txn.retry: nothing read invisibly (the wait set would be empty)")
         (fun () -> Txn.atomically txn (fun t -> if true then Txn.retry t else ())))
 
+(* Read-set dedup stays exact: validation charges one [Validate_entry] per
+   read-set entry, so however often a transaction re-reads an orec, a
+   validation must charge exactly one entry per distinct orec read.  A
+   missed duplicate would add charges, and with them simulated cycles. *)
+let validate_entry_charges txn tvars order =
+  let charges = ref 0 in
+  Txn.atomically txn (fun t ->
+      List.iter (fun i -> ignore (Txn.read t tvars.(i))) order;
+      Fun.protect ~finally:Runtime_hook.reset (fun () ->
+          Runtime_hook.install
+            ~charge:(function Runtime_hook.Validate_entry -> incr charges | _ -> ())
+            ~relax:ignore ();
+          check Alcotest.bool "read set valid" true (Txn.validate t)));
+  !charges
+
+let test_txn_dedup_exact () =
+  (* g1: two orecs, 40 reads alternating between them. *)
+  with_txn_env ~mode:(invisible_mode 1) (fun _ r txn ->
+      let slot tv = Lock_table.slot_of_id r.Region.table tv.Tvar.id in
+      let first = Tvar.make r 0 in
+      let rec on_other_orec () =
+        let tv = Tvar.make r 1 in
+        if slot tv <> slot first then tv else on_other_orec ()
+      in
+      let tvars = [| first; on_other_orec () |] in
+      check Alcotest.int "g1, 40 alternating reads: one entry per orec" 2
+        (validate_entry_charges txn tvars (List.init 40 (fun i -> i land 1))));
+  (* g14: 100 reads of 50 tvars, each read twice. *)
+  with_txn_env ~mode:(invisible_mode 14) (fun _ r txn ->
+      let tvars = Array.init 50 (fun i -> Tvar.make r i) in
+      let orecs =
+        Array.to_list tvars
+        |> List.map (fun tv -> Lock_table.slot_of_id r.Region.table tv.Tvar.id)
+        |> List.sort_uniq compare |> List.length
+      in
+      check Alcotest.int "g14, 100 reads of 50 tvars: one entry per orec" orecs
+        (validate_entry_charges txn tvars (List.init 100 (fun i -> i mod 50))))
+
+(* A body exception under every valid protocol x write policy: rollback
+   releases every lock and reader hold, leaves the commit-time seqlock and
+   the multi-version state where they were, publishes nothing, and counts
+   exactly one abort and no commit. *)
+let test_txn_body_exception_every_mode () =
+  let modes =
+    [
+      ("invisible-wb", Mode.make ());
+      ("invisible-wt", Mode.make ~update:Mode.Write_through ());
+      ("visible-wb", Mode.make ~visibility:Mode.Visible ());
+      ("visible-wt", Mode.make ~visibility:Mode.Visible ~update:Mode.Write_through ());
+      ("mv8-wb", Mode.make ~protocol:(Protocol.Multi_version { depth = 8 }) ());
+      ("ctl-wb", Mode.make ~protocol:Protocol.Commit_time_lock ());
+    ]
+  in
+  List.iter
+    (fun (name, mode) ->
+      Mode.validate mode;
+      with_txn_env ~mode (fun e r txn ->
+          let a = Tvar.make r 1 and b = Tvar.make r 2 in
+          (* One committed write first, so the multi-version state belongs
+             to the region's current period. *)
+          Txn.atomically txn (fun t -> Txn.write t b 3);
+          let seq = Seqlock.read r.Region.ctl_seq in
+          let mv = Atomic.get b.Tvar.mv in
+          let clock = Engine.now e in
+          let stats = Region_stats.snapshot r.Region.stats in
+          Alcotest.check_raises (name ^ ": exception propagates") Exit (fun () ->
+              Txn.atomically txn (fun t ->
+                  Txn.write t b (Txn.read t a + 10);
+                  Txn.write t a 20;
+                  raise Exit));
+          let after = Region_stats.snapshot r.Region.stats in
+          let label what = name ^ ": " ^ what in
+          check Alcotest.int (label "a unchanged") 1 (Tvar.peek a);
+          check Alcotest.int (label "b unchanged") 3 (Tvar.peek b);
+          check Alcotest.int (label "no orec locked") 0 (Lock_table.locked_slots r.Region.table);
+          check Alcotest.int (label "no reader hold") 0 (Lock_table.readers_total r.Region.table);
+          check Alcotest.int (label "seqlock unchanged") seq (Seqlock.read r.Region.ctl_seq);
+          check Alcotest.bool (label "seqlock even") false (Seqlock.is_locked seq);
+          check Alcotest.int (label "clock not advanced") clock (Engine.now e);
+          let mv' = Atomic.get b.Tvar.mv in
+          check Alcotest.int (label "mv version not advanced") mv.Mv_history.mv_version
+            mv'.Mv_history.mv_version;
+          check Alcotest.int (label "mv epoch unchanged") mv.Mv_history.mv_epoch
+            mv'.Mv_history.mv_epoch;
+          check Alcotest.int (label "one abort")
+            (stats.Region_stats.s_aborts + 1)
+            after.Region_stats.s_aborts;
+          check Alcotest.int (label "no commit") stats.Region_stats.s_commits
+            after.Region_stats.s_commits))
+    modes
+
 let test_retry_wakes_on_write () =
   let e = fresh_engine () in
   let r = Region.create e ~name:"main" () in
@@ -831,6 +922,9 @@ let () =
           Alcotest.test_case "write-through + write-back mix" `Quick
             test_write_through_mixed_with_write_back;
           Alcotest.test_case "retry requires reads" `Quick test_retry_requires_reads;
+          Alcotest.test_case "dedup charges one entry per orec" `Quick test_txn_dedup_exact;
+          Alcotest.test_case "body exception under every mode" `Quick
+            test_txn_body_exception_every_mode;
         ] );
       ( "txn_retry",
         [

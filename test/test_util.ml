@@ -476,25 +476,9 @@ let test_vec_clear_reuse () =
 let test_vec_iteration () =
   let v = Vec.create ~dummy:0 () in
   List.iter (Vec.push v) [ 3; 1; 4; 1; 5 ];
-  check Alcotest.(list int) "to_list" [ 3; 1; 4; 1; 5 ] (Vec.to_list v);
-  check Alcotest.int "count" 2 (Vec.count (fun x -> x = 1) v);
-  check Alcotest.bool "exists" true (Vec.exists (fun x -> x = 4) v);
-  check Alcotest.bool "for_all" false (Vec.for_all (fun x -> x < 5) v);
-  check Alcotest.(option int) "find" (Some 4) (Vec.find_opt (fun x -> x > 3) v);
-  let sum = ref 0 in
-  Vec.iter (fun x -> sum := !sum + x) v;
-  check Alcotest.int "iter sum" 14 !sum;
-  let indexed = ref [] in
-  Vec.iteri (fun i x -> indexed := (i, x) :: !indexed) v;
-  check Alcotest.int "iteri count" 5 (List.length !indexed)
-
-let test_vec_set_and_deep_clear () =
-  let v = Vec.create ~dummy:0 () in
-  Vec.push v 1;
-  Vec.set v 0 42;
-  check Alcotest.int "set" 42 (Vec.get v 0);
-  Vec.deep_clear v;
-  check Alcotest.int "cleared" 0 (Vec.length v)
+  let seen = ref [] in
+  Vec.iter (fun x -> seen := x :: !seen) v;
+  check Alcotest.(list int) "iter visits [0, length) in order" [ 3; 1; 4; 1; 5 ] (List.rev !seen)
 
 let test_vec_wipe_resident () =
   let v = Vec.create ~dummy:(-1) () in
@@ -514,18 +498,17 @@ let test_vec_wipe_resident () =
 
 (* Model-based property: a Vec behaves like a list under every operation
    mix, including from ~capacity:0 (first push must grow an empty backing
-   array) and re-push after each clear flavour. *)
+   array) and re-push after each clear flavour.  An Intvec driven by the
+   same pushes and clears must hold the same list. *)
 
-type vec_op = V_push of int | V_set of int * int | V_clear | V_deep_clear | V_wipe
+type vec_op = V_push of int | V_clear | V_wipe
 
 let vec_op_gen =
   QCheck2.Gen.(
     frequency
       [
         (6, map (fun x -> V_push x) small_int);
-        (2, map2 (fun i x -> V_set (i, x)) small_nat small_int);
         (1, return V_clear);
-        (1, return V_deep_clear);
         (1, return V_wipe);
       ])
 
@@ -534,32 +517,26 @@ let prop_vec_matches_list_model =
     QCheck2.Gen.(list_size (int_range 0 120) vec_op_gen)
     (fun ops ->
       let v = Vec.create ~capacity:0 ~dummy:(-1) () in
+      let iv = Intvec.create ~capacity:0 () in
       let model = ref [] in
       List.iter
         (fun op ->
           match op with
           | V_push x ->
               Vec.push v x;
+              Intvec.push iv x;
               model := !model @ [ x ]
-          | V_set (i, x) ->
-              let n = List.length !model in
-              if n > 0 then begin
-                let i = i mod n in
-                Vec.set v i x;
-                model := List.mapi (fun j y -> if j = i then x else y) !model
-              end
           | V_clear ->
               Vec.clear v;
-              model := []
-          | V_deep_clear ->
-              Vec.deep_clear v;
+              Intvec.clear iv;
               model := []
           | V_wipe ->
               Vec.wipe v;
+              Intvec.clear iv;
               model := [])
         ops;
-      Vec.to_list v = !model
-      && Vec.length v = List.length !model
+      List.init (Vec.length v) (Vec.get v) = !model
+      && List.init (Intvec.length iv) (Intvec.get iv) = !model
       && Vec.is_empty v = (!model = []))
 
 (* -- Ring ------------------------------------------------------------------- *)
@@ -618,13 +595,21 @@ let test_intmap_growth () =
     if Intmap.mem m (k * 3) then Alcotest.failf "key %d survived clear" (k * 3)
   done
 
-type intmap_op = I_set of int * int | I_clear
+type intmap_op = I_set of int * int | I_find_or_add of int * int | I_clear
+
+(* The model's key universe: 65 keys shaped like [Lock_table.slot_key]
+   (table id above bit 17, slot below) whose folds collide in few buckets,
+   forcing overwrites and long probe chains. *)
+let intmap_key k = ((k lsr 3) lsl 17) lor (k land 7)
 
 let intmap_op_gen =
-  (* Keys in a small range force collisions, overwrites and probe chains. *)
   QCheck2.Gen.(
     frequency
-      [ (8, map2 (fun k v -> I_set (k, v)) (int_range 0 64) small_nat); (1, return I_clear) ])
+      [
+        (6, map2 (fun k v -> I_set (intmap_key k, v)) (int_range 0 64) small_nat);
+        (3, map2 (fun k v -> I_find_or_add (intmap_key k, v)) (int_range 0 64) small_nat);
+        (1, return I_clear);
+      ])
 
 let prop_intmap_matches_hashtbl =
   qtest "intmap matches Hashtbl model"
@@ -634,19 +619,28 @@ let prop_intmap_matches_hashtbl =
       let h = Hashtbl.create 16 in
       List.for_all
         (fun op ->
-          (match op with
-          | I_set (k, v) ->
-              Intmap.set m k v;
-              Hashtbl.replace h k v
-          | I_clear ->
-              Intmap.clear m;
-              Hashtbl.reset h);
-          Intmap.length m = Hashtbl.length h
+          let returned_ok =
+            match op with
+            | I_set (k, v) ->
+                Intmap.set m k v;
+                Hashtbl.replace h k v;
+                true
+            | I_find_or_add (k, v) ->
+                let expected = Option.value (Hashtbl.find_opt h k) ~default:(-1) in
+                if expected < 0 then Hashtbl.replace h k v;
+                Intmap.find_or_add m k v = expected
+            | I_clear ->
+                Intmap.clear m;
+                Hashtbl.reset h;
+                true
+          in
+          returned_ok
+          && Intmap.length m = Hashtbl.length h
           && Hashtbl.fold (fun k v acc -> acc && Intmap.find m k = v) h true
           &&
           let agree = ref true in
           for k = 0 to 64 do
-            if Intmap.mem m k <> Hashtbl.mem h k then agree := false
+            if Intmap.mem m (intmap_key k) <> Hashtbl.mem h (intmap_key k) then agree := false
           done;
           !agree)
         ops)
@@ -764,7 +758,6 @@ let () =
           Alcotest.test_case "push get" `Quick test_vec_push_get;
           Alcotest.test_case "clear reuse" `Quick test_vec_clear_reuse;
           Alcotest.test_case "iteration" `Quick test_vec_iteration;
-          Alcotest.test_case "set deep_clear" `Quick test_vec_set_and_deep_clear;
           Alcotest.test_case "wipe and resident" `Quick test_vec_wipe_resident;
           prop_vec_matches_list_model;
         ] );
