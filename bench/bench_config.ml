@@ -1,6 +1,5 @@
 (* Shared configuration for the bench experiments. *)
 
-open Partstm_core
 open Partstm_harness
 open Partstm_workloads
 
@@ -22,16 +21,13 @@ let default_mode ?model t =
 (* Run one workload instance under a strategy and report throughput
    (ops per million simulated cycles), averaged over the seed set; every
    run's invariants are verified. *)
-let run_workload (type s) t ~workers ~strategy ?model
-    ~(setup : System.t -> strategy:Strategy.t -> s) ~(worker : s -> Driver.ctx -> int)
-    ~(verify : s -> bool) () =
+let run_workload t ~workers ~strategy ?model (Workload.Workload w) =
   let one seed =
-    let system = System.create ~max_workers:(workers + 8) () in
-    let state = setup system ~strategy in
-    Registry.reset_stats (System.registry system);
-    let tuner = if Strategy.uses_tuner strategy then Some (System.tuner system) else None in
-    let result = Driver.run ?tuner ~seed ~mode:(default_mode ?model t) ~workers (worker state) in
-    if not (verify state) then
+    let p = Workload.prepare ~workers ~strategy w.setup in
+    let result =
+      Driver.run ?tuner:p.tuner ~seed ~mode:(default_mode ?model t) ~workers (w.worker p.state)
+    in
+    if not (w.check p.state ~total_ops:result.Driver.total_ops) then
       failwith
         (Printf.sprintf "bench: workload verification failed (%s, seed %d)"
            (Strategy.label strategy) seed);

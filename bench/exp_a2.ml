@@ -12,10 +12,7 @@ open Partstm_workloads
 
 let run_ratio (cfg : Bench_config.t) ~model ~workers =
   let throughput strategy =
-    Bench_config.run_workload cfg ~workers ~strategy ~model
-      ~setup:(fun s ~strategy -> Mixed.setup s ~strategy Mixed.default_config)
-      ~worker:(fun state ctx -> Mixed.worker state ctx)
-      ~verify:Mixed.check ()
+    Bench_config.run_workload cfg ~workers ~strategy ~model (Workload.get "mixed")
   in
   let tuned = throughput Strategy.tuned in
   let best_global =

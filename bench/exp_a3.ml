@@ -6,8 +6,6 @@
    transfers) and loses on the contended list where aborts dominate; the
    tuner picks per partition. *)
 
-open Partstm_core
-open Partstm_harness
 open Partstm_workloads
 
 let strategies =
@@ -17,39 +15,17 @@ let strategies =
     ("tuned", Strategy.tuned);
   ]
 
-type scenario =
-  | Scenario : {
-      sc_name : string;
-      sc_setup : System.t -> strategy:Strategy.t -> 's;
-      sc_worker : 's -> Driver.ctx -> int;
-      sc_verify : 's -> bool;
-    }
-      -> scenario
-
 let scenarios =
   [
-    Scenario
-      {
-        sc_name = "bank (low-conflict writers)";
-        sc_setup = (fun s ~strategy -> Bank.setup s ~strategy Bank.default_config);
-        sc_worker = Bank.worker;
-        sc_verify = Bank.check;
-      };
-    Scenario
-      {
-        sc_name = "intset ll-u60 (contended)";
-        sc_setup =
-          (fun s ~strategy ->
-            Intset.setup s ~strategy
-              {
-                (Intset.default_config Intset.Linked_list) with
-                initial_size = 64;
-                key_range = 128;
-                update_percent = 60;
-              });
-        sc_worker = Intset.worker;
-        sc_verify = Intset.check;
-      };
+    ("bank (low-conflict writers)", Workload.get "bank");
+    ( "intset ll-u60 (contended)",
+      Workload.intset "ll-u60"
+        {
+          (Intset.default_config Intset.Linked_list) with
+          initial_size = 64;
+          key_range = 128;
+          update_percent = 60;
+        } );
   ]
 
 let run (cfg : Bench_config.t) =
@@ -61,14 +37,12 @@ let run (cfg : Bench_config.t) =
       ~header:("workload" :: List.map fst strategies)
   in
   List.iter
-    (fun (Scenario { sc_name; sc_setup; sc_worker; sc_verify }) ->
+    (fun (name, workload) ->
       let row =
-        sc_name
+        name
         :: List.map
              (fun (_, strategy) ->
-               Printf.sprintf "%.0f"
-                 (Bench_config.run_workload cfg ~workers ~strategy ~setup:sc_setup
-                    ~worker:sc_worker ~verify:sc_verify ()))
+               Printf.sprintf "%.0f" (Bench_config.run_workload cfg ~workers ~strategy workload))
              strategies
       in
       Partstm_util.Table.add_row table row)

@@ -43,9 +43,7 @@ let run (cfg : Bench_config.t) =
               (fun workers ->
                 let throughput =
                   Bench_config.run_workload cfg ~workers ~strategy
-                    ~setup:(fun s ~strategy -> Intset.setup s ~strategy config)
-                    ~worker:(fun state ctx -> Intset.worker state ctx)
-                    ~verify:Intset.check ()
+                    (Workload.intset scenario_name config)
                 in
                 (float_of_int workers, throughput))
               (Bench_config.worker_counts cfg)

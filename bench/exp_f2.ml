@@ -30,10 +30,7 @@ let run (cfg : Bench_config.t) =
         List.map
           (fun workers ->
             let throughput =
-              Bench_config.run_workload cfg ~workers ~strategy
-                ~setup:(fun s ~strategy -> Mixed.setup s ~strategy Mixed.default_config)
-                ~worker:(fun state ctx -> Mixed.worker state ctx)
-                ~verify:Mixed.check ()
+              Bench_config.run_workload cfg ~workers ~strategy (Workload.get "mixed")
             in
             (float_of_int workers, throughput))
           (Bench_config.worker_counts cfg)

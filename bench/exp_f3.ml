@@ -13,13 +13,7 @@ let max_cores (cfg : Bench_config.t) =
   List.fold_left max 1 (Bench_config.worker_counts cfg)
 
 let run_point cfg ~workers ~strategy =
-  Bench_config.run_workload cfg ~workers ~strategy
-    ~setup:(fun s ~strategy -> Granularity.setup s ~strategy Granularity.default_config)
-    ~worker:(fun state ctx -> Granularity.worker state ctx)
-    ~verify:(fun _ -> true)
-    (* Conservation is checked against total ops in the workload tests; the
-       bench only reports throughput. *)
-    ()
+  Bench_config.run_workload cfg ~workers ~strategy (Workload.get "granularity")
 
 let run (cfg : Bench_config.t) =
   Bench_config.section "R-F3: conflict-detection granularity";

@@ -16,19 +16,17 @@ module Figure = Partstm_harness.Figure
 let partition_name = "phased-tree"
 
 let run_series (cfg : Bench_config.t) ~strategy =
-  let system = System.create ~max_workers:16 () in
-  let config = Phased.default_config in
-  let state = Phased.setup system ~strategy config in
-  Registry.reset_stats (System.registry system);
-  let tuner = if Strategy.uses_tuner strategy then Some (System.tuner system) else None in
-  let plane = Metrics_plane.create (System.registry system) in
+  let workers = 8 in
+  let p = Workload.prepare ~workers ~strategy (fun system ~strategy ->
+      Phased.setup system ~strategy Phased.default_config)
+  in
+  let plane = Metrics_plane.create (System.registry p.system) in
   let cycles = 2 * Bench_config.sim_cycles cfg in
   ignore
-    (Driver.run ?tuner ~tuner_steps:80 ~metrics:plane ~metrics_steps:80
-       ~mode:(Driver.default_sim ~cycles ()) ~workers:8
-       (fun ctx -> Phased.worker state ctx));
-  if not (Phased.check state) then failwith "phased: invariants violated";
-  (plane, tuner)
+    (Driver.run ?tuner:p.tuner ~tuner_steps:80 ~metrics:plane ~metrics_steps:80
+       ~mode:(Driver.default_sim ~cycles ()) ~workers (Phased.worker p.state));
+  if not (Phased.check p.state) then failwith "phased: invariants violated";
+  (plane, p.tuner)
 
 let commit_series plane =
   List.filter_map

@@ -10,46 +10,7 @@
 open Partstm_workloads
 module Figure = Partstm_harness.Figure
 
-type app =
-  | App : {
-      app_name : string;
-      setup : Partstm_core.System.t -> strategy:Strategy.t -> 's;
-      worker : 's -> Partstm_harness.Driver.ctx -> int;
-      verify : 's -> bool;
-    }
-      -> app
-
-let apps =
-  [
-    App
-      {
-        app_name = "vacation";
-        setup = (fun s ~strategy -> Vacation.setup s ~strategy Vacation.default_config);
-        worker = Vacation.worker;
-        verify = Vacation.check;
-      };
-    App
-      {
-        app_name = "kmeans";
-        setup = (fun s ~strategy -> Kmeans.setup s ~strategy Kmeans.default_config);
-        worker = Kmeans.worker;
-        verify = Kmeans.check;
-      };
-    App
-      {
-        app_name = "genome";
-        setup = (fun s ~strategy -> Genome.setup s ~strategy Genome.default_config);
-        worker = Genome.worker;
-        verify = Genome.check;
-      };
-    App
-      {
-        app_name = "labyrinth";
-        setup = (fun s ~strategy -> Labyrinth.setup s ~strategy Labyrinth.default_config);
-        worker = Labyrinth.worker;
-        verify = Labyrinth.check;
-      };
-  ]
+let apps = [ "vacation"; "kmeans"; "genome"; "labyrinth" ]
 
 let strategies =
   [
@@ -61,7 +22,7 @@ let strategies =
 let run (cfg : Bench_config.t) =
   Bench_config.section "R-F5: application benchmarks (vacation / kmeans / genome)";
   List.iter
-    (fun (App { app_name; setup; worker; verify }) ->
+    (fun app_name ->
       let figure =
         Figure.create ~id:("rf5-" ^ app_name) ~title:("R-F5 " ^ app_name) ~xlabel:"cores"
           ~ylabel:"txn/Mcycle"
@@ -72,7 +33,7 @@ let run (cfg : Bench_config.t) =
             List.map
               (fun workers ->
                 ( float_of_int workers,
-                  Bench_config.run_workload cfg ~workers ~strategy ~setup ~worker ~verify () ))
+                  Bench_config.run_workload cfg ~workers ~strategy (Workload.get app_name) ))
               (Bench_config.worker_counts cfg)
           in
           Figure.add_series figure ~label points)

@@ -44,15 +44,16 @@ let arms =
   ]
 
 let run_once ~mode ~workers ~seed arm =
-  let system = System.create ~max_workers:(workers + 8) () in
-  let state = Bank.setup system ~strategy:Strategy.shared_invisible Bank.default_config in
-  Registry.reset_stats (System.registry system);
+  let p =
+    Workload.prepare ~workers ~strategy:Strategy.shared_invisible (fun system ~strategy ->
+        Bank.setup system ~strategy Bank.default_config)
+  in
   let tracer = arm.arm_tracer () in
   if arm.arm_attach then
-    Option.iter (fun tracer -> Obs.Tracer.attach tracer (System.engine system)) tracer;
-  let result = Driver.run ?tracer ~seed ~mode ~workers (Bank.worker state) in
+    Option.iter (fun tracer -> Obs.Tracer.attach tracer (System.engine p.system)) tracer;
+  let result = Driver.run ?tracer ~seed ~mode ~workers (Bank.worker p.state) in
   Option.iter Obs.Tracer.detach tracer;
-  if not (Bank.check state) then failwith "R-O1: bank invariant violated";
+  if not (Bank.check p.state) then failwith "R-O1: bank invariant violated";
   result.Driver.throughput
 
 (* Best-of-N: the standard noise-robust throughput estimator on a shared

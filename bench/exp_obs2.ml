@@ -36,22 +36,23 @@ let slo backend =
   | Error msg -> failwith ("R-OBS2: bad SLO spec: " ^ msg)
 
 let run_once ~mode ~backend ~workers ~seed arm =
-  let system = System.create ~max_workers:(workers + 8) () in
-  let state = Bank.setup system ~strategy:Strategy.shared_invisible Bank.default_config in
-  Registry.reset_stats (System.registry system);
+  let p =
+    Workload.prepare ~workers ~strategy:Strategy.shared_invisible (fun system ~strategy ->
+        Bank.setup system ~strategy Bank.default_config)
+  in
   let metrics =
     if arm.arm_metrics then begin
-      let plane = Metrics_plane.create ~slos:[ slo backend ] (System.registry system) in
+      let plane = Metrics_plane.create ~slos:[ slo backend ] (System.registry p.system) in
       Metrics_plane.attach plane;
       Some plane
     end
     else None
   in
   let result =
-    Driver.run ?metrics ~metrics_steps:arm.arm_steps ~seed ~mode ~workers (Bank.worker state)
+    Driver.run ?metrics ~metrics_steps:arm.arm_steps ~seed ~mode ~workers (Bank.worker p.state)
   in
   Option.iter Metrics_plane.detach metrics;
-  if not (Bank.check state) then failwith "R-OBS2: bank invariant violated";
+  if not (Bank.check p.state) then failwith "R-OBS2: bank invariant violated";
   (result, metrics)
 
 let best samples = List.fold_left Float.max 0.0 samples

@@ -12,16 +12,17 @@ open Partstm_core
 open Partstm_harness
 open Partstm_workloads
 
-let run_and_report (cfg : Bench_config.t) name setup worker =
-  let system = System.create ~max_workers:16 () in
-  let state = setup system ~strategy:Strategy.tuned in
-  Registry.reset_stats (System.registry system);
-  let tuner = System.tuner system in
-  ignore
-    (Driver.run ~tuner
-       ~mode:(Driver.default_sim ~cycles:(Bench_config.sim_cycles cfg) ())
-       ~workers:8 (worker state));
-  List.map (fun row -> (name, row)) (Registry.report (System.registry system))
+let run_and_report (cfg : Bench_config.t) (Workload.Workload w) =
+  let workers = 8 in
+  let p = Workload.prepare ~workers ~strategy:Strategy.tuned w.setup in
+  let result =
+    Driver.run ?tuner:p.tuner
+      ~mode:(Driver.default_sim ~cycles:(Bench_config.sim_cycles cfg) ())
+      ~workers (w.worker p.state)
+  in
+  if not (w.check p.state ~total_ops:result.Driver.total_ops) then
+    failwith ("R-T1: invariants violated on " ^ w.name);
+  List.map (fun row -> (w.name, row)) (Registry.report (System.registry p.system))
 
 let run (cfg : Bench_config.t) =
   Bench_config.section "R-T1: partition inventory and per-partition characteristics";
@@ -30,27 +31,9 @@ let run (cfg : Bench_config.t) =
   print_newline ();
   (* Runtime per-partition statistics (8 workers, tuned). *)
   let rows =
-    List.concat
-      [
-        run_and_report cfg "mixed"
-          (fun s ~strategy -> Mixed.setup s ~strategy Mixed.default_config)
-          (fun state ctx -> Mixed.worker state ctx);
-        run_and_report cfg "vacation"
-          (fun s ~strategy -> Vacation.setup s ~strategy Vacation.default_config)
-          (fun state ctx -> Vacation.worker state ctx);
-        run_and_report cfg "kmeans"
-          (fun s ~strategy -> Kmeans.setup s ~strategy Kmeans.default_config)
-          (fun state ctx -> Kmeans.worker state ctx);
-        run_and_report cfg "genome"
-          (fun s ~strategy -> Genome.setup s ~strategy Genome.default_config)
-          (fun state ctx -> Genome.worker state ctx);
-        run_and_report cfg "labyrinth"
-          (fun s ~strategy -> Labyrinth.setup s ~strategy Labyrinth.default_config)
-          (fun state ctx -> Labyrinth.worker state ctx);
-        run_and_report cfg "bank"
-          (fun s ~strategy -> Bank.setup s ~strategy Bank.default_config)
-          (fun state ctx -> Bank.worker state ctx);
-      ]
+    List.concat_map
+      (fun name -> run_and_report cfg (Workload.get name))
+      [ "mixed"; "vacation"; "kmeans"; "genome"; "labyrinth"; "bank" ]
   in
   let table =
     Table.create ~title:"R-T1: per-partition statistics (8 workers, tuned)"

@@ -14,16 +14,18 @@ open Partstm_core
 open Partstm_harness
 open Partstm_workloads
 
-let trace_of cfg name setup worker =
-  let system = System.create ~max_workers:24 () in
-  let state = setup system ~strategy:Strategy.tuned in
-  Registry.reset_stats (System.registry system);
-  let tuner = System.tuner system in
+let trace_of cfg (Workload.Workload w) =
+  let name = w.name in
+  let p = Workload.prepare ~workers:16 ~strategy:Strategy.tuned w.setup in
+  let system = p.system and tuner = Option.get p.tuner in
   let plane = Metrics_plane.create (System.registry system) in
-  ignore
-    (Driver.run ~tuner ~metrics:plane ~metrics_steps:40
-       ~mode:(Driver.default_sim ~cycles:(2 * Bench_config.sim_cycles cfg) ())
-       ~workers:16 (worker state));
+  let result =
+    Driver.run ~tuner ~metrics:plane ~metrics_steps:40
+      ~mode:(Driver.default_sim ~cycles:(2 * Bench_config.sim_cycles cfg) ())
+      ~workers:16 (w.worker p.state)
+  in
+  if not (w.check p.state ~total_ops:result.Driver.total_ops) then
+    failwith ("R-T3: invariants violated on " ^ name);
   Printf.printf "%s: %d tuner decisions over %d sampling periods\n" name (Tuner.switches tuner)
     (Metrics_plane.samples plane);
   List.iter (fun ev -> Format.printf "  %a@." Tuner.pp_event ev) (Tuner.trace tuner);
@@ -56,11 +58,7 @@ let trace_of cfg name setup worker =
 
 let run (cfg : Bench_config.t) =
   Bench_config.section "R-T3: tuning decision traces and converged configurations";
-  trace_of cfg "mixed"
-    (fun s ~strategy -> Mixed.setup s ~strategy Mixed.default_config)
-    (fun state ctx -> Mixed.worker state ctx);
-  trace_of cfg "intset-ll-u60"
-    (fun s ~strategy ->
-      Intset.setup s ~strategy
-        { (Intset.default_config Intset.Linked_list) with initial_size = 64; key_range = 128; update_percent = 60 })
-    (fun state ctx -> Intset.worker state ctx)
+  trace_of cfg (Workload.get "mixed");
+  trace_of cfg
+    (Workload.intset "intset-ll-u60"
+       { (Intset.default_config Intset.Linked_list) with initial_size = 64; key_range = 128; update_percent = 60 })

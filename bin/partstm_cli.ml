@@ -29,99 +29,6 @@ open Partstm_workloads
 module Check = Partstm_check
 open Cmdliner
 
-(* -- Workload catalogue ----------------------------------------------------- *)
-
-type workload =
-  | Workload : {
-      wl_name : string;
-      wl_setup : System.t -> strategy:Strategy.t -> 's;
-      wl_worker : 's -> Driver.ctx -> int;
-      wl_verify : 's -> bool;
-    }
-      -> workload
-
-let intset kind name =
-  Workload
-    {
-      wl_name = name;
-      wl_setup = (fun s ~strategy -> Intset.setup s ~strategy (Intset.default_config kind));
-      wl_worker = Intset.worker;
-      wl_verify = Intset.check;
-    }
-
-let workloads =
-  [
-    intset Intset.Linked_list "intset-ll";
-    intset Intset.Skip_list "intset-sl";
-    intset Intset.Rb_tree "intset-rb";
-    intset Intset.Hash_set "intset-hs";
-    Workload
-      {
-        wl_name = "mixed";
-        wl_setup = (fun s ~strategy -> Mixed.setup s ~strategy Mixed.default_config);
-        wl_worker = Mixed.worker;
-        wl_verify = Mixed.check;
-      };
-    Workload
-      {
-        wl_name = "bank";
-        wl_setup = (fun s ~strategy -> Bank.setup s ~strategy Bank.default_config);
-        wl_worker = Bank.worker;
-        wl_verify = Bank.check;
-      };
-    Workload
-      {
-        wl_name = "vacation";
-        wl_setup = (fun s ~strategy -> Vacation.setup s ~strategy Vacation.default_config);
-        wl_worker = Vacation.worker;
-        wl_verify = Vacation.check;
-      };
-    Workload
-      {
-        wl_name = "kmeans";
-        wl_setup = (fun s ~strategy -> Kmeans.setup s ~strategy Kmeans.default_config);
-        wl_worker = Kmeans.worker;
-        wl_verify = Kmeans.check;
-      };
-    Workload
-      {
-        wl_name = "genome";
-        wl_setup = (fun s ~strategy -> Genome.setup s ~strategy Genome.default_config);
-        wl_worker = Genome.worker;
-        wl_verify = Genome.check;
-      };
-    Workload
-      {
-        wl_name = "labyrinth";
-        wl_setup = (fun s ~strategy -> Labyrinth.setup s ~strategy Labyrinth.default_config);
-        wl_worker = Labyrinth.worker;
-        wl_verify = Labyrinth.check;
-      };
-    Workload
-      {
-        wl_name = "granularity";
-        wl_setup = (fun s ~strategy -> Granularity.setup s ~strategy Granularity.default_config);
-        wl_worker = Granularity.worker;
-        wl_verify = (fun _ -> true);
-      };
-    Workload
-      {
-        wl_name = "phased";
-        wl_setup = (fun s ~strategy -> Phased.setup s ~strategy Phased.default_config);
-        wl_worker = Phased.worker;
-        wl_verify = Phased.check;
-      };
-  ]
-
-let strategies =
-  [
-    ("shared-inv", Strategy.shared_invisible);
-    ("shared-vis", Strategy.shared_visible);
-    ("inv", Strategy.global_invisible);
-    ("vis", Strategy.global_visible);
-    ("tuned", Strategy.tuned);
-  ]
-
 (* -- Shared run machinery ----------------------------------------------------- *)
 
 type run_spec = {
@@ -195,49 +102,46 @@ type run_outcome = {
 type prepared = {
   pr_system : System.t;
   pr_worker : Driver.ctx -> int;
-  pr_verify : unit -> bool;
+  pr_verify : total_ops:int -> bool;
   pr_strategy : Strategy.t;
   pr_mode : Driver.mode;
   pr_tuner : Tuner.t option;
 }
 
 let prepare spec =
-  match
-    ( List.find_opt (fun (Workload { wl_name; _ }) -> wl_name = spec.workload_name) workloads,
-      List.assoc_opt spec.strategy_name strategies )
-  with
+  match (Workload.find spec.workload_name, List.assoc_opt spec.strategy_name Workload.strategies) with
   | None, _ ->
       Printf.eprintf "unknown workload %S (try `partstm list`)\n" spec.workload_name;
       Error 2
   | _, None ->
       Printf.eprintf "unknown strategy %S (try `partstm list`)\n" spec.strategy_name;
       Error 2
-  | Some (Workload { wl_setup; wl_worker; wl_verify; _ }), Some strategy -> (
+  | Some (Workload.Workload { setup; worker; check; _ }), Some strategy -> (
       match spec.backend with
       | ("sim" | "domains") as backend -> (
           let mode =
             if backend = "sim" then Driver.default_sim ~cycles:spec.cycles ()
             else Driver.Domains { seconds = spec.seconds }
           in
-          let system =
-            System.create ~max_workers:(spec.workers + 8) ?contention_manager:spec.cm ()
+          (* The --protocol overrides are part of the set-up: the stats
+             reset that follows must not count them. *)
+          let p =
+            Workload.prepare ?contention_manager:spec.cm ~workers:spec.workers ~strategy
+              (fun system ~strategy ->
+                let state = setup system ~strategy in
+                (state, force_protocols system spec.protocols))
           in
-          let state = wl_setup system ~strategy in
-          match force_protocols system spec.protocols with
-          | Error code -> Error code
-          | Ok () ->
-              Registry.reset_stats (System.registry system);
-              let tuner =
-                if Strategy.uses_tuner strategy then Some (System.tuner system) else None
-              in
+          match p.Workload.state with
+          | _, Error code -> Error code
+          | state, Ok () ->
               Ok
                 {
-                  pr_system = system;
-                  pr_worker = wl_worker state;
-                  pr_verify = (fun () -> wl_verify state);
+                  pr_system = p.Workload.system;
+                  pr_worker = worker state;
+                  pr_verify = check state;
                   pr_strategy = strategy;
                   pr_mode = mode;
-                  pr_tuner = tuner;
+                  pr_tuner = p.Workload.tuner;
                 })
       | other ->
           Printf.eprintf "unknown backend %S (sim|domains)\n" other;
@@ -279,7 +183,7 @@ let run_prepared ?tracer ?metrics ?(metrics_steps = 0) spec p ~with_telemetry =
     ro_system = p.pr_system;
     ro_tuner = p.pr_tuner;
     ro_plane = plane;
-    ro_verified = p.pr_verify ();
+    ro_verified = p.pr_verify ~total_ops:result.Driver.total_ops;
     ro_strategy = p.pr_strategy;
     ro_mode = p.pr_mode;
   }
@@ -321,9 +225,10 @@ let cmd_dsa () =
 
 let cmd_list () =
   print_endline "workloads:";
-  List.iter (fun (Workload { wl_name; _ }) -> Printf.printf "  %s\n" wl_name) workloads;
+  List.iter (fun w -> Printf.printf "  %s\n" (Workload.name w)) Workload.all;
   print_endline "strategies:";
-  List.iter (fun (name, s) -> Printf.printf "  %-10s %s\n" name (Strategy.label s)) strategies;
+  List.iter (fun (name, s) -> Printf.printf "  %-10s %s\n" name (Strategy.label s))
+    Workload.strategies;
   print_endline "check scenarios:";
   List.iter
     (fun s -> Printf.printf "  %-18s %d fibers\n" s.Check.Scenario.name s.Check.Scenario.fibers)

@@ -9,14 +9,15 @@ open Partstm_harness
 open Partstm_workloads
 
 let () =
-  let system = System.create ~max_workers:16 () in
   let config = { Vacation.default_config with items_per_table = 64; customer_range = 64 } in
-  let app = Vacation.setup system ~strategy:Strategy.tuned config in
-  Registry.reset_stats (System.registry system);
-  let tuner = System.tuner system in
+  let workers = 8 in
+  let { Workload.system; state = app; tuner } =
+    Workload.prepare ~workers ~strategy:Strategy.tuned (fun system ~strategy ->
+        Vacation.setup system ~strategy config)
+  in
   let result =
-    Driver.run ~tuner ~mode:(Driver.default_sim ~cycles:1_500_000 ()) ~workers:8 (fun ctx ->
-        Vacation.worker app ctx)
+    Driver.run ?tuner ~mode:(Driver.default_sim ~cycles:1_500_000 ()) ~workers
+      (Vacation.worker app)
   in
   Printf.printf "processed %d reservation-system transactions on 8 simulated cores\n"
     result.Driver.total_ops;

@@ -13,13 +13,13 @@ open Partstm_harness
 open Partstm_workloads
 
 let run ~strategy =
-  let system = System.create ~max_workers:24 () in
-  let app = Mixed.setup system ~strategy Mixed.default_config in
-  Registry.reset_stats (System.registry system);
-  let tuner = if Strategy.uses_tuner strategy then Some (System.tuner system) else None in
+  let workers = 16 in
+  let { Workload.system; state = app; tuner } =
+    Workload.prepare ~workers ~strategy (fun system ~strategy ->
+        Mixed.setup system ~strategy Mixed.default_config)
+  in
   let result =
-    Driver.run ?tuner ~mode:(Driver.default_sim ~cycles:3_000_000 ()) ~workers:16 (fun ctx ->
-        Mixed.worker app ctx)
+    Driver.run ?tuner ~mode:(Driver.default_sim ~cycles:3_000_000 ()) ~workers (Mixed.worker app)
   in
   assert (Mixed.check app);
   (result.Driver.throughput, tuner, system)

@@ -265,11 +265,15 @@ type report = {
 }
 
 let run ?(progress = fun (_ : string) -> ()) ~backend ~workers ~seed config =
-  let system = System.create ~max_workers:(workers + 8) () in
-  let config = { config with max_workers = max config.max_workers (workers + 8) } in
-  let state = setup system ~strategy:Strategy.tuned config in
-  Registry.reset_stats (System.registry system);
-  let tuner = System.tuner system ~cooldown:1 in
+  (* Per-worker counters cover every worker id the system hands out. *)
+  let p =
+    Workload.prepare ~cooldown:1 ~workers ~strategy:Strategy.tuned (fun system ~strategy ->
+        let max_workers = (System.engine system).Partstm_stm.Engine.max_workers in
+        setup system ~strategy
+          { config with max_workers = max config.max_workers max_workers })
+  in
+  let state = p.state and tuner = Option.get p.tuner in
+  let config = state.config in
   let initial_modes =
     List.map
       (fun p -> (Partition.name p, Mode.to_string (Partition.mode p)))

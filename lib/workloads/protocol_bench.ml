@@ -103,25 +103,30 @@ type report = {
 
 let run_arm config protocol =
   let workers = config.auditors + config.updaters in
-  let system = System.create ~max_workers:(workers + 8) () in
-  let partition =
-    System.partition system "m1-book" ~mode:(Mode.make ~protocol ()) ~tunable:false
-  in
-  let book =
-    Array.init config.accounts (fun _ -> Partition.tvar partition config.initial_balance)
+  let { Workload.system; state = partition, book; _ } =
+    Workload.prepare ~workers ~strategy:(Strategy.Fixed (Mode.make ~protocol ()))
+      (fun system ~strategy ->
+        let partition =
+          System.partition system "m1-book" ~mode:(Strategy.mode_for strategy "m1-book")
+            ~tunable:false
+        in
+        let book =
+          Array.init config.accounts (fun _ -> Partition.tvar partition config.initial_balance)
+        in
+        (* Warm the histories: one transactional rewrite of every balance, so
+           each cell's multi-version state carries a real publish version
+           before any auditor snapshot exists.  Without it the first
+           post-start write of a cell rebuilds an epoch-stale state claiming
+           "now" (DESIGN.md §10.1) — a version no early reader's snapshot
+           covers, so the arm would charge the protocol for cold-start
+           misses instead of steady-state behaviour. *)
+        let warm = System.descriptor system ~worker_id:workers in
+        Array.iter
+          (fun cell -> System.atomically warm (fun t -> System.write t cell (System.read t cell)))
+          book;
+        (partition, book))
   in
   let expected_total = config.accounts * config.initial_balance in
-  (* Warm the histories: one transactional rewrite of every balance, so each
-     cell's multi-version state carries a real publish version before any
-     auditor snapshot exists.  Without it the first post-start write of a
-     cell rebuilds an epoch-stale state claiming "now" (DESIGN.md §10.1) —
-     a version no early reader's snapshot covers, so the arm would charge
-     the protocol for cold-start misses instead of steady-state behaviour. *)
-  let warm = System.descriptor system ~worker_id:workers in
-  Array.iter
-    (fun cell -> System.atomically warm (fun t -> System.write t cell (System.read t cell)))
-    book;
-  Registry.reset_stats (System.registry system);
   (* All fibers run on the simulator's single domain, so a plain counter
      is race-free. *)
   let bad_sums = ref 0 in
@@ -188,12 +193,16 @@ let run_arm config protocol =
 
 let run_autonomy config =
   let workers = config.scan_workers + config.hot_workers in
-  let system = System.create ~max_workers:(workers + 8) () in
-  let scan = System.partition system "m1-scan" in
-  let hot = System.partition system "m1-hot" in
-  let scan_cells = Array.init config.scan_cells (fun _ -> Partition.tvar scan 0) in
-  let hot_cells = Array.init config.hot_cells (fun _ -> Partition.tvar hot 0) in
-  Registry.reset_stats (System.registry system);
+  (* Both partitions start from the default mode; the tuner finds the rest. *)
+  let { Workload.system; state = scan, hot, scan_cells, hot_cells; tuner } =
+    Workload.prepare ~cooldown:1 ~workers ~strategy:Strategy.tuned (fun system ~strategy:_ ->
+        let scan = System.partition system "m1-scan" in
+        let hot = System.partition system "m1-hot" in
+        let scan_cells = Array.init config.scan_cells (fun _ -> Partition.tvar scan 0) in
+        let hot_cells = Array.init config.hot_cells (fun _ -> Partition.tvar hot 0) in
+        (scan, hot, scan_cells, hot_cells))
+  in
+  let tuner = Option.get tuner in
   let window = min 64 config.scan_cells in
   let worker (ctx : Driver.ctx) =
     let txn = System.descriptor system ~worker_id:ctx.Driver.worker_id in
@@ -238,7 +247,6 @@ let run_autonomy config =
     done;
     !operations
   in
-  let tuner = System.tuner system ~cooldown:1 in
   let switches = ref [] in
   Tuner.on_event tuner (fun ev ->
       switches :=

@@ -49,9 +49,10 @@ type report = {
 }
 
 let run_once ~padded ~workers ~seconds ~seed =
-  let system = System.create ~max_workers:(workers + 8) ~padded () in
-  let state = Bank.setup system ~strategy:Strategy.shared_invisible Bank.default_config in
-  Registry.reset_stats (System.registry system);
+  let { Workload.state; _ } =
+    Workload.prepare ~padded ~workers ~strategy:Strategy.shared_invisible (fun system ~strategy ->
+        Bank.setup system ~strategy Bank.default_config)
+  in
   let result = Driver.run ~seed ~mode:(Driver.Domains { seconds }) ~workers (Bank.worker state) in
   if not (Bank.check state) then failwith "scaling: bank invariant violated";
   let snap = Partition.snapshot (Bank.partition state) in

@@ -39,8 +39,6 @@ let is_shared = function Shared _ -> true | Fixed _ | Per_partition _ | Tuned _ 
 
 let tunable = function Shared _ | Fixed _ | Per_partition _ -> false | Tuned _ -> true
 
-let uses_tuner = tunable
-
 let label = function
   | Shared mode -> Fmt.str "unpartitioned-%a" Mode.pp mode
   | Fixed mode -> Fmt.str "global-%a" Mode.pp mode

@@ -28,5 +28,4 @@ val tuned : t
 val mode_for : t -> string -> Mode.t
 val is_shared : t -> bool
 val tunable : t -> bool
-val uses_tuner : t -> bool
 val label : t -> string

@@ -335,11 +335,14 @@ type report = {
 }
 
 let run ?(progress = fun (_ : string) -> ()) ~backend ~workers ~seed config =
-  let system = System.create ~max_workers:(workers + 8) () in
-  let config = { config with max_workers = max config.max_workers (workers + 8) } in
-  let state = setup system ~strategy:Strategy.tuned config in
-  Registry.reset_stats (System.registry system);
-  let tuner = System.tuner system in
+  (* Per-worker histograms cover every worker id the system hands out. *)
+  let p =
+    Workload.prepare ~workers ~strategy:Strategy.tuned (fun system ~strategy ->
+        let max_workers = (System.engine system).Engine.max_workers in
+        setup system ~strategy { config with max_workers = max config.max_workers max_workers })
+  in
+  let state = p.state and tuner = Option.get p.tuner in
+  let config = state.config in
   let backend_name, mode =
     match backend with
     | `Sim cycles -> ("sim", Driver.default_sim ~cycles ())
