@@ -52,12 +52,6 @@ let mode_to_string = function
    would otherwise repeat the same line for every arm. *)
 let warned_oversubscription = ref false
 
-let mode_label (m : Partstm_stm.Mode.t) =
-  Printf.sprintf "%s/g%d/%s"
-    (Partstm_stm.Mode.visibility_to_string m.Partstm_stm.Mode.visibility)
-    m.Partstm_stm.Mode.granularity_log2
-    (Partstm_stm.Mode.update_to_string m.Partstm_stm.Mode.update)
-
 (* In-run service actions (tuner steps and metrics samples) form one
    schedule: each entry [(steps, act)] runs [act] [steps] times, evenly
    spaced across the run.  Simulated runs give each entry its own fiber;
@@ -78,8 +72,8 @@ let run ?tuner ?(tuner_steps = 40) ?tracer ?metrics ?(metrics_steps = 0) ?(seed 
   | Some tracer, Some tuner ->
       Tuner.on_event tuner (fun (ev : Tuner.event) ->
           Partstm_obs.Tracer.record_decision tracer ~partition:ev.Tuner.ev_partition
-            ~from_mode:(mode_label ev.Tuner.ev_from)
-            ~to_mode:(mode_label ev.Tuner.ev_to))
+            ~from_mode:(Fmt.str "%a" Partstm_stm.Mode.pp ev.Tuner.ev_from)
+            ~to_mode:(Fmt.str "%a" Partstm_stm.Mode.pp ev.Tuner.ev_to))
   | _ -> ());
   (* [steps = 0] schedules nothing: the object still gets its clock and,
      for the metrics plane, the final sample after the run. *)

@@ -348,12 +348,50 @@ let decision_test =
           check Alcotest.string "to mode" "inv/g0/wb" d1.Obs.Tracer.d_to
       | other -> Alcotest.failf "expected 2 decisions, got %d" (List.length other))
 
+(* The driver bridges every applied tuner switch into the tracer; each
+   bridged decision must name the modes exactly as the tuner's own log
+   does, protocol included (intset-ll switches to multi-version here). *)
+let bridged_decision_test =
+  Alcotest.test_case "bridged decisions render modes like the tuner" `Quick (fun () ->
+      let module Workload = Partstm_workloads.Workload in
+      let module Driver = Partstm_harness.Driver in
+      match Workload.get "intset-ll" with
+      | Workload.Workload w ->
+          let workers = 8 in
+          let p = Workload.prepare ~workers ~strategy:Partstm_workloads.Strategy.tuned w.setup in
+          let tuner = Option.get p.Workload.tuner in
+          let tracer = Obs.Tracer.create ~sample_every:64 () in
+          Obs.Tracer.attach tracer (System.engine p.Workload.system);
+          ignore
+            (Driver.run ~tuner ~tracer
+               ~mode:(Driver.default_sim ~cycles:1_000_000 ())
+               ~workers (w.worker p.Workload.state));
+          Obs.Tracer.detach tracer;
+          let events = Tuner.trace tuner in
+          check Alcotest.bool "some switch changes the protocol" true
+            (List.exists
+               (fun (ev : Tuner.event) ->
+                 not (Protocol.equal ev.Tuner.ev_from.Mode.protocol ev.Tuner.ev_to.Mode.protocol))
+               events);
+          let render (ev : Tuner.event) =
+            ( ev.Tuner.ev_partition,
+              Fmt.str "%a" Mode.pp ev.Tuner.ev_from,
+              Fmt.str "%a" Mode.pp ev.Tuner.ev_to )
+          in
+          let bridged (d : Obs.Tracer.decision) =
+            (d.Obs.Tracer.d_partition, d.Obs.Tracer.d_from, d.Obs.Tracer.d_to)
+          in
+          check
+            Alcotest.(list (triple string string string))
+            "one decision per switch, rendered with Mode.pp" (List.map render events)
+            (List.map bridged (Obs.Tracer.decisions tracer)))
+
 let () =
   Alcotest.run "partstm_obs"
     [
       ( "fan-out",
         [ fan_out_test; add_remove_tap_test; history_attach_twice_test; exact_totals_test ] );
-      ("tracer", [ ring_eviction_test; sampling_test; decision_test ]);
+      ("tracer", [ ring_eviction_test; sampling_test; decision_test; bridged_decision_test ]);
       ("chrome", [ chrome_test ]);
       ("contention", [ heatmap_reconciliation_test ]);
       ("mutation", [ traced_mutation_test ]);
