@@ -278,6 +278,62 @@ let test_driver_rejects_zero_workers () =
   Alcotest.check_raises "workers" (Invalid_argument "Driver.run: workers") (fun () ->
       ignore (Driver.run ~mode:(Driver.default_sim ()) ~workers:0 (fun _ -> 0)))
 
+(* -- Catalogue ------------------------------------------------------------------ *)
+
+(* Every catalogue entry sets up, runs and passes its own check under every
+   strategy the CLI accepts, through the shared run recipe. *)
+let test_catalogue_runs () =
+  check Alcotest.int "entries" 12 (List.length Workload.all);
+  check Alcotest.int "strategies" 5 (List.length Workload.strategies);
+  List.iter
+    (fun (Workload.Workload w) ->
+      List.iter
+        (fun (strategy_name, strategy) ->
+          let workers = 2 in
+          let p = Workload.prepare ~workers ~strategy w.setup in
+          let result =
+            Driver.run ?tuner:p.Workload.tuner ~mode:(Driver.default_sim ~cycles:100_000 ())
+              ~workers (w.worker p.Workload.state)
+          in
+          let what = Printf.sprintf "%s under %s" w.name strategy_name in
+          check Alcotest.bool (what ^ " ran") true (result.Driver.total_ops > 0);
+          check Alcotest.bool (what ^ " checked") true
+            (w.check p.Workload.state ~total_ops:result.Driver.total_ops))
+        Workload.strategies)
+    Workload.all
+
+let test_catalogue_names () =
+  let names = List.map Workload.name Workload.all in
+  check Alcotest.int "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun name -> check Alcotest.string "find by name" name (Workload.name (Workload.get name)))
+    names;
+  check Alcotest.bool "unknown name" true (Workload.find "no-such-workload" = None)
+
+(* The lines of one section of [partstm list]: two-space-indented entries
+   after the [header] line, first word only. *)
+let list_section lines header =
+  let rec after = function [] -> [] | l :: rest -> if l = header then rest else after rest in
+  let rec entries = function
+    | l :: rest when String.length l > 2 && String.sub l 0 2 = "  " ->
+        List.hd (String.split_on_char ' ' (String.trim l)) :: entries rest
+    | _ -> []
+  in
+  entries (after lines)
+
+let test_catalogue_listed () =
+  let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/partstm_cli.exe" in
+  let ic = Unix.open_process_args_in cli [| cli; "list" |] in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  check Alcotest.bool "list exits 0" true (Unix.close_process_in ic = Unix.WEXITED 0);
+  check
+    Alcotest.(list string)
+    "workloads listed" (List.map Workload.name Workload.all) (list_section lines "workloads:");
+  check
+    Alcotest.(list string)
+    "strategies listed" (List.map fst Workload.strategies) (list_section lines "strategies:")
+
 let () =
   Alcotest.run "partstm_workloads"
     [
@@ -325,6 +381,12 @@ let () =
         [
           Alcotest.test_case "phase math" `Quick test_phased_phase_math;
           Alcotest.test_case "time series" `Quick test_phased_time_series_accounts_ops;
+        ] );
+      ( "catalogue",
+        [
+          Alcotest.test_case "every entry under every strategy" `Quick test_catalogue_runs;
+          Alcotest.test_case "names unique" `Quick test_catalogue_names;
+          Alcotest.test_case "partstm list prints it" `Quick test_catalogue_listed;
         ] );
       ( "driver",
         [
