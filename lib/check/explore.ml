@@ -86,8 +86,10 @@ let replay scenario ?(max_yields = 1_000_000) (schedule : Schedule.t) =
 (* Delta-debug the failing schedule: first drop kill points one by one,
    then ddmin the decision list (replaying a candidate; decisions past
    the shortened list fall back to the deterministic min-clock policy).
-   Every candidate replay is exact, so the result provably still fails. *)
-let minimize ?(max_replays = 400) ?max_yields scenario (schedule : Schedule.t) =
+   Every candidate replay is exact, so the result provably still fails.
+   At most 400 candidates are replayed. *)
+let minimize ?max_yields scenario (schedule : Schedule.t) =
+  let max_replays = 400 in
   let replays = ref 0 in
   let fails (candidate : Schedule.t) =
     if !replays >= max_replays then false

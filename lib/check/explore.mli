@@ -40,7 +40,7 @@ val run :
 val replay : Scenario.t -> ?max_yields:int -> Schedule.t -> verdict
 (** Re-execute one recorded schedule exactly. *)
 
-val minimize : ?max_replays:int -> ?max_yields:int -> Scenario.t -> Schedule.t -> Schedule.t
+val minimize : ?max_yields:int -> Scenario.t -> Schedule.t -> Schedule.t
 (** Delta-debug a failing schedule (kills first, then ddmin on the
     decision list) to a smaller schedule that still fails. *)
 

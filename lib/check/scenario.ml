@@ -98,7 +98,8 @@ let bank ?(mode = Mode.make ()) ?(accounts = 3) ?(workers = 3) ?(transfers = 4) 
    non-blocking attempts (so a killed producer never wedges the run).
    Invariant: consumed + left-over = produced, as multisets. *)
 
-let queue ?(producers = 2) ?(consumers = 2) ?(items = 4) ~name () =
+let queue ~name () =
+  let producers = 2 and consumers = 2 and items = 4 in
   let fibers = producers + consumers in
   let make () =
     let system = System.create ~max_workers:fibers () in
@@ -379,7 +380,8 @@ let bank_commit_lock =
    increment count is one-sided: a fault-injection kill between commit
    and count leaves [a] ahead of the count, never behind. *)
 
-let ctl_mirror ?(incrementers = 2) ?(mirrorers = 1) ?(iterations = 2) ~name () =
+let ctl_mirror ~name () =
+  let incrementers = 2 and mirrorers = 1 and iterations = 2 in
   let fibers = incrementers + mirrorers in
   let make () =
     let system = System.create ~max_workers:fibers () in

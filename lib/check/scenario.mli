@@ -27,9 +27,9 @@ val bank :
 (** Overlapping transfers plus a read-only summing observer; invariants:
     conservation and consistent observed sums. *)
 
-val queue : ?producers:int -> ?consumers:int -> ?items:int -> name:string -> unit -> t
-(** Producer/consumer over {!Partstm_structures.Tqueue}; invariant: no
-    item lost or duplicated. *)
+val queue : name:string -> unit -> t
+(** Two producers of four items each and two consumers over
+    {!Partstm_structures.Tqueue}; invariant: no item lost or duplicated. *)
 
 val reconfigure :
   ?modes:Mode.t list -> ?workers:int -> ?transfers:int -> name:string -> unit -> t
@@ -44,9 +44,9 @@ val mixed_protocols : ?workers:int -> ?transfers:int -> name:string -> unit -> t
 (** Transfers spanning multi-version, commit-time-lock and single-version
     partitions in one transaction, plus an observer reading all three. *)
 
-val ctl_mirror :
-  ?incrementers:int -> ?mirrorers:int -> ?iterations:int -> name:string -> unit -> t
-(** Read-one-write-another transactions over a commit-time-lock partition:
+val ctl_mirror : name:string -> unit -> t
+(** Two incrementers and one mirrorer, two transactions each:
+    read-one-write-another transactions over a commit-time-lock partition:
     the shape whose only defence is commit-time value revalidation.
     Invariants: the mirrored pair stays equal and no increment is lost. *)
 

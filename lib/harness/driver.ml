@@ -32,9 +32,8 @@ type mode =
   | Domains of { seconds : float }
   | Simulated of { cycles : int; model : Cost_model.t; jitter : int; sim_seed : int }
 
-let default_sim ?(cycles = 3_000_000) ?(model = Cost_model.default) ?(jitter = 2)
-    ?(sim_seed = 0xBEEF) () =
-  Simulated { cycles; model; jitter; sim_seed }
+let default_sim ?(cycles = 3_000_000) ?(model = Cost_model.default) ?(jitter = 2) () =
+  Simulated { cycles; model; jitter; sim_seed = 0xBEEF }
 
 type result = {
   workers : int;

@@ -21,8 +21,8 @@ type mode =
   | Domains of { seconds : float }
   | Simulated of { cycles : int; model : Cost_model.t; jitter : int; sim_seed : int }
 
-val default_sim :
-  ?cycles:int -> ?model:Cost_model.t -> ?jitter:int -> ?sim_seed:int -> unit -> mode
+val default_sim : ?cycles:int -> ?model:Cost_model.t -> ?jitter:int -> unit -> mode
+(** The simulator's own seed is fixed at [0xBEEF]. *)
 
 val mode_to_string : mode -> string
 

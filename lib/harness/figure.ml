@@ -68,8 +68,9 @@ let save_csv ?(dir = "results") t =
   path
 
 (* One-line ASCII sparkline: each value scaled against the max into a ramp
-   character; wider inputs are bucket-averaged down to [width]. *)
-let sparkline ?(width = 40) values =
+   character; wider inputs are bucket-averaged down to 40 characters. *)
+let sparkline values =
+  let width = 40 in
   let ramp = " .:-=+*#@" in
   let levels = String.length ramp in
   let values = Array.of_list values in
@@ -95,8 +96,9 @@ let sparkline ?(width = 40) values =
   end
 
 (* Coarse ASCII plot: one mark per series per x position; y is scaled into
-   [height] rows.  Enough to eyeball the shapes the paper's figures show. *)
-let ascii_plot ?(height = 12) t =
+   12 rows.  Enough to eyeball the shapes the paper's figures show. *)
+let ascii_plot t =
+  let height = 12 in
   let series = all_series t in
   let xs = xs t in
   if series = [] || xs = [] then ""
@@ -145,7 +147,7 @@ let ascii_plot ?(height = 12) t =
     Buffer.contents buffer
   end
 
-let print ?(plot = true) t =
+let print t =
   Table.print (to_table t);
-  if plot then print_string (ascii_plot t);
+  print_string (ascii_plot t);
   print_newline ()

@@ -15,9 +15,12 @@ val save_csv : ?dir:string -> t -> string
 (** Writes [dir]/[id].csv through {!Partstm_util.Fs.write_file} (missing
     parent directories are created) and returns the path. *)
 
-val sparkline : ?width:int -> float list -> string
+val sparkline : float list -> string
 (** One-line ASCII sparkline of the values scaled against their max;
-    longer inputs are bucket-averaged down to [width] characters. *)
+    longer inputs are bucket-averaged down to 40 characters. *)
 
-val ascii_plot : ?height:int -> t -> string
-val print : ?plot:bool -> t -> unit
+val ascii_plot : t -> string
+(** 12 rows, one column per x value. *)
+
+val print : t -> unit
+(** The figure's table, then its {!ascii_plot}. *)

@@ -1,7 +1,7 @@
 (* ASCII rendering of tracer and metrics-plane data: the tracer's span
    summary, top-K hot-slot table, latency percentile table and slot heatmap
    (whose intensity scale compresses each region's lock table into at most
-   [width] columns), plus the SLO and affinity tables. *)
+   64 columns), plus the SLO and affinity tables. *)
 
 open Partstm_util
 
@@ -140,7 +140,8 @@ let affinity_table ?(name_of_region = string_of_int) (a : Affinity.t) =
 
 let intensity_chars = " .:-=+*#%@"
 
-let heatmap ?(width = 64) ?(name_of_region = string_of_int) (tracer : Tracer.t) =
+let heatmap ?(name_of_region = string_of_int) (tracer : Tracer.t) =
+  let width = 64 in
   let buf = Buffer.create 256 in
   let regions = Tracer.summary tracer in
   let label_w =

@@ -23,7 +23,7 @@ val affinity_table : ?name_of_region:(int -> string) -> Affinity.t -> Table.t
 (** Worker rows × partition columns; each cell shows total accesses
     (reads+writes) and commits/aborts. *)
 
-val heatmap : ?width:int -> ?name_of_region:(int -> string) -> Tracer.t -> string
-(** One row per partition: the lock table compressed to at most [width]
-    (default 64) columns, conflict weight shown on a 10-level intensity
+val heatmap : ?name_of_region:(int -> string) -> Tracer.t -> string
+(** One row per partition: the lock table compressed to at most 64
+    columns, conflict weight shown on a 10-level intensity
     scale normalised to the row's hottest column. *)

@@ -1,8 +1,6 @@
 (* Aligned ASCII tables: how benches print the rows a paper table/figure
    series would contain. *)
 
-type align = Left | Right
-
 type t = { title : string; header : string list; mutable rows : string list list }
 
 let create ~title ~header = { title; header; rows = [] }
@@ -19,15 +17,12 @@ let column_widths t =
   List.iter measure all;
   widths
 
-let pad align width s =
+let pad ~left width s =
   let n = width - String.length s in
-  if n <= 0 then s
-  else
-    match align with
-    | Left -> s ^ String.make n ' '
-    | Right -> String.make n ' ' ^ s
+  if n <= 0 then s else if left then s ^ String.make n ' ' else String.make n ' ' ^ s
 
-let render ?(align = fun col -> if col = 0 then Left else Right) t =
+(* The first column is left-aligned, the rest right-aligned. *)
+let render t =
   let widths = column_widths t in
   let buffer = Buffer.create 256 in
   let line ch =
@@ -37,7 +32,7 @@ let render ?(align = fun col -> if col = 0 then Left else Right) t =
   let emit row =
     List.iteri
       (fun i cell ->
-        Buffer.add_string buffer (pad (align i) widths.(i) cell);
+        Buffer.add_string buffer (pad ~left:(i = 0) widths.(i) cell);
         Buffer.add_string buffer "  ")
       row;
     Buffer.add_char buffer '\n'
@@ -48,4 +43,4 @@ let render ?(align = fun col -> if col = 0 then Left else Right) t =
   List.iter emit (List.rev t.rows);
   Buffer.contents buffer
 
-let print ?align t = print_string (render ?align t)
+let print t = print_string (render t)

@@ -1,6 +1,5 @@
 (** Aligned ASCII tables for benchmark/report output. *)
 
-type align = Left | Right
 type t
 
 val create : title:string -> header:string list -> t
@@ -9,8 +8,7 @@ val add_row : t -> string list -> unit
 val add_rowf : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
 (** Format a row; tab characters separate cells. *)
 
-val render : ?align:(int -> align) -> t -> string
-(** Render with per-column alignment (default: first column left, rest
-    right). *)
+val render : t -> string
+(** The first column left-aligned, the rest right-aligned. *)
 
-val print : ?align:(int -> align) -> t -> unit
+val print : t -> unit
