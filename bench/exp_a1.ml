@@ -31,10 +31,7 @@ let run (cfg : Bench_config.t) =
         let system =
           System.create ~max_workers:(workers + 8) ~contention_manager:cm ()
         in
-        let config =
-          { (Intset.default_config Intset.Linked_list) with initial_size = 64; key_range = 128; update_percent = 60 }
-        in
-        let state = Intset.setup system ~strategy config in
+        let state = Intset.setup system ~strategy Intset.contended_list in
         let result =
           Driver.run
             ~mode:(Driver.default_sim ~cycles:(Bench_config.sim_cycles cfg) ())

@@ -18,14 +18,7 @@ let strategies =
 let scenarios =
   [
     ("bank (low-conflict writers)", Workload.get "bank");
-    ( "intset ll-u60 (contended)",
-      Workload.intset "ll-u60"
-        {
-          (Intset.default_config Intset.Linked_list) with
-          initial_size = 64;
-          key_range = 128;
-          update_percent = 60;
-        } );
+    ("intset ll-u60 (contended)", Workload.intset "ll-u60" Intset.contended_list);
   ]
 
 let run (cfg : Bench_config.t) =

@@ -13,7 +13,7 @@ module Figure = Partstm_harness.Figure
    small contended list, larger log-structures. *)
 let scenarios =
   [
-    ("ll-u60", { (Intset.default_config Intset.Linked_list) with initial_size = 64; key_range = 128; update_percent = 60 });
+    ("ll-u60", Intset.contended_list);
     ("sl-u20", { (Intset.default_config Intset.Skip_list) with initial_size = 512; key_range = 1024; update_percent = 20 });
     ("rb-u10", { (Intset.default_config Intset.Rb_tree) with initial_size = 4096; key_range = 8192; update_percent = 10 });
     ("hs-u30", { (Intset.default_config Intset.Hash_set) with initial_size = 512; key_range = 1024; update_percent = 30 });

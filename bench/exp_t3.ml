@@ -59,6 +59,4 @@ let trace_of cfg (Workload.Workload w) =
 let run (cfg : Bench_config.t) =
   Bench_config.section "R-T3: tuning decision traces and converged configurations";
   trace_of cfg (Workload.get "mixed");
-  trace_of cfg
-    (Workload.intset "intset-ll-u60"
-       { (Intset.default_config Intset.Linked_list) with initial_size = 64; key_range = 128; update_percent = 60 })
+  trace_of cfg (Workload.intset "intset-ll-u60" Intset.contended_list)

@@ -109,7 +109,9 @@ type prepared = {
 }
 
 let prepare spec =
-  match (Workload.find spec.workload_name, List.assoc_opt spec.strategy_name Workload.strategies) with
+  match
+    (Workload.find spec.workload_name, List.assoc_opt spec.strategy_name Workload.strategies)
+  with
   | None, _ ->
       Printf.eprintf "unknown workload %S (try `partstm list`)\n" spec.workload_name;
       Error 2

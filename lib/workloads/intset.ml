@@ -29,6 +29,9 @@ type config = {
 let default_config kind =
   { kind; initial_size = 256; key_range = 512; update_percent = 20 }
 
+let contended_list =
+  { kind = Linked_list; initial_size = 64; key_range = 128; update_percent = 60 }
+
 (* Uniform view over the four set implementations. *)
 type set_ops = {
   set_mem : Txn.t -> int -> bool;

@@ -18,6 +18,9 @@ type config = {
 
 val default_config : structure_kind -> config
 
+val contended_list : config
+(** The bench's contended list ("ll-u60"): 64 of 128 keys, 60% updates. *)
+
 type t
 
 val setup : System.t -> strategy:Strategy.t -> config -> t

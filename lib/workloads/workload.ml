@@ -39,7 +39,8 @@ let all =
     Workload
       {
         name = "granularity";
-        setup = (fun system ~strategy -> Granularity.setup system ~strategy Granularity.default_config);
+        setup =
+          (fun system ~strategy -> Granularity.setup system ~strategy Granularity.default_config);
         worker = Granularity.worker;
         check = Granularity.check;
       };
