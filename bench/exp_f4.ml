@@ -17,8 +17,9 @@ let partition_name = "phased-tree"
 
 let run_series (cfg : Bench_config.t) ~strategy =
   let workers = 8 in
-  let p = Workload.prepare ~workers ~strategy (fun system ~strategy ->
-      Phased.setup system ~strategy Phased.default_config)
+  let p =
+    Workload.prepare ~workers ~strategy (fun system ~strategy ->
+        Phased.setup system ~strategy Phased.default_config)
   in
   let plane = Metrics_plane.create (System.registry p.system) in
   let cycles = 2 * Bench_config.sim_cycles cfg in

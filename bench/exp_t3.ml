@@ -15,14 +15,14 @@ open Partstm_harness
 open Partstm_workloads
 
 let trace_of cfg (Workload.Workload w) =
-  let name = w.name in
-  let p = Workload.prepare ~workers:16 ~strategy:Strategy.tuned w.setup in
+  let name = w.name and workers = 16 in
+  let p = Workload.prepare ~workers ~strategy:Strategy.tuned w.setup in
   let system = p.system and tuner = Option.get p.tuner in
   let plane = Metrics_plane.create (System.registry system) in
   let result =
     Driver.run ~tuner ~metrics:plane ~metrics_steps:40
       ~mode:(Driver.default_sim ~cycles:(2 * Bench_config.sim_cycles cfg) ())
-      ~workers:16 (w.worker p.state)
+      ~workers (w.worker p.state)
   in
   if not (w.check p.state ~total_ops:result.Driver.total_ops) then
     failwith ("R-T3: invariants violated on " ^ name);
