@@ -251,8 +251,12 @@ let run ?tuner ?(tuner_steps = 40) ?tracer ?metrics ?(metrics_steps = 0) ?(seed 
           recommended
       end;
       (* Nanoseconds since run start, so timestamps stay integral and
-         Chrome export divides by 1000 to reach microseconds. *)
-      set_clock (fun () -> int_of_float ((Unix.gettimeofday () -. start) *. 1e9));
+         Chrome export divides by 1000 to reach microseconds.  Monotonic,
+         unlike the wall clock, which steps under NTP; and read without
+         boxing a float. *)
+      let start_ns = Int64.to_int (Monotonic_clock.now ()) in
+      let run_ns () = Int64.to_int (Monotonic_clock.now ()) - start_ns in
+      set_clock run_ns;
       let domains =
         List.init workers (fun id ->
             Domain.spawn (fun () -> ops.(id) <- worker (make_ctx id)))
@@ -263,5 +267,5 @@ let run ?tuner ?(tuner_steps = 40) ?tracer ?metrics ?(metrics_steps = 0) ?(seed 
       List.iter Domain.join domains;
       Option.iter Domain.join service_domain;
       let elapsed = Unix.gettimeofday () -. start in
-      finish ~time:(int_of_float (elapsed *. 1e9));
+      finish ~time:(run_ns ());
       result elapsed ~throughput:(fun ops -> ops /. elapsed)

@@ -20,9 +20,10 @@ let uid_counter = Atomic.make 0
 
 (* Padding budget: a padded slot costs 2 × 128 B (orec word + reader
    counter), so cap padding at 4096 slots (1 MiB per table).  Beyond that
-   — only reachable if [Mode.granularity_max] grows past 12 — fall back to
-   packed [Atomic.make] boxes: with thousands of slots, accesses are spread
-   thin enough that density beats false-sharing avoidance. *)
+   (granularities 13 to [Mode.granularity_max] = 16) fall back to packed
+   [Atomic.make] boxes: with thousands of slots, accesses are spread thin
+   enough that density beats false-sharing avoidance.  test_domains flips
+   a region across the cap under load. *)
 let padded_slots_max = 4096
 
 let create ~padded ~clock_now ~granularity_log2 =

@@ -1,11 +1,14 @@
 (* Per-tvar multi-version history: the storage half of the Multi_version
    protocol (DESIGN.md §10.1).
 
-   A state is an immutable record swapped atomically into the tvar's [mv]
-   slot, so concurrent readers always observe an internally consistent
-   (epoch, current-version, history) triple with a single [Atomic.get] —
-   there is no torn pair to reason about.  Only the orec write-lock holder
-   builds new states, so swaps never race each other.
+   A state is an immutable record stored whole into the tvar's mutable
+   [mv] field, so concurrent readers always observe an internally
+   consistent (epoch, current-version, history) triple with a single load
+   — there is no torn pair to reason about.  Only the orec write-lock
+   holder builds and stores new states, before the store that releases
+   the orec, so stores never race each other, and a reader that sampled
+   the orec unlocked sees the latest released state or a newer one
+   (Tvar's header gives the ordering argument).
 
    Meaning of the fields:
 

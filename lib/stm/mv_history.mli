@@ -1,6 +1,7 @@
-(** Per-tvar multi-version history: immutable states swapped atomically by
-    the orec lock holder, read race-free by snapshot readers
-    (DESIGN.md §10.1).
+(** Per-tvar multi-version history: immutable states stored into the
+    tvar's [mv] field by the orec lock holder before it releases the orec,
+    read by snapshot readers after an orec sample that saw the slot
+    unlocked (DESIGN.md §3, §10.1).
 
     A region of depth [K] serves the newest [K - 1] superseded versions.
     Writers truncate lazily: a history retains at most [2 (K - 1)] entries,

@@ -1,23 +1,47 @@
-(* Transactional variable.
+(* Transactional variable: one heap block of six fields (DESIGN.md §3).
 
-   [cell] holds the committed value (atomic: committed writes must be visible
-   across domains).  [pending]/[pending_owner] implement write buffering: a
-   transaction that holds the write lock covering this tvar's orec stores its
-   tentative value in [pending] and tags it with its descriptor id, which
-   gives O(1) read-own-write without unsafe casts.  Only the lock holder
-   touches [pending], so the fields need no atomicity; [pending_owner] is
-   cleared (under the same lock) at commit/abort. *)
+   [cell] holds the committed value.  It is field 0 of the record and is
+   read and written only through an ['a Atomic.t] view of the record
+   itself ([atomic]): an [Atomic.t] is a single-field block, and
+   [%atomic_load], [caml_atomic_exchange] and [caml_atomic_cas] address
+   field 0 and never read the block size, so a longer block behaves
+   identically (the trick [Padding.atomic_int] relies on).  The field is
+   immutable in the type, so no other module can assign it, and no code
+   projects it: every access is an atomic load or exchange, which the
+   compiler neither caches nor reorders.  ['a cell] is abstract in the
+   interface, so other modules cannot read it either.
+
+   [pending]/[pending_owner] implement write buffering: a transaction that
+   holds the write lock covering this tvar's orec stores its tentative
+   value in [pending] and tags it with its descriptor id, which gives O(1)
+   read-own-write without unsafe casts.  Only the lock holder touches
+   [pending], so the fields need no atomicity; [pending_owner] is cleared
+   (under the same lock) at commit/abort.
+
+   [mv] is the multi-version state, a plain mutable field.  Only the
+   holder of the orec write lock covering this tvar replaces it, always
+   before the [Atomic.set] that releases the orec.  A snapshot reader
+   reads it only after an atomic load of the orec word that saw the slot
+   unlocked.  That load acquires the release store that unlocked the
+   slot, so every state written before the release happens-before the
+   read: the reader sees that state or a newer one, never an older one.
+   A newer state (a writer locked the slot again after the sample) is a
+   race, which OCaml 5 bounds: the read returns one of the written
+   states, whole, never a torn or uninitialised one.  The read path
+   tolerates a newer state: a committed writer's state carries a publish
+   version past the reader's snapshot, which sends the reader to the
+   history or to extension, and an aborted writer's leaves the current
+   value's version unchanged. *)
+
+type 'a cell = 'a
 
 type 'a t = {
+  cell : 'a cell;
   id : int;
   region : Region.t;
-  cell : 'a Atomic.t;
   mutable pending : 'a;
   mutable pending_owner : int;
-  mv : 'a Mv_history.state Atomic.t;
-      (* multi-version history; swapped only by the orec lock holder, read
-         race-free by snapshot readers (one Atomic.get yields a consistent
-         state) *)
+  mutable mv : 'a Mv_history.state;
 }
 
 (* A tvar with its value type forgotten, for the descriptor's write-back
@@ -30,17 +54,20 @@ let no_owner = -1
 let make region initial =
   ignore (Atomic.fetch_and_add region.Region.tvars 1);
   {
+    cell = initial;
     id = Engine.next_tvar_id region.Region.engine;
     region;
-    cell = Atomic.make initial;
     pending = initial;
     pending_owner = no_owner;
-    mv = Atomic.make Mv_history.initial;
+    mv = Mv_history.initial;
   }
 
 let id t = t.id
 let region t = t.region
 
-let peek t = Atomic.get t.cell
+(* The record viewed as the atomic whose single field is [cell]. *)
+let atomic (t : 'a t) : 'a Atomic.t = Obj.magic t
 
-let poke t value = Atomic.set t.cell value
+let peek t = Atomic.get (atomic t)
+
+let poke t value = Atomic.set (atomic t) value

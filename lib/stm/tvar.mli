@@ -1,13 +1,22 @@
-(** Transactional variable, bound to a region (partition) at creation. *)
+(** Transactional variable, bound to a region (partition) at creation.
+
+    One heap block: the committed value is field 0 of the record, read and
+    written atomically through {!peek} and {!poke} only. *)
+
+type 'a cell
+(** The committed value.  Abstract: only {!peek} and {!poke} read or
+    write it. *)
 
 type 'a t = {
+  cell : 'a cell;  (** committed value; field 0 *)
   id : int;
   region : Region.t;
-  cell : 'a Atomic.t;  (** committed value *)
   mutable pending : 'a;  (** tentative value; owned by the lock holder *)
   mutable pending_owner : int;  (** descriptor id of the buffering writer *)
-  mv : 'a Mv_history.state Atomic.t;
-      (** multi-version history (swapped only by the orec lock holder) *)
+  mutable mv : 'a Mv_history.state;
+      (** multi-version state: written only by the orec lock holder, before
+          the release; read only after an orec sample that saw the slot
+          unlocked *)
 }
 
 type any = Any : 'a t -> any [@@unboxed]
@@ -18,14 +27,17 @@ type any = Any : 'a t -> any [@@unboxed]
 val no_owner : int
 
 val make : Region.t -> 'a -> 'a t
+(** Allocates exactly one block. *)
 
 val id : 'a t -> int
 val region : 'a t -> Region.t
 
 val peek : 'a t -> 'a
-(** Non-transactional read of the committed value (initialisation,
-    post-run verification). *)
+(** Atomic read of the committed value.  The engine's reads go through it
+    under the orec protocol; outside a transaction it is a
+    non-transactional read (initialisation, post-run verification). *)
 
 val poke : 'a t -> 'a -> unit
-(** Non-transactional write. Only safe when no transaction can access the
-    tvar (setup/teardown). *)
+(** Atomic write of the committed value.  The engine writes through it
+    under the orec write lock; outside a transaction it is only safe when
+    no transaction can access the tvar (setup/teardown). *)

@@ -396,7 +396,7 @@ let rec ctl_confirm_phase t = function
    consistent snapshots that remain serializable. *)
 let rec ctl_values_hold log i =
   i >= Vec.length log
-  || (match Vec.get log i with Logged (tvar, value) -> Atomic.get tvar.Tvar.cell == value)
+  || (match Vec.get log i with Logged (tvar, value) -> Tvar.peek tvar == value)
      && ctl_values_hold log (i + 1)
 
 let ctl_run_checks t = Bug.enabled Bug.Ctl_skip_validation || ctl_values_hold t.ctl_checks 0
@@ -560,7 +560,7 @@ let rec invisible_sample : type a.
     if Orec.owner w1 = t.id then
       (* We hold the write lock covering this tvar (a co-located write):
          the committed cell is stable under our lock; no logging needed. *)
-      Atomic.get tvar.Tvar.cell
+      Tvar.peek tvar
     else if entry.re_mv_depth > 0 then begin
       (* Multi-version region: wait out the in-flight writer instead of
          aborting.  Once the lock is released the slot either carries a
@@ -576,7 +576,7 @@ let rec invisible_sample : type a.
     end
     else lock_conflict t entry ~slot
   else begin
-    let value = Atomic.get tvar.Tvar.cell in
+    let value = Tvar.peek tvar in
     let w2 = Atomic.get word in
     if w1 <> w2 then begin
       Runtime_hook.relax ();
@@ -595,7 +595,7 @@ let rec invisible_sample : type a.
            covers it, no freeze needed.
          - Otherwise the history may hold the value that was current at
            [rv] (read-only path; freezes the snapshot). *)
-      let st = Atomic.get tvar.Tvar.mv in
+      let st = tvar.Tvar.mv in
       if st.Mv_history.mv_epoch = entry.re_mv_epoch && st.Mv_history.mv_version <= t.rv then begin
         Region_stats.incr_mv_hist_reads entry.re_stripe;
         log_invisible_read t entry ~slot word w1;
@@ -643,11 +643,11 @@ let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : L
   let counter = Lock_table.reader_counter table slot in
   let key = Lock_table.slot_key table slot in
   let w0 = Atomic.get word in
-  if Orec.locked_by w0 ~owner:t.id then Atomic.get tvar.Tvar.cell
+  if Orec.locked_by w0 ~owner:t.id then Tvar.peek tvar
   else if holds_visible t ~key then
     (* Shared hold since an earlier read (strict 2PL): no writer can have
        committed to this slot meanwhile. *)
-    Atomic.get tvar.Tvar.cell
+    Tvar.peek tvar
   else begin
     Runtime_hook.charge Runtime_hook.Read_visible;
     ignore (Atomic.fetch_and_add counter 1);
@@ -656,14 +656,14 @@ let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : L
     t.own_bloom <- t.own_bloom lor bloom_bits key;
     let w = Atomic.get word in
     if Orec.is_locked w then
-      if Orec.owner w = t.id then Atomic.get tvar.Tvar.cell else lock_conflict t entry ~slot
+      if Orec.owner w = t.id then Tvar.peek tvar else lock_conflict t entry ~slot
     else begin
       (* Keep the whole-transaction snapshot consistent: a version beyond
          [rv] means someone committed since we started; the extension
          revalidates the invisible part of the read set. *)
       if Orec.version w > t.rv then extend t entry;
       record_read t entry ~slot ~version:(Orec.version w);
-      Atomic.get tvar.Tvar.cell
+      Tvar.peek tvar
     end
   end
 
@@ -685,7 +685,7 @@ let rec ctl_sample : type a. t -> region_entry -> a Tvar.t -> slot:int -> int ->
     ctl_sample t entry tvar ~slot (retries + 1)
   end
   else begin
-    let value = Atomic.get tvar.Tvar.cell in
+    let value = Tvar.peek tvar in
     let s2 = Seqlock.read seq in
     if s2 <> s1 then begin
       Runtime_hook.relax ();
@@ -824,16 +824,15 @@ let record_write t (entry : region_entry) ~slot =
 (* First write to a multi-version tvar: rebuild the state when it is from
    an earlier configuration period, so that commit or rollback retires the
    committed value into a history of the current period.  Runs under the
-   orec write lock, so the state swap races with no one. *)
+   orec write lock, so the state store races with no one. *)
 let mv_prepare (type a) t (entry : region_entry) (tvar : a Tvar.t) =
   Runtime_hook.charge (Runtime_hook.Step 1);
-  if (Atomic.get tvar.Tvar.mv).Mv_history.mv_epoch <> entry.re_mv_epoch then
+  if tvar.Tvar.mv.Mv_history.mv_epoch <> entry.re_mv_epoch then
     (* Stale period: the history was not maintained, so the publish
        version of the current value is unknown.  Claim "now" — an
        overstatement that only ever sends readers to the fallback path,
        never to a wrong value. *)
-    Atomic.set tvar.Tvar.mv
-      (Mv_history.rebuild ~epoch:entry.re_mv_epoch ~version:(Engine.now t.engine))
+    tvar.Tvar.mv <- Mv_history.rebuild ~epoch:entry.re_mv_epoch ~version:(Engine.now t.engine)
 
 let write (type a) t (tvar : a Tvar.t) (value : a) =
   check_active t "Txn.write";
@@ -873,9 +872,9 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
       let counter = Lock_table.reader_counter table slot in
       acquire_slot t entry ~slot word counter;
       record_write t entry ~slot;
-      let previous = Atomic.get tvar.Tvar.cell in
+      let previous = Tvar.peek tvar in
       Runtime_hook.charge Runtime_hook.Write_entry;
-      Atomic.set tvar.Tvar.cell value;
+      Tvar.poke tvar value;
       Vec.push t.undo (Logged (tvar, previous))
 
 (* Convenience: transactional read-modify-write. *)
@@ -1016,16 +1015,17 @@ let rec ctl_abandon_held t = function
    transaction (the same value the write cached at activation). *)
 let publish (type a) t (tvar : a Tvar.t) =
   Runtime_hook.charge Runtime_hook.Write_entry;
-  let current = Atomic.get tvar.Tvar.cell in
-  Atomic.set tvar.Tvar.cell tvar.Tvar.pending;
+  let current = Tvar.peek tvar in
+  Tvar.poke tvar tvar.Tvar.pending;
   (* Publish order matters for the snapshot rule: the new cell value must
-     not be observable with the old [mv_version] past the orec release, and
-     both stores happen under the still-held orec lock, so readers whose
-     double sample brackets them retry. *)
+     not be observable with the old [mv_version] past the orec release.
+     Both stores happen under the still-held orec lock, so readers whose
+     double sample brackets them retry; the plain [mv] store precedes the
+     releasing [Atomic.set], so a reader that samples the slot unlocked
+     sees it (Tvar's header). *)
   let depth = tvar.Tvar.region.Region.mv_depth in
   if depth > 0 then
-    Atomic.set tvar.Tvar.mv
-      (Mv_history.retire (Atomic.get tvar.Tvar.mv) ~depth ~current ~version:t.commit_wv);
+    tvar.Tvar.mv <- Mv_history.retire tvar.Tvar.mv ~depth ~current ~version:t.commit_wv;
   tvar.Tvar.pending_owner <- Tvar.no_owner
 
 let rec publish_writes t i =
@@ -1049,10 +1049,9 @@ let publish_and_release t () =
 let retire_unpublished (type a) (tvar : a Tvar.t) =
   let depth = tvar.Tvar.region.Region.mv_depth in
   if depth > 0 then begin
-    let st = Atomic.get tvar.Tvar.mv in
-    Atomic.set tvar.Tvar.mv
-      (Mv_history.retire st ~depth ~current:(Atomic.get tvar.Tvar.cell)
-         ~version:st.Mv_history.mv_version)
+    let st = tvar.Tvar.mv in
+    tvar.Tvar.mv <-
+      Mv_history.retire st ~depth ~current:(Tvar.peek tvar) ~version:st.Mv_history.mv_version
   end
 
 (* Undo entries replay in reverse write order, so multiple writes to one
@@ -1066,7 +1065,7 @@ let undo_and_release t () =
       match Vec.get t.undo i with
       | Logged (tvar, previous) ->
           Runtime_hook.charge Runtime_hook.Write_entry;
-          Atomic.set tvar.Tvar.cell previous
+          Tvar.poke tvar previous
     done;
   for i = 0 to Vec.length t.writes - 1 do
     match Vec.get t.writes i with

@@ -14,7 +14,10 @@
    multicore-magic's [copy_as_padded] / OCaml 5.2's [Atomic.make_contended]:
    an [Atomic.t] is a single-field block and none of its operations read
    the block size, so a longer block behaves identically.  The padding
-   words are immediate ints, so the GC scans them for free.
+   words are immediate ints, so the GC scans them for free.  [Tvar] uses
+   the same fact the other way round: a tvar record's field 0 is its
+   committed value, read and written through an [Atomic.t] view of the
+   record, so the value needs no box of its own.
 
    Only [int] payloads are exposed: an immediate payload keeps the padded
    block pointer-free in practice and sidesteps any question about what the

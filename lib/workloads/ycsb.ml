@@ -228,12 +228,13 @@ let phase_index t progress =
   let rec find i = if i >= n - 1 then n - 1 else if progress < t.resolved.(i).rp_until then i else find (i + 1) in
   find 0
 
-(* Latency clock: virtual cycles inside a simulation, wall nanoseconds on a
-   real domain.  The branch is per call, but [Sim.in_simulation] is a flag
-   read, far below the cost of the transaction being timed. *)
+(* Latency clock: virtual cycles inside a simulation, monotonic
+   nanoseconds on a real domain (the wall clock steps under NTP, and a
+   step backwards would clamp a latency to 0).  The branch is per call,
+   but [Sim.in_simulation] is a flag read, far below the cost of the
+   transaction being timed. *)
 let clock () =
-  if Sim.in_simulation () then Sim.now ()
-  else int_of_float (Unix.gettimeofday () *. 1e9)
+  if Sim.in_simulation () then Sim.now () else Int64.to_int (Monotonic_clock.now ())
 
 let classify mix roll =
   if roll < mix.mx_read then Read

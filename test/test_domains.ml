@@ -396,6 +396,145 @@ let test_reconfigure_under_load () =
   check Alcotest.int "no table swap seen in flight" 0 (Atomic.get torn);
   check Alcotest.int "no orec below its generation" 0 !stale
 
+(* Past the padding cap: a padded engine pads a table of up to
+   [padded_slots_max] (4096) slots and builds larger ones from packed
+   [Atomic.make] boxes.  A region flipped g12 -> g13 -> g12 under two domains of
+   bank transfers changes layout at every flip and keeps its money. *)
+let test_reconfigure_past_padding_cap () =
+  let workers = 2 and flips = 20 and n_accounts = 64 in
+  let system = System.create ~max_workers:4 () in
+  let p = System.partition system ~tunable:false ~mode:(Mode.make ~granularity_log2:12 ()) "cap" in
+  let region = Partition.region p in
+  let layout () =
+    let table = region.Region.table in
+    (Lock_table.is_padded table, Padding.block_words (Lock_table.word table 0))
+  in
+  check Alcotest.(pair bool int) "g12 padded" (true, Padding.cache_line_words) (layout ());
+  let accounts = Array.init n_accounts (fun _ -> System.tvar p 100) in
+  let stop = Atomic.make false and running = Atomic.make 0 in
+  let domains =
+    List.init workers (fun id ->
+        Domain.spawn (fun () ->
+            let txn = System.descriptor system ~worker_id:id in
+            let rng = Rng.make (0xCA9 + id) in
+            Atomic.incr running;
+            while not (Atomic.get stop) do
+              let a = Rng.int rng n_accounts and b = Rng.int rng n_accounts in
+              System.atomically txn (fun t ->
+                  System.write t accounts.(a) (System.read t accounts.(a) - 1);
+                  System.write t accounts.(b) (System.read t accounts.(b) + 1))
+            done))
+  in
+  while Atomic.get running < workers do
+    Domain.cpu_relax ()
+  done;
+  let layouts = ref [] in
+  for i = 1 to flips do
+    Partition.set_mode p (Mode.make ~granularity_log2:(if i land 1 = 1 then 13 else 12) ());
+    layouts := layout () :: !layouts
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join domains;
+  List.iteri
+    (fun i got ->
+      let g13 = (flips - i) land 1 = 1 in
+      (* [block_words] counts fields: a packed box has one (two words with
+         its header), a padded one a cache line's worth. *)
+      let expected = if g13 then (false, 1) else (true, Padding.cache_line_words) in
+      check Alcotest.(pair bool int) (Printf.sprintf "flip %d layout" (flips - i)) expected got)
+    !layouts;
+  let txn = System.descriptor system ~worker_id:workers in
+  let total =
+    System.atomically txn (fun t ->
+        Array.fold_left (fun acc v -> acc + System.read t v) 0 accounts)
+  in
+  check Alcotest.int "money conserved" (n_accounts * 100) total;
+  check Alcotest.int "nothing in flight" 0 (Engine.inflight (System.engine system))
+
+(* -- Heap values under a moving GC ------------------------------------------ *)
+
+(* The committed value lives in field 0 of the tvar record, so every
+   commit stores a heap pointer into a multi-field block through
+   [caml_atomic_exchange], and its write barrier has to keep the value
+   alive across minor and major collections.  Two domains move strings
+   between lists held by write-back, write-through and mv8 tvars (fresh
+   cons cells and fresh string copies on every move) while the main
+   domain forces full major collections and compactions for about a
+   second.  Afterwards every string is still present exactly once, with
+   its contents intact; inside the run every read-only census saw all of
+   them. *)
+let test_heap_values_survive_gc () =
+  let workers = 2 and per_partition = 8 and tokens = 96 in
+  let system = System.create ~max_workers:4 () in
+  let cells =
+    List.concat_map
+      (fun mode ->
+        let p = System.partition system ~tunable:false ~mode (Mode.to_string mode) in
+        List.init per_partition (fun _ -> System.tvar p []))
+      [
+        Mode.default;
+        Mode.make ~update:Mode.Write_through ();
+        Mode.make ~protocol:(Protocol.Multi_version { depth = 8 }) ();
+      ]
+    |> Array.of_list
+  in
+  let n = Array.length cells in
+  let token k = Printf.sprintf "token-%03d" k in
+  for k = 0 to tokens - 1 do
+    let c = cells.(k mod n) in
+    Tvar.poke c (token k :: Tvar.peek c)
+  done;
+  let stop = Atomic.make false and running = Atomic.make 0 and short_census = Atomic.make 0 in
+  let move t rng =
+    let a = Rng.int rng n and b = Rng.int rng n in
+    match System.read t cells.(a) with
+    | [] -> ()
+    | s :: rest ->
+        System.write t cells.(a) rest;
+        (* A fresh copy, so the moved value is a young block. *)
+        let s = String.init (String.length s) (String.get s) in
+        System.write t cells.(b) (s :: System.read t cells.(b))
+  in
+  let swap t rng =
+    let a = Rng.int rng n and b = Rng.int rng n in
+    let va = System.read t cells.(a) and vb = System.read t cells.(b) in
+    System.write t cells.(a) vb;
+    System.write t cells.(b) va
+  in
+  let census t = Array.fold_left (fun acc c -> acc + List.length (System.read t c)) 0 cells in
+  let domains =
+    List.init workers (fun id ->
+        Domain.spawn (fun () ->
+            let txn = System.descriptor system ~worker_id:id in
+            let rng = Rng.make (0x6C + id) in
+            Atomic.incr running;
+            let i = ref 0 in
+            while not (Atomic.get stop) do
+              incr i;
+              if !i mod 64 = 0 then begin
+                if System.atomically txn census <> tokens then Atomic.incr short_census
+              end
+              else if !i land 1 = 0 then System.atomically txn (fun t -> move t rng)
+              else System.atomically txn (fun t -> swap t rng)
+            done))
+  in
+  while Atomic.get running < workers do
+    Domain.cpu_relax ()
+  done;
+  let deadline = Unix.gettimeofday () +. 1.0 and collections = ref 0 in
+  while Unix.gettimeofday () < deadline do
+    Gc.full_major ();
+    Gc.compact ();
+    incr collections
+  done;
+  Atomic.set stop true;
+  List.iter Domain.join domains;
+  let found = Array.to_list cells |> List.concat_map Tvar.peek |> List.sort compare in
+  check Alcotest.(list string) "every string present once, contents intact"
+    (List.init tokens token) found;
+  check Alcotest.int "every census saw every string" 0 (Atomic.get short_census);
+  check Alcotest.bool "collections ran" true (!collections > 0)
+
 (* -- Retry hook -------------------------------------------------------------- *)
 
 let test_retry_hook_unit () =
@@ -503,5 +642,10 @@ let () =
         ] );
       ("scaling", [ Alcotest.test_case "run_once smoke" `Quick test_scaling_run_once ]);
       ( "reconfig",
-        [ Alcotest.test_case "granularity flips under load" `Quick test_reconfigure_under_load ] );
+        [
+          Alcotest.test_case "granularity flips under load" `Quick test_reconfigure_under_load;
+          Alcotest.test_case "g12/g13 flips past the padding cap" `Quick
+            test_reconfigure_past_padding_cap;
+        ] );
+      ("gc", [ Alcotest.test_case "heap values survive GC under load" `Quick test_heap_values_survive_gc ]);
     ]

@@ -386,12 +386,53 @@ let bridged_decision_test =
             "one decision per switch, rendered with Mode.pp" (List.map render events)
             (List.map bridged (Obs.Tracer.decisions tracer)))
 
+(* On domains the driver stamps spans from a monotonic nanosecond clock.
+   The wall clock it used to read steps under NTP and resolves only
+   microseconds, so most sub-microsecond transactions got a zero-length
+   span. *)
+let domains_clock_test =
+  Alcotest.test_case "domains spans are timed in monotonic ns" `Quick (fun () ->
+      let module Driver = Partstm_harness.Driver in
+      let system = System.create ~max_workers:4 () in
+      let p = System.partition system "clock" in
+      let a = System.tvar p 1 and b = System.tvar p 2 in
+      let tracer = Obs.Tracer.create ~ring_capacity:10_000 ~sample_every:1 () in
+      Obs.Tracer.attach tracer (System.engine system);
+      let worker (ctx : Driver.ctx) =
+        let txn = System.descriptor system ~worker_id:ctx.Driver.worker_id in
+        let ops = ref 0 in
+        while not (ctx.Driver.should_stop ()) do
+          ignore (System.atomically txn (fun t -> System.read t a + System.read t b));
+          incr ops
+        done;
+        !ops
+      in
+      ignore (Driver.run ~tracer ~mode:(Driver.Domains { seconds = 0.1 }) ~workers:1 worker);
+      Obs.Tracer.detach tracer;
+      let spans = Obs.Tracer.spans tracer in
+      let timed = List.filter (fun sp -> sp.Obs.Tracer.sp_end > sp.Obs.Tracer.sp_begin) spans in
+      check Alcotest.bool "spans recorded" true (spans <> []);
+      check Alcotest.bool "no span ends before it begins" true
+        (List.for_all (fun sp -> sp.Obs.Tracer.sp_end >= sp.Obs.Tracer.sp_begin) spans);
+      check Alcotest.bool
+        (Printf.sprintf "%d of %d spans have a positive length" (List.length timed)
+           (List.length spans))
+        true
+        (2 * List.length timed > List.length spans))
+
 let () =
   Alcotest.run "partstm_obs"
     [
       ( "fan-out",
         [ fan_out_test; add_remove_tap_test; history_attach_twice_test; exact_totals_test ] );
-      ("tracer", [ ring_eviction_test; sampling_test; decision_test; bridged_decision_test ]);
+      ( "tracer",
+        [
+          ring_eviction_test;
+          sampling_test;
+          decision_test;
+          bridged_decision_test;
+          domains_clock_test;
+        ] );
       ("chrome", [ chrome_test ]);
       ("contention", [ heatmap_reconciliation_test ]);
       ("mutation", [ traced_mutation_test ]);

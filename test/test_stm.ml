@@ -188,6 +188,50 @@ let test_region_tvar_count () =
   let _ = Tvar.make r 0 and _ = Tvar.make r 0 in
   check Alcotest.int "two" 2 (Region.tvar_count r)
 
+(* -- Tvar layout ------------------------------------------------------------- *)
+
+(* A tvar is one heap block.  The committed value is field 0, the field
+   the engine's atomic view of the record addresses; moving any other
+   field there, or boxing the value again, fails this test. *)
+let tvar_fields = 6 (* cell, id, region, pending, pending_owner, mv *)
+
+let test_tvar_layout () =
+  let e = fresh_engine () in
+  let r = Region.create e ~name:"r" () in
+  let initial = [ "initial" ] in
+  let tv = Tvar.make r initial in
+  let id = Tvar.id tv in
+  check Alcotest.bool "make stores the value in field 0" true
+    (Obj.field (Obj.repr tv) 0 == Obj.repr initial);
+  check Alcotest.bool "peek reads it" true (Tvar.peek tv == initial);
+  let v = [ String.make 3 'v' ] in
+  Tvar.poke tv v;
+  check Alcotest.bool "poke writes field 0" true (Obj.field (Obj.repr tv) 0 == Obj.repr v);
+  check Alcotest.bool "peek reads the poked value" true (Tvar.peek tv == v);
+  check Alcotest.int "poke leaves the id" id (Tvar.id tv);
+  check Alcotest.bool "poke leaves the region" true (Tvar.region tv == r);
+  check Alcotest.bool "poke leaves the pending value" true (tv.Tvar.pending == initial);
+  check Alcotest.bool "poke leaves the mv state" true (tv.Tvar.mv == Mv_history.initial);
+  check Alcotest.int "one block of the record's fields" tvar_fields (Obj.size (Obj.repr tv));
+  check Alcotest.int "record tag" 0 (Obj.tag (Obj.repr tv))
+
+(* [Tvar.make] allocates its record and nothing else: [tvar_fields] words
+   plus the header.  Several makes in a row, so that a stray box per tvar
+   could not hide in rounding. *)
+let test_tvar_make_one_block () =
+  let e = fresh_engine () in
+  let r = Region.create e ~name:"r" () in
+  let n = 100 in
+  let keep = Array.make n (Tvar.make r 0) in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    keep.(i) <- Tvar.make r i
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words per make" (float_of_int (tvar_fields + 1))
+    (words /. float_of_int n);
+  check Alcotest.int "every tvar kept" (n - 1) (Tvar.peek keep.(n - 1))
+
 (* -- Region stats ---------------------------------------------------------- *)
 
 let test_region_stats_snapshot_diff () =
@@ -652,7 +696,7 @@ let test_txn_body_exception_every_mode () =
              to the region's current period. *)
           Txn.atomically txn (fun t -> Txn.write t b 3);
           let seq = Seqlock.read r.Region.ctl_seq in
-          let mv = Atomic.get b.Tvar.mv in
+          let mv = b.Tvar.mv in
           let clock = Engine.now e in
           let stats = Region_stats.snapshot r.Region.stats in
           Alcotest.check_raises (name ^ ": exception propagates") Exit (fun () ->
@@ -669,7 +713,7 @@ let test_txn_body_exception_every_mode () =
           check Alcotest.int (label "seqlock unchanged") seq (Seqlock.read r.Region.ctl_seq);
           check Alcotest.bool (label "seqlock even") false (Seqlock.is_locked seq);
           check Alcotest.int (label "clock not advanced") clock (Engine.now e);
-          let mv' = Atomic.get b.Tvar.mv in
+          let mv' = b.Tvar.mv in
           check Alcotest.int (label "mv version not advanced") mv.Mv_history.mv_version
             mv'.Mv_history.mv_version;
           check Alcotest.int (label "mv epoch unchanged") mv.Mv_history.mv_epoch
@@ -877,6 +921,11 @@ let () =
           Alcotest.test_case "basics" `Quick test_lock_table_basics;
           Alcotest.test_case "whole region" `Quick test_lock_table_whole_region;
           prop_lock_table_slot_in_range;
+        ] );
+      ( "tvar",
+        [
+          Alcotest.test_case "one block, value in field 0" `Quick test_tvar_layout;
+          Alcotest.test_case "make allocates one block" `Quick test_tvar_make_one_block;
         ] );
       ( "region",
         [

@@ -156,6 +156,29 @@ let test_ycsb_sim_byte_deterministic () =
     (Json.to_string (Ycsb.to_json a))
     (Json.to_string (Ycsb.to_json b))
 
+(* On domains, latencies come from a monotonic nanosecond clock.  The
+   wall clock steps under NTP and resolves only microseconds: it timed
+   most sub-microsecond reads as 0, which put the read p50 in bucket 0. *)
+let test_ycsb_domains_latency_clock () =
+  let config =
+    {
+      Ycsb.quick_config with
+      Ycsb.mix = Ycsb.mix_c;
+      phases =
+        [ { Ycsb.ph_name = "all"; ph_weight = 1.0; ph_theta = None; ph_mix = None; ph_shift = 0.0 } ];
+    }
+  in
+  let report = Ycsb.run ~backend:(`Domains 0.2) ~workers:1 ~seed:7 config in
+  let reads =
+    match report.Ycsb.r_phases with
+    | [ ps ] -> List.assoc Ycsb.Read ps.Ycsb.ps_per_op
+    | _ -> Alcotest.fail "expected one phase"
+  in
+  check Alcotest.bool "reads ran" true (reads.Histogram.h_count > 0);
+  check Alcotest.bool
+    (Printf.sprintf "read p50 bound %d ns is above 0" reads.Histogram.h_p50)
+    true (reads.Histogram.h_p50 > 0)
+
 (* -- Social-feed application -------------------------------------------------- *)
 
 let run_quick_feed () =
@@ -209,6 +232,11 @@ let () =
           Alcotest.test_case "acceptance checks pass" `Quick test_ycsb_checks_pass;
           Alcotest.test_case "artifact byte-deterministic" `Quick
             test_ycsb_sim_byte_deterministic;
+        ] );
+      ( "ycsb-domains",
+        [
+          Alcotest.test_case "latencies on a monotonic ns clock" `Quick
+            test_ycsb_domains_latency_clock;
         ] );
       ( "feed",
         [
