@@ -22,8 +22,7 @@ let uid_counter = Atomic.make 0
    counter), so cap padding at 4096 slots (1 MiB per table).  Beyond that
    (granularities 13 to [Mode.granularity_max] = 16) fall back to packed
    [Atomic.make] boxes: with thousands of slots, accesses are spread thin
-   enough that density beats false-sharing avoidance.  test_domains flips
-   a region across the cap under load. *)
+   enough that density beats false-sharing avoidance. *)
 let padded_slots_max = 4096
 
 let create ~padded ~clock_now ~granularity_log2 =
