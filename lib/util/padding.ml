@@ -35,5 +35,7 @@ let atomic_int initial : int Atomic.t =
 
 let atomic_array ~len initial = Array.init len (fun _ -> atomic_int initial)
 
-(* Diagnostic for tests: the block size (in words) backing an atomic. *)
-let block_words (a : int Atomic.t) = Obj.size (Obj.repr a)
+(* Diagnostic for tests: the field count of the block backing an atomic,
+   header excluded ([Obj.size]): 1 for a packed box, [cache_line_words]
+   for a padded one. *)
+let block_fields (a : int Atomic.t) = Obj.size (Obj.repr a)

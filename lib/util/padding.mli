@@ -13,6 +13,7 @@ val atomic_int : int -> int Atomic.t
 val atomic_array : len:int -> int -> int Atomic.t array
 (** [len] independent padded atomics, each initialised to the given value. *)
 
-val block_words : int Atomic.t -> int
-(** Size in words of the block backing [a] (diagnostic; [cache_line_words]
-    for padded atomics, 1 for [Atomic.make]). *)
+val block_fields : int Atomic.t -> int
+(** Field count of the block backing [a], header excluded — what
+    [Obj.size] returns (diagnostic; [cache_line_words] for padded atomics,
+    1 for [Atomic.make], whose block is 2 words with its header). *)

@@ -22,7 +22,7 @@ let check = Alcotest.check
 let test_padding_layout () =
   let a = Padding.atomic_int 7 in
   check Alcotest.int "block spans a full cache line" Padding.cache_line_words
-    (Padding.block_words a);
+    (Padding.block_fields a);
   check Alcotest.int "initial value" 7 (Atomic.get a);
   Atomic.set a 9;
   check Alcotest.int "set/get" 9 (Atomic.get a);
@@ -407,7 +407,7 @@ let test_reconfigure_past_padding_cap () =
   let region = Partition.region p in
   let layout () =
     let table = region.Region.table in
-    (Lock_table.is_padded table, Padding.block_words (Lock_table.word table 0))
+    (Lock_table.is_padded table, Padding.block_fields (Lock_table.word table 0))
   in
   check Alcotest.(pair bool int) "g12 padded" (true, Padding.cache_line_words) (layout ());
   let accounts = Array.init n_accounts (fun _ -> System.tvar p 100) in
@@ -438,8 +438,9 @@ let test_reconfigure_past_padding_cap () =
   List.iteri
     (fun i got ->
       let g13 = (flips - i) land 1 = 1 in
-      (* [block_words] counts fields: a packed box has one (two words with
-         its header), a padded one a cache line's worth. *)
+      (* [block_fields] counts fields, header excluded: a packed box has
+         one (two words with its header), a padded one a cache line's
+         worth. *)
       let expected = if g13 then (false, 1) else (true, Padding.cache_line_words) in
       check Alcotest.(pair bool int) (Printf.sprintf "flip %d layout" (flips - i)) expected got)
     !layouts;
