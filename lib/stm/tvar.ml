@@ -18,20 +18,23 @@
    [pending], so the fields need no atomicity; [pending_owner] is cleared
    (under the same lock) at commit/abort.
 
-   [mv] is the multi-version state, a plain mutable field.  Only the
-   holder of the orec write lock covering this tvar replaces it, always
-   before the [Atomic.set] that releases the orec.  A snapshot reader
-   reads it only after an atomic load of the orec word that saw the slot
-   unlocked.  That load acquires the release store that unlocked the
-   slot, so every state written before the release happens-before the
-   read: the reader sees that state or a newer one, never an older one.
-   A newer state (a writer locked the slot again after the sample) is a
-   race, which OCaml 5 bounds: the read returns one of the written
-   states, whole, never a torn or uninitialised one.  The read path
-   tolerates a newer state: a committed writer's state carries a publish
-   version past the reader's snapshot, which sends the reader to the
-   history or to extension, and an aborted writer's leaves the current
-   value's version unchanged. *)
+   [mv] is the multi-version state, a plain mutable field:
+   [Mv_history.initial] or the tvar's version ring of the current
+   multi-version period.  Only the holder of the orec write lock covering
+   this tvar stores a new ring or mutates the ring in place, always before
+   the [Atomic.set] that releases the orec.  A snapshot reader reads it only after an atomic
+   load of the orec word that saw the slot unlocked.  That load acquires
+   the release store that unlocked the slot, so every store made before
+   the release happens-before the read: the reader sees the ring as that
+   release left it or newer, never older.  A newer ring (a writer locked
+   the slot again after the sample) is a race.  OCaml 5 bounds it for the
+   field itself (the read returns one of the stored rings, fully
+   initialised), and the ring's sequence word bounds it for the slots
+   ([Mv_history.find] serves nothing from a scan that overlapped a
+   mutation).  The read path tolerates a newer ring: a committed writer
+   records a publish version past the reader's snapshot, which sends the
+   reader to the history or to extension, and an aborted writer leaves
+   the current value's version unchanged. *)
 
 type 'a cell = 'a
 

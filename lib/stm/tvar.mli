@@ -14,9 +14,10 @@ type 'a t = {
   mutable pending : 'a;  (** tentative value; owned by the lock holder *)
   mutable pending_owner : int;  (** descriptor id of the buffering writer *)
   mutable mv : 'a Mv_history.state;
-      (** multi-version state: written only by the orec lock holder, before
-          the release; read only after an orec sample that saw the slot
-          unlocked *)
+      (** multi-version state: {!Mv_history.initial}, or a version ring
+          allocated at the first write of a multi-version period.  Stored
+          and mutated only by the orec lock holder, before the release;
+          read only after an orec sample that saw the slot unlocked *)
 }
 
 type any = Any : 'a t -> any [@@unboxed]

@@ -526,7 +526,7 @@ let mv_history_read : type a. t -> region_entry -> a Mv_history.state -> a optio
  fun t entry st ->
   let buggy = Bug.enabled Bug.Mv_skip_stale_check in
   if t.mv_inhibit then None
-  else if st.Mv_history.mv_epoch <> entry.re_mv_epoch then
+  else if Mv_history.epoch st <> entry.re_mv_epoch then
     (* History from a previous protocol phase: commits made while the
        region ran another protocol never reached it, so its entries'
        validity windows are broken — no claims until a writer rebuilds
@@ -534,8 +534,12 @@ let mv_history_read : type a. t -> region_entry -> a Mv_history.state -> a optio
     None
   else if (not buggy) && not (is_read_only t && Vec.is_empty t.ctl_checks) then None
   else begin
+    (* The ring is scanned before the probe's charge, as it stood at the
+       caller's double sample: under the simulator a later writer can
+       retire into it during the charge's yield. *)
+    let found = Mv_history.find st ~at:t.rv in
     Runtime_hook.charge (Runtime_hook.Step 1);
-    match Mv_history.find st ~at:t.rv ~depth:entry.re_mv_depth with
+    match found with
     | None -> None
     | Some (version, value) ->
         if not buggy then t.mv_stale <- true;
@@ -596,7 +600,7 @@ let rec invisible_sample : type a.
          - Otherwise the history may hold the value that was current at
            [rv] (read-only path; freezes the snapshot). *)
       let st = tvar.Tvar.mv in
-      if st.Mv_history.mv_epoch = entry.re_mv_epoch && st.Mv_history.mv_version <= t.rv then begin
+      if Mv_history.epoch st = entry.re_mv_epoch && Mv_history.version st <= t.rv then begin
         Region_stats.incr_mv_hist_reads entry.re_stripe;
         log_invisible_read t entry ~slot word w1;
         value
@@ -821,18 +825,20 @@ let record_write t (entry : region_entry) ~slot =
   | None -> ()
   | Some r -> r.Engine.rec_write ~txn:t.id ~region:entry.re_region.Region.id ~slot
 
-(* First write to a multi-version tvar: rebuild the state when it is from
-   an earlier configuration period, so that commit or rollback retires the
-   committed value into a history of the current period.  Runs under the
-   orec write lock, so the state store races with no one. *)
+(* First write to a multi-version tvar: build a ring when the tvar has
+   none of the current configuration period, so that commit or rollback
+   retires the committed value into it.  Runs under the orec write lock,
+   so the ring store races with no one. *)
 let mv_prepare (type a) t (entry : region_entry) (tvar : a Tvar.t) =
   Runtime_hook.charge (Runtime_hook.Step 1);
-  if tvar.Tvar.mv.Mv_history.mv_epoch <> entry.re_mv_epoch then
+  if Mv_history.epoch tvar.Tvar.mv <> entry.re_mv_epoch then
     (* Stale period: the history was not maintained, so the publish
        version of the current value is unknown.  Claim "now" — an
        overstatement that only ever sends readers to the fallback path,
        never to a wrong value. *)
-    tvar.Tvar.mv <- Mv_history.rebuild ~epoch:entry.re_mv_epoch ~version:(Engine.now t.engine)
+    tvar.Tvar.mv <-
+      Mv_history.rebuild ~epoch:entry.re_mv_epoch ~depth:entry.re_mv_depth
+        ~version:(Engine.now t.engine) ~current:(Tvar.peek tvar)
 
 let write (type a) t (tvar : a Tvar.t) (value : a) =
   check_active t "Txn.write";
@@ -1010,22 +1016,21 @@ let rec ctl_abandon_held t = function
       ctl_abandon_held t rest
 
 (* Write-back publish of one logged tvar: its buffered value becomes the
-   committed one.  Whether it also publishes a multi-version state is the
-   region's current depth, which quiescence keeps fixed for the whole
-   transaction (the same value the write cached at activation). *)
+   committed one.  Whether it also retires the old value into the tvar's
+   ring is the region's current depth, which quiescence keeps fixed for
+   the whole transaction (the same value the write cached at activation). *)
 let publish (type a) t (tvar : a Tvar.t) =
   Runtime_hook.charge Runtime_hook.Write_entry;
   let current = Tvar.peek tvar in
   Tvar.poke tvar tvar.Tvar.pending;
   (* Publish order matters for the snapshot rule: the new cell value must
-     not be observable with the old [mv_version] past the orec release.
+     not be observable with the old publish version past the orec release.
      Both stores happen under the still-held orec lock, so readers whose
-     double sample brackets them retry; the plain [mv] store precedes the
+     double sample brackets them retry; the ring's stores precede the
      releasing [Atomic.set], so a reader that samples the slot unlocked
-     sees it (Tvar's header). *)
-  let depth = tvar.Tvar.region.Region.mv_depth in
-  if depth > 0 then
-    tvar.Tvar.mv <- Mv_history.retire tvar.Tvar.mv ~depth ~current ~version:t.commit_wv;
+     sees them (Tvar's header). *)
+  if tvar.Tvar.region.Region.mv_depth > 0 then
+    Mv_history.retire tvar.Tvar.mv ~current ~version:t.commit_wv;
   tvar.Tvar.pending_owner <- Tvar.no_owner
 
 let rec publish_writes t i =
@@ -1047,11 +1052,9 @@ let publish_and_release t () =
 (* An aborted multi-version write retires the still-current value with
    its version unchanged (see [Mv_history.retire]). *)
 let retire_unpublished (type a) (tvar : a Tvar.t) =
-  let depth = tvar.Tvar.region.Region.mv_depth in
-  if depth > 0 then begin
+  if tvar.Tvar.region.Region.mv_depth > 0 then begin
     let st = tvar.Tvar.mv in
-    tvar.Tvar.mv <-
-      Mv_history.retire st ~depth ~current:(Tvar.peek tvar) ~version:st.Mv_history.mv_version
+    Mv_history.retire st ~current:(Tvar.peek tvar) ~version:(Mv_history.version st)
   end
 
 (* Undo entries replay in reverse write order, so multiple writes to one

@@ -696,7 +696,8 @@ let test_txn_body_exception_every_mode () =
              to the region's current period. *)
           Txn.atomically txn (fun t -> Txn.write t b 3);
           let seq = Seqlock.read r.Region.ctl_seq in
-          let mv = b.Tvar.mv in
+          let mv_version = Mv_history.version b.Tvar.mv in
+          let mv_epoch = Mv_history.epoch b.Tvar.mv in
           let clock = Engine.now e in
           let stats = Region_stats.snapshot r.Region.stats in
           Alcotest.check_raises (name ^ ": exception propagates") Exit (fun () ->
@@ -713,11 +714,9 @@ let test_txn_body_exception_every_mode () =
           check Alcotest.int (label "seqlock unchanged") seq (Seqlock.read r.Region.ctl_seq);
           check Alcotest.bool (label "seqlock even") false (Seqlock.is_locked seq);
           check Alcotest.int (label "clock not advanced") clock (Engine.now e);
-          let mv' = b.Tvar.mv in
-          check Alcotest.int (label "mv version not advanced") mv.Mv_history.mv_version
-            mv'.Mv_history.mv_version;
-          check Alcotest.int (label "mv epoch unchanged") mv.Mv_history.mv_epoch
-            mv'.Mv_history.mv_epoch;
+          check Alcotest.int (label "mv version not advanced") mv_version
+            (Mv_history.version b.Tvar.mv);
+          check Alcotest.int (label "mv epoch unchanged") mv_epoch (Mv_history.epoch b.Tvar.mv);
           check Alcotest.int (label "one abort")
             (stats.Region_stats.s_aborts + 1)
             after.Region_stats.s_aborts;
