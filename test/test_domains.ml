@@ -482,7 +482,8 @@ let test_mv_concurrent_audits () =
   let n_accounts = 8 and audits = 2_000 in
   let system = System.create ~max_workers:4 () in
   let ledger depth =
-    let p = System.partition system ~tunable:false ~mode:(mv_mode depth) (Printf.sprintf "mv%d" depth) in
+    let name = Printf.sprintf "mv%d" depth in
+    let p = System.partition system ~tunable:false ~mode:(mv_mode depth) name in
     (p, Array.init n_accounts (fun _ -> System.tvar p 100))
   in
   let ledgers = [| ledger 2; ledger 8 |] in
@@ -576,8 +577,9 @@ let test_mv_stalled_reader () =
       (Domain.spawn (fun () ->
            let txn = System.descriptor system ~worker_id:1 in
            for i = from to from + k - 1 do
+             let fresh () = Array.make (value_words - 1) (n + i) in
              System.atomically txn (fun t ->
-                 Array.iter (fun tv -> System.write t tv (Array.make (value_words - 1) (n + i))) tvars)
+                 Array.iter (fun tv -> System.write t tv (fresh ())) tvars)
            done))
   in
   let live_words () =
