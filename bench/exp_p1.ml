@@ -30,7 +30,7 @@ let max_growth = 2.5
    slots.  Distinct slots make per-access costs comparable across set sizes
    (no entry collapses into another's orec). *)
 let distinct_slot_tvars partition ~count =
-  let table = (Partition.region partition).Region.table in
+  let table = (Partition.region partition).Region.config.Region.table in
   let seen = Hashtbl.create (2 * count) in
   let out = ref [] in
   let n = ref 0 and attempts = ref 0 in

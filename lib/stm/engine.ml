@@ -192,11 +192,20 @@ let taps t = List.map fst t.taps
 
 let now t = Atomic.get t.clock
 
-(* Advance the clock and return the new (unique) commit version. *)
-let tick t = Atomic.fetch_and_add t.clock 1 + 1
+(* Advance the clock and return the new (unique) commit version.  The
+   guards below fail closed: a version or a descriptor id past what an
+   orec word encodes (Orec) would alias an older one. *)
+let tick t =
+  let version = Atomic.fetch_and_add t.clock 1 + 1 in
+  if version > Orec.max_version then failwith "Engine.tick: version clock exhausted";
+  version
 
 let next_tvar_id t = Atomic.fetch_and_add t.tvar_counter 1
-let next_descriptor_id t = Atomic.fetch_and_add t.descriptor_counter 1
+
+let next_descriptor_id t =
+  let id = Atomic.fetch_and_add t.descriptor_counter 1 in
+  if id > Orec.max_owner then failwith "Engine.next_descriptor_id: descriptor ids exhausted";
+  id
 let next_region_id t = Atomic.fetch_and_add t.region_counter 1
 
 let rec sum_slots slots i acc =

@@ -120,10 +120,15 @@ val now : t -> int
 (** Current global clock value. *)
 
 val tick : t -> int
-(** Advance the clock; returns the new unique commit version. *)
+(** Advance the clock; returns the new unique commit version. Raises
+    [Failure] past {!Orec.max_version}. *)
 
 val next_tvar_id : t -> int
+
 val next_descriptor_id : t -> int
+(** Raises [Failure] past {!Orec.max_owner}: an orec word holds 20 bits of
+    owner id. *)
+
 val next_region_id : t -> int
 
 val inflight : t -> int

@@ -24,7 +24,7 @@
    Meaning of the fields:
 
    - [epoch] ties the ring to one multi-version configuration period of
-     the region ({!Region}'s [mv_epoch] is bumped by every reconfiguration).
+     the region ({!Region}'s [mv_epoch] is bumped by every protocol change).
      While a region is *not* running Multi_version its writers do not
      maintain histories, so a ring from an earlier period may understate
      [version]; a reader that trusted it could serve a value that was

@@ -6,27 +6,29 @@
    Online reconfiguration safety comes from the engine-wide quiesce
    protocol ({!Engine.quiesce}): transactions register in-flight once at
    begin, on their worker's own slot; the tuner freezes the engine and
-   waits for every slot to drain before swapping [table]/[visibility].  A
-   transaction therefore observes one configuration per region for its
-   whole lifetime (it caches the table at first touch, and no swap can
-   happen while it is in flight).  A replacement lock table is built before
+   waits for every slot to drain before replacing [config].  A transaction
+   therefore observes one configuration per region for its whole lifetime
+   (it caches [config] at first touch, and no swap can happen while it is
+   in flight).  A replacement lock table is built before
    the freeze, so workers wait only for the swap, not for the allocation. *)
+
+(* What a transaction caches at its first touch of the region (one
+   pointer), replaced whole by [reconfigure], never mutated in place. *)
+type config = {
+  table : Lock_table.t;
+  mode : Mode.t;  (* [mode.granularity_log2] is [table]'s *)
+  mv_depth : int;  (* the [Multi_version] depth, 0 otherwise *)
+  mv_epoch : int;
+      (* multi-version configuration period: bumped by every protocol
+         change, so tvar histories maintained under an earlier protocol are
+         recognisably stale (Mv_history) *)
+}
 
 type t = {
   id : int;
   name : string;
   engine : Engine.t;
-  mutable table : Lock_table.t;
-  mutable visibility : Mode.read_visibility;
-  mutable update : Mode.update_strategy;
-  mutable protocol : Protocol.t;
-  mutable mv_depth : int;
-      (* cached [Multi_version] depth (0 otherwise), so the write path does
-         not destructure the protocol per write *)
-  mutable mv_epoch : int;
-      (* multi-version configuration period: bumped by every reconfigure, so
-         tvar histories maintained under an earlier configuration are
-         recognisably stale (Mv_history) *)
+  mutable config : config;
   ctl_seq : Seqlock.t;  (* commit-time-lock sequence word *)
   stats : Region_stats.t;
   tvars : int Atomic.t;  (* number of tvars allocated in this region *)
@@ -37,7 +39,9 @@ let record_generation engine ~region ~version =
   | None -> ()
   | Some r -> r.Engine.rec_generation ~region ~version
 
-let mv_depth_of = function Protocol.Multi_version { depth } -> depth | _ -> 0
+let make_config ~table ~mv_epoch (mode : Mode.t) =
+  let mv_depth = match mode.protocol with Protocol.Multi_version { depth } -> depth | _ -> 0 in
+  { table; mode; mv_depth; mv_epoch }
 
 let create engine ~name ?(mode = Mode.default) () =
   Mode.validate mode;
@@ -48,26 +52,17 @@ let create engine ~name ?(mode = Mode.default) () =
     id;
     name;
     engine;
-    table =
-      Lock_table.create ~padded:engine.Engine.padded ~clock_now:base
-        ~granularity_log2:mode.Mode.granularity_log2;
-    visibility = mode.Mode.visibility;
-    update = mode.Mode.update;
-    protocol = mode.Mode.protocol;
-    mv_depth = mv_depth_of mode.Mode.protocol;
-    mv_epoch = 0;
+    config =
+      make_config mode ~mv_epoch:0
+        ~table:
+          (Lock_table.create ~padded:engine.Engine.padded ~clock_now:base
+             ~granularity_log2:mode.Mode.granularity_log2);
     ctl_seq = Seqlock.create ~padded:engine.Engine.padded;
     stats = Region_stats.create ~max_workers:engine.Engine.max_workers;
     tvars = Atomic.make 0;
   }
 
-let mode t =
-  {
-    Mode.visibility = t.visibility;
-    granularity_log2 = t.table.Lock_table.granularity_log2;
-    update = t.update;
-    protocol = t.protocol;
-  }
+let mode t = t.config.mode
 
 let tvar_count t = Atomic.get t.tvars
 
@@ -86,7 +81,7 @@ let tvar_count t = Atomic.get t.tvars
 let reconfigure t (new_mode : Mode.t) =
   Mode.validate new_mode;
   let replacement =
-    if t.table.Lock_table.granularity_log2 = new_mode.Mode.granularity_log2 then None
+    if t.config.table.Lock_table.granularity_log2 = new_mode.Mode.granularity_log2 then None
     else
       let built_at = Engine.now t.engine in
       Some
@@ -95,19 +90,17 @@ let reconfigure t (new_mode : Mode.t) =
             ~granularity_log2:new_mode.Mode.granularity_log2 )
   in
   Engine.quiesce t.engine (fun () ->
-      Option.iter
-        (fun (built_at, table) ->
-          let base = Engine.now t.engine in
-          record_generation t.engine ~region:t.id ~version:base;
-          if base <> built_at then Lock_table.restamp table ~clock_now:base;
-          t.table <- table)
-        replacement;
-      t.visibility <- new_mode.Mode.visibility;
-      t.update <- new_mode.Mode.update;
-      if not (Protocol.equal t.protocol new_mode.Mode.protocol) then begin
-        t.protocol <- new_mode.Mode.protocol;
-        t.mv_depth <- mv_depth_of new_mode.Mode.protocol;
-        t.mv_epoch <- t.mv_epoch + 1
-      end)
+      let old = t.config in
+      let table =
+        match replacement with
+        | None -> old.table
+        | Some (built_at, table) ->
+            let base = Engine.now t.engine in
+            record_generation t.engine ~region:t.id ~version:base;
+            if base <> built_at then Lock_table.restamp table ~clock_now:base;
+            table
+      in
+      let bump = if Protocol.equal old.mode.Mode.protocol new_mode.Mode.protocol then 0 else 1 in
+      t.config <- make_config new_mode ~table ~mv_epoch:(old.mv_epoch + bump))
 
 let pp ppf t = Fmt.pf ppf "region %d (%s) %a" t.id t.name Mode.pp (mode t)

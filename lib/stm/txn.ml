@@ -38,12 +38,7 @@ exception Too_many_attempts of int
 
 type region_entry = {
   re_region : Region.t;
-  mutable re_table : Lock_table.t;  (* cached at activation; stable while in-flight *)
-  mutable re_visibility : Mode.read_visibility;
-  mutable re_update : Mode.update_strategy;
-  mutable re_protocol : Protocol.t;  (* cached at activation, like the table *)
-  mutable re_mv_depth : int;  (* cached [Region.mv_depth]; 0 = not multi-version *)
-  mutable re_mv_epoch : int;  (* cached [Region.mv_epoch] *)
+  mutable re_config : Region.config;  (* cached at activation; stable while in-flight *)
   mutable re_ctl_snap : int;
       (* commit-time-lock sequence snapshot this txn's reads in the region
          are consistent with; -1 before the first such read *)
@@ -92,8 +87,7 @@ type t = {
   mutable retry_hook : (unit -> unit) option;
   read_words : int Atomic.t Vec.t;  (* invisible read set: orec words ... *)
   read_observed : Intvec.t;  (* ... and the unlocked word observed *)
-  lock_words : int Atomic.t Vec.t;  (* owned write locks ... *)
-  lock_prev : Intvec.t;  (* ... and their pre-lock words *)
+  lock_words : int Atomic.t Vec.t;  (* owned write locks; each word carries its pre-lock version *)
   vis_counters : int Atomic.t Vec.t;  (* held visible-reader counters *)
   writes : Tvar.any Vec.t;
       (* write-back set: each tvar's buffered value is in its [pending]
@@ -120,13 +114,11 @@ type t = {
      host time only and never shape a deterministic-sim schedule. *)
   read_keys : Intvec.t;  (* slot_key per read entry *)
   read_index : Intmap.t;  (* slot_key -> read-set position (dedup) *)
-  lock_index : Intmap.t;  (* slot_key -> lock_words position *)
   vis_index : Intmap.t;  (* slot_key -> vis_counters position *)
   mutable own_bloom : int;
-      (* one-word Bloom filter over owned orecs (write locks + visible
-         holds): a zero intersection proves non-membership, so a
-         read-only-so-far transaction answers [holds_visible] with one
-         [land] and no index probe *)
+      (* one-word Bloom filter over held visible-reader counters: a zero
+         intersection proves non-membership, so [holds_visible] answers
+         with one [land] and no index probe while nothing is held *)
   mutable publish_phase : unit -> unit;
   mutable rollback_phase : unit -> unit;
       (* the commit's publish/release and the rollback's undo/release
@@ -177,7 +169,6 @@ let create_descriptor engine ~worker_id =
     read_words = Vec.create ~dummy:dummy_atomic ();
     read_observed = Intvec.create ();
     lock_words = Vec.create ~dummy:dummy_atomic ();
-    lock_prev = Intvec.create ();
     vis_counters = Vec.create ~dummy:dummy_atomic ();
     writes = Vec.create ~dummy:dummy_any ();
     undo = Vec.create ~dummy:dummy_logged ();
@@ -188,7 +179,6 @@ let create_descriptor engine ~worker_id =
     ctl_checks = Vec.create ~dummy:dummy_logged ();
     read_keys = Intvec.create ();
     read_index = Intmap.create ();
-    lock_index = Intmap.create ();
     vis_index = Intmap.create ();
     own_bloom = 0;
     publish_phase = no_phase;
@@ -225,20 +215,15 @@ let is_read_only t = Vec.is_empty t.writes && Vec.is_empty t.undo
 (* -- Region tracking ----------------------------------------------------- *)
 
 (* First touch of [region] in the current transaction: refresh the cached
-   table/mode (the tuner may have reconfigured between transactions — never
-   during one, because we are registered in-flight with the engine) and
+   configuration (the tuner may have reconfigured between transactions —
+   never during one, because we are registered in-flight with the engine) and
    mark the entry active.  Charged as per-partition bookkeeping, exactly
    once per region per transaction, as the historical allocating version
    was. *)
 let activate t (e : region_entry) =
   Runtime_hook.charge (Runtime_hook.Step 2);
   let region = e.re_region in
-  e.re_table <- region.Region.table;
-  e.re_visibility <- region.Region.visibility;
-  e.re_update <- region.Region.update;
-  e.re_protocol <- region.Region.protocol;
-  e.re_mv_depth <- region.Region.mv_depth;
-  e.re_mv_epoch <- region.Region.mv_epoch;
+  e.re_config <- region.Region.config;
   e.re_ctl_snap <- -1;
   e.re_ctl_held <- -1;
   e.re_writes <- 0;
@@ -258,12 +243,7 @@ let rec find_entry t region = function
       let e =
         {
           re_region = region;
-          re_table = region.Region.table;
-          re_visibility = region.Region.visibility;
-          re_update = region.Region.update;
-          re_protocol = region.Region.protocol;
-          re_mv_depth = region.Region.mv_depth;
-          re_mv_epoch = region.Region.mv_epoch;
+          re_config = region.Region.config;
           re_ctl_snap = -1;
           re_ctl_held = -1;
           re_stripe = Region_stats.stripe region.Region.stats t.worker_id;
@@ -304,12 +284,10 @@ let iter_active_entries t f = iter_active_aux t.txn_epoch f t.entries
 (* -- Validation and extension ------------------------------------------- *)
 
 (* A read entry is valid iff its orec still carries the exact word observed
-   at read time, or we have since write-locked it ourselves (in which case
-   the pre-lock word must match; the read entry's slot_key, logged in
-   [read_keys], resolves the owning lock entry in O(1), so validating a
-   read set with many self-locked entries stays O(reads)).  Returns the
-   index of the first invalid entry, or -1 when the whole read set is
-   valid.  Top-level recursion: it runs on every validating commit. *)
+   at read time, or we have since write-locked it ourselves and the
+   pre-lock word our lock carries matches.  Returns the index of the first
+   invalid entry, or -1 when the whole read set is valid.  Top-level
+   recursion: it runs on every validating commit. *)
 let rec first_invalid_from t i =
   if i >= Vec.length t.read_words then -1
   else begin
@@ -317,11 +295,8 @@ let rec first_invalid_from t i =
     let word = Vec.get t.read_words i in
     let observed = Intvec.get t.read_observed i in
     let current = Atomic.get word in
-    if current = observed then first_invalid_from t (i + 1)
-    else if Orec.locked_by current ~owner:t.id then begin
-      let j = Intmap.find t.lock_index (Intvec.get t.read_keys i) in
-      if j >= 0 && Intvec.get t.lock_prev j = observed then first_invalid_from t (i + 1) else i
-    end
+    if current = observed || (Orec.locked_by current ~owner:t.id && Orec.prev current = observed)
+    then first_invalid_from t (i + 1)
     else i
   end
 
@@ -339,7 +314,8 @@ let validate t = first_invalid t < 0
 let rec region_of_table t uid = function
   | [] -> -1
   | e :: rest ->
-      if e.re_epoch = t.txn_epoch && e.re_table.Lock_table.uid = uid then e.re_region.Region.id
+      if e.re_epoch = t.txn_epoch && e.re_config.Region.table.Lock_table.uid = uid then
+        e.re_region.Region.id
       else region_of_table t uid rest
 
 let record_conflict t ~cause ~region ~slot =
@@ -368,7 +344,9 @@ let record_validation_conflict t ~failed_index =
    construction and skip the sampling. *)
 
 let ctl_is_active t (e : region_entry) =
-  e.re_epoch = t.txn_epoch && Protocol.is_commit_time_lock e.re_protocol && e.re_ctl_held < 0
+  e.re_epoch = t.txn_epoch
+  && Protocol.is_commit_time_lock e.re_config.Region.mode.Mode.protocol
+  && e.re_ctl_held < 0
 
 let rec ctl_sample_phase t = function
   | [] -> true
@@ -503,7 +481,7 @@ let log_invisible_read t (entry : region_entry) ~slot (word : int Atomic.t) w1 =
      seeded zombie bugs a mismatch appends, so validation still sees the
      stale entry and fails as it should).  One probe both finds a logged
      entry and claims the position of a new one. *)
-  let key = Lock_table.slot_key entry.re_table slot in
+  let key = Lock_table.slot_key entry.re_config.Region.table slot in
   let n = Vec.length t.read_words in
   let i = Intmap.find_or_add t.read_index key n in
   if i < 0 || Intvec.get t.read_observed i <> w1 then begin
@@ -526,7 +504,7 @@ let mv_history_read : type a. t -> region_entry -> a Mv_history.state -> a optio
  fun t entry st ->
   let buggy = Bug.enabled Bug.Mv_skip_stale_check in
   if t.mv_inhibit then None
-  else if Mv_history.epoch st <> entry.re_mv_epoch then
+  else if Mv_history.epoch st <> entry.re_config.Region.mv_epoch then
     (* History from a previous protocol phase: commits made while the
        region ran another protocol never reached it, so its entries'
        validity windows are broken — no claims until a writer rebuilds
@@ -565,7 +543,7 @@ let rec invisible_sample : type a.
       (* We hold the write lock covering this tvar (a co-located write):
          the committed cell is stable under our lock; no logging needed. *)
       Tvar.peek tvar
-    else if entry.re_mv_depth > 0 then begin
+    else if entry.re_config.Region.mv_depth > 0 then begin
       (* Multi-version region: wait out the in-flight writer instead of
          aborting.  Once the lock is released the slot either carries a
          version <= [rv] (read directly) or the writer has retired the
@@ -590,7 +568,7 @@ let rec invisible_sample : type a.
       log_invisible_read t entry ~slot word w1;
       value
     end
-    else if entry.re_mv_depth > 0 then begin
+    else if entry.re_config.Region.mv_depth > 0 then begin
       (* Multi-version region and the orec has moved past our snapshot.
          Two rescues before falling back to extension:
          - The tvar's own publish version may still be <= [rv] (the orec is
@@ -600,7 +578,8 @@ let rec invisible_sample : type a.
          - Otherwise the history may hold the value that was current at
            [rv] (read-only path; freezes the snapshot). *)
       let st = tvar.Tvar.mv in
-      if Mv_history.epoch st = entry.re_mv_epoch && Mv_history.version st <= t.rv then begin
+      if Mv_history.epoch st = entry.re_config.Region.mv_epoch && Mv_history.version st <= t.rv
+      then begin
         Region_stats.incr_mv_hist_reads entry.re_stripe;
         log_invisible_read t entry ~slot word w1;
         value
@@ -636,8 +615,7 @@ let read_invisible t (entry : region_entry) tvar ~slot (word : int Atomic.t) =
 
 (* Do we already hold a visible-reader count on the orec [key]?  Called
    once per visible read, so it must not scan the holds: a Bloom test (one
-   [land]; exact "no" for the common read-only-so-far case) is backed by
-   the vis index. *)
+   [land]; exact "no" while nothing is held) is backed by the vis index. *)
 let holds_visible t ~key =
   let bits = bloom_bits key in
   t.own_bloom land bits = bits && Intmap.find t.vis_index key >= 0
@@ -746,15 +724,16 @@ let read t (tvar : 'a Tvar.t) : 'a =
   Region_stats.incr_reads entry.re_stripe;
   if tvar.Tvar.pending_owner = t.id then tvar.Tvar.pending
   else begin
-    let table = entry.re_table in
+    let config = entry.re_config in
+    let table = config.Region.table in
     let slot = Lock_table.slot_of_id table tvar.Tvar.id in
     let word = Lock_table.word table slot in
-    if Protocol.is_commit_time_lock entry.re_protocol then begin
+    if Protocol.is_commit_time_lock config.Region.mode.Mode.protocol then begin
       ignore word;
       read_ctl t entry tvar ~slot
     end
     else
-      match entry.re_visibility with
+      match config.Region.mode.Mode.visibility with
       | Mode.Invisible -> read_invisible t entry tvar ~slot word
       | Mode.Visible -> read_visible t entry tvar ~table ~slot word
   end
@@ -779,8 +758,9 @@ let rec drain_readers t (entry : region_entry) ~slot (counter : int Atomic.t) ~m
     end
   else spins
 
-(* Acquire the write lock on [word] (orec [key]); on success the lock is
-   recorded for release, then visible readers are drained. *)
+(* Acquire the write lock on [word] (orec [key]): the locked word carries
+   the replaced word's version for validation and rollback.  On success
+   the lock is recorded for release, then visible readers are drained. *)
 let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t)
     (counter : int Atomic.t) retries =
   if retries > Engine.sample_retry_limit then lock_conflict t entry ~slot;
@@ -789,15 +769,12 @@ let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t
   else if Orec.is_locked w then lock_conflict t entry ~slot
   else begin
     Runtime_hook.charge Runtime_hook.Lock_acquire;
-    if not (Atomic.compare_and_set word w (Orec.make_locked ~owner:t.id)) then begin
+    if not (Atomic.compare_and_set word w (Orec.make_locked ~owner:t.id ~prev:w)) then begin
       Runtime_hook.relax ();
       acquire_attempt t entry ~slot ~key word counter (retries + 1)
     end
     else begin
       Vec.push t.lock_words word;
-      Intvec.push t.lock_prev w;
-      Intmap.set t.lock_index key (Vec.length t.lock_words - 1);
-      t.own_bloom <- t.own_bloom lor bloom_bits key;
       (* Visible holds are unique per counter (read_visible guards on
          [holds_visible]), so our share of the counter is a membership
          test: 1 if we hold this slot's counter, else 0. *)
@@ -818,7 +795,9 @@ let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t
   end
 
 let acquire_slot t (entry : region_entry) ~slot word counter =
-  acquire_attempt t entry ~slot ~key:(Lock_table.slot_key entry.re_table slot) word counter 0
+  acquire_attempt t entry ~slot
+    ~key:(Lock_table.slot_key entry.re_config.Region.table slot)
+    word counter 0
 
 let record_write t (entry : region_entry) ~slot =
   match t.engine.Engine.access with
@@ -831,13 +810,14 @@ let record_write t (entry : region_entry) ~slot =
    so the ring store races with no one. *)
 let mv_prepare (type a) t (entry : region_entry) (tvar : a Tvar.t) =
   Runtime_hook.charge (Runtime_hook.Step 1);
-  if Mv_history.epoch tvar.Tvar.mv <> entry.re_mv_epoch then
+  let config = entry.re_config in
+  if Mv_history.epoch tvar.Tvar.mv <> config.Region.mv_epoch then
     (* Stale period: the history was not maintained, so the publish
        version of the current value is unknown.  Claim "now" — an
        overstatement that only ever sends readers to the fallback path,
        never to a wrong value. *)
     tvar.Tvar.mv <-
-      Mv_history.rebuild ~epoch:entry.re_mv_epoch ~depth:entry.re_mv_depth
+      Mv_history.rebuild ~epoch:config.Region.mv_epoch ~depth:config.Region.mv_depth
         ~version:(Engine.now t.engine) ~current:(Tvar.peek tvar)
 
 let write (type a) t (tvar : a Tvar.t) (value : a) =
@@ -852,11 +832,12 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
   let entry = enter_region t tvar.Tvar.region in
   Region_stats.incr_writes entry.re_stripe;
   entry.re_writes <- entry.re_writes + 1;
-  match entry.re_update with
+  let config = entry.re_config in
+  match config.Region.mode.Mode.update with
   | Mode.Write_back ->
       if tvar.Tvar.pending_owner = t.id then tvar.Tvar.pending <- value
       else begin
-        let table = entry.re_table in
+        let table = config.Region.table in
         let slot = Lock_table.slot_of_id table tvar.Tvar.id in
         let word = Lock_table.word table slot in
         let counter = Lock_table.reader_counter table slot in
@@ -864,7 +845,7 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
         record_write t entry ~slot;
         tvar.Tvar.pending <- value;
         tvar.Tvar.pending_owner <- t.id;
-        if entry.re_mv_depth > 0 then mv_prepare t entry tvar;
+        if config.Region.mv_depth > 0 then mv_prepare t entry tvar;
         Vec.push t.writes (Tvar.Any tvar)
       end
   | Mode.Write_through ->
@@ -872,7 +853,7 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
          Every write appends an undo entry (no dedup needed); rollback
          replays them in reverse, so multiple writes to one tvar restore
          the original value. *)
-      let table = entry.re_table in
+      let table = config.Region.table in
       let slot = Lock_table.slot_of_id table tvar.Tvar.id in
       let word = Lock_table.word table slot in
       let counter = Lock_table.reader_counter table slot in
@@ -903,14 +884,12 @@ let begin_txn t =
   Vec.clear t.read_words;
   Intvec.clear t.read_observed;
   Vec.clear t.lock_words;
-  Intvec.clear t.lock_prev;
   Vec.clear t.vis_counters;
   Vec.clear t.writes;
   Vec.clear t.undo;
   Vec.clear t.ctl_checks;
   Intvec.clear t.read_keys;
   Intmap.clear t.read_index;
-  Intmap.clear t.lock_index;
   Intmap.clear t.vis_index;
   t.own_bloom <- 0;
   t.mv_stale <- false;
@@ -982,7 +961,7 @@ let rec ctl_acquire_writes t = function
   | e :: rest ->
       if
         e.re_epoch = t.txn_epoch
-        && Protocol.is_commit_time_lock e.re_protocol
+        && Protocol.is_commit_time_lock e.re_config.Region.mode.Mode.protocol
         && e.re_writes > 0
       then begin
         match
@@ -1029,7 +1008,7 @@ let publish (type a) t (tvar : a Tvar.t) =
      double sample brackets them retry; the ring's stores precede the
      releasing [Atomic.set], so a reader that samples the slot unlocked
      sees them (Tvar's header). *)
-  if tvar.Tvar.region.Region.mv_depth > 0 then
+  if tvar.Tvar.region.Region.config.Region.mv_depth > 0 then
     Mv_history.retire tvar.Tvar.mv ~current ~version:t.commit_wv;
   tvar.Tvar.pending_owner <- Tvar.no_owner
 
@@ -1052,7 +1031,7 @@ let publish_and_release t () =
 (* An aborted multi-version write retires the still-current value with
    its version unchanged (see [Mv_history.retire]). *)
 let retire_unpublished (type a) (tvar : a Tvar.t) =
-  if tvar.Tvar.region.Region.mv_depth > 0 then begin
+  if tvar.Tvar.region.Region.config.Region.mv_depth > 0 then begin
     let st = tvar.Tvar.mv in
     Mv_history.retire st ~current:(Tvar.peek tvar) ~version:(Mv_history.version st)
   end
@@ -1077,7 +1056,8 @@ let undo_and_release t () =
         if not (Bug.enabled Bug.Skip_undo_log) then tvar.Tvar.pending_owner <- Tvar.no_owner
   done;
   for i = 0 to Vec.length t.lock_words - 1 do
-    Atomic.set (Vec.get t.lock_words i) (Intvec.get t.lock_prev i)
+    let word = Vec.get t.lock_words i in
+    Atomic.set word (Orec.prev (Atomic.get word))
   done;
   (* Sequence locks captured by an aborted commit: nothing was published,
      so restoring the captured even value keeps every reader snapshot

@@ -195,7 +195,7 @@ let test_tracer_alloc () =
 
 (* [count] tvars of [p] on pairwise-distinct orecs. *)
 let distinct_slot_tvars p ~count =
-  let table = (Partition.region p).Region.table in
+  let table = (Partition.region p).Region.config.Region.table in
   let seen = Hashtbl.create count in
   let rec gather acc n =
     if n = count then Array.of_list (List.rev acc)
@@ -365,10 +365,10 @@ let test_reconfigure_under_load () =
             while not (Atomic.get stop) do
               let a = Rng.int rng n_accounts and b = Rng.int rng n_accounts in
               System.atomically txn (fun t ->
-                  let table = region.Region.table in
+                  let table = region.Region.config.Region.table in
                   System.write t accounts.(a) (System.read t accounts.(a) - 1);
                   System.write t accounts.(b) (System.read t accounts.(b) + 1);
-                  if region.Region.table != table then Atomic.incr torn)
+                  if region.Region.config.Region.table != table then Atomic.incr torn)
             done))
   in
   (* Flip only once both workers are transacting. *)
@@ -384,7 +384,7 @@ let test_reconfigure_under_load () =
           (fun w ->
             let word = Atomic.get w in
             if Orec.is_locked word || Orec.version word < floor then incr stale)
-          region.Region.table.Lock_table.words)
+          region.Region.config.Region.table.Lock_table.words)
   done;
   Atomic.set stop true;
   List.iter Domain.join domains;
@@ -409,7 +409,7 @@ let test_reconfigure_past_padding_cap () =
   let p = System.partition system ~tunable:false ~mode:(Mode.make ~granularity_log2:12 ()) "cap" in
   let region = Partition.region p in
   let layout () =
-    let table = region.Region.table in
+    let table = region.Region.config.Region.table in
     (Lock_table.is_padded table, Padding.block_fields (Lock_table.word table 0))
   in
   check Alcotest.(pair bool int) "g12 padded" (true, Padding.cache_line_words) (layout ());

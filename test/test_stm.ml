@@ -20,24 +20,36 @@ let write_through_mode g = Mode.make ~granularity_log2:g ~update:Mode.Write_thro
 (* -- Orec ------------------------------------------------------------------ *)
 
 let test_orec_encoding () =
-  let locked = Orec.make_locked ~owner:42 in
+  let prev = Orec.make_version 1234 in
+  check Alcotest.bool "unlocked" false (Orec.is_locked prev);
+  check Alcotest.int "version" 1234 (Orec.version prev);
+  check Alcotest.bool "version not locked_by" false (Orec.locked_by prev ~owner:1234);
+  let locked = Orec.make_locked ~owner:42 ~prev in
   check Alcotest.bool "locked" true (Orec.is_locked locked);
   check Alcotest.int "owner" 42 (Orec.owner locked);
+  check Alcotest.int "prev" prev (Orec.prev locked);
   check Alcotest.bool "locked_by" true (Orec.locked_by locked ~owner:42);
   check Alcotest.bool "not locked_by other" false (Orec.locked_by locked ~owner:41);
-  let versioned = Orec.make_version 1234 in
-  check Alcotest.bool "unlocked" false (Orec.is_locked versioned);
-  check Alcotest.int "version" 1234 (Orec.version versioned);
-  check Alcotest.bool "version not locked_by" false (Orec.locked_by versioned ~owner:1234)
+  (* The corners of the bit budget: neither field spills into the other
+     or into the sign bit. *)
+  let top = Orec.make_locked ~owner:Orec.max_owner ~prev:(Orec.make_version Orec.max_version) in
+  check Alcotest.int "max owner" Orec.max_owner (Orec.owner top);
+  check Alcotest.int "max version" Orec.max_version (Orec.version (Orec.prev top));
+  check Alcotest.bool "non-negative" true (top > 0);
+  let low = Orec.make_locked ~owner:0 ~prev:(Orec.make_version Orec.max_version) in
+  check Alcotest.int "owner 0 under max version" 0 (Orec.owner low)
 
 let prop_orec_roundtrip =
   qtest "orec version/owner roundtrip"
-    QCheck2.Gen.(int_range 0 (1 lsl 40))
-    (fun n ->
-      Orec.version (Orec.make_version n) = n
-      && Orec.owner (Orec.make_locked ~owner:n) = n
-      && Orec.is_locked (Orec.make_locked ~owner:n)
-      && not (Orec.is_locked (Orec.make_version n)))
+    QCheck2.Gen.(pair (int_range 0 Orec.max_owner) (int_range 0 Orec.max_version))
+    (fun (owner, version) ->
+      let prev = Orec.make_version version in
+      let locked = Orec.make_locked ~owner ~prev in
+      Orec.version prev = version
+      && (not (Orec.is_locked prev))
+      && Orec.is_locked locked
+      && Orec.owner locked = owner
+      && Orec.prev locked = prev)
 
 (* -- Mode ------------------------------------------------------------------ *)
 
@@ -62,6 +74,35 @@ let test_engine_clock () =
   check Alcotest.int "tick 1" 1 (Engine.tick e);
   check Alcotest.int "tick 2" 2 (Engine.tick e);
   check Alcotest.int "now tracks" 2 (Engine.now e)
+
+(* Past the orec word's owner and version ranges the engine fails closed
+   instead of handing out an id or a version that aliases an older one.
+   The counters are set directly rather than driven there.  A commit that
+   meets the exhausted clock rolls back: its lock is restored. *)
+let test_engine_guards () =
+  let e = fresh_engine () in
+  Atomic.set e.Engine.descriptor_counter Orec.max_owner;
+  check Alcotest.int "last owner id" Orec.max_owner (Engine.next_descriptor_id e);
+  let ids_exhausted = Failure "Engine.next_descriptor_id: descriptor ids exhausted" in
+  Alcotest.check_raises "owner ids exhausted" ids_exhausted (fun () ->
+      ignore (Engine.next_descriptor_id e));
+  Alcotest.check_raises "no descriptor past them" ids_exhausted (fun () ->
+      ignore (Txn.create e ~worker_id:0));
+  let e = fresh_engine () in
+  let r = Region.create e ~name:"r" () in
+  let a = Tvar.make r 1 in
+  let txn = Txn.create e ~worker_id:0 in
+  Atomic.set e.Engine.clock (Orec.max_version - 1);
+  check Alcotest.int "last version" Orec.max_version (Engine.tick e);
+  let clock_exhausted = Failure "Engine.tick: version clock exhausted" in
+  Alcotest.check_raises "clock exhausted" clock_exhausted (fun () -> ignore (Engine.tick e));
+  let table = r.Region.config.Region.table in
+  let words = Array.map Atomic.get table.Lock_table.words in
+  Alcotest.check_raises "commit fails closed" clock_exhausted (fun () ->
+      Txn.atomically txn (fun t -> Txn.write t a 2));
+  check Alcotest.int "value kept" 1 (Tvar.peek a);
+  check Alcotest.(array int) "orec words restored" words
+    (Array.map Atomic.get table.Lock_table.words)
 
 let test_engine_ids_unique () =
   let e = fresh_engine () in
@@ -173,13 +214,23 @@ let test_region_mode_and_reconfigure () =
   let e = fresh_engine () in
   let r = Region.create e ~name:"r" ~mode:(invisible_mode 4) () in
   check Alcotest.bool "initial mode" true (Mode.equal (Region.mode r) (invisible_mode 4));
-  let table_before = r.Region.table in
+  let table r = r.Region.config.Region.table in
+  let table_before = table r in
   Region.reconfigure r (visible_mode 4);
   check Alcotest.bool "visibility switched" true (Mode.equal (Region.mode r) (visible_mode 4));
-  check Alcotest.bool "table kept (same granularity)" true (table_before == r.Region.table);
+  check Alcotest.bool "table kept (same granularity)" true (table_before == table r);
   Region.reconfigure r (visible_mode 8);
   check Alcotest.bool "granularity switched" true (Mode.equal (Region.mode r) (visible_mode 8));
-  check Alcotest.bool "table swapped" false (table_before == r.Region.table)
+  check Alcotest.bool "table swapped" false (table_before == table r);
+  (* Only a protocol change opens a new multi-version period. *)
+  let epoch r = r.Region.config.Region.mv_epoch in
+  check Alcotest.int "epoch kept across visibility and granularity" 0 (epoch r);
+  let mv8 = Mode.make ~granularity_log2:8 ~protocol:(Protocol.Multi_version { depth = 8 }) () in
+  Region.reconfigure r mv8;
+  check Alcotest.int "protocol change bumps the epoch" 1 (epoch r);
+  check Alcotest.int "mv depth cached" 8 r.Region.config.Region.mv_depth;
+  Region.reconfigure r mv8;
+  check Alcotest.int "same protocol keeps it" 1 (epoch r)
 
 let test_region_tvar_count () =
   let e = fresh_engine () in
@@ -471,7 +522,7 @@ let test_txn_visible_mode_sequential () =
           check Alcotest.int "upgrade to write" 5 (Txn.read t v));
       check Alcotest.int "committed" 5 (Tvar.peek v);
       check Alcotest.int "reader counters released" 0
-        (Lock_table.readers_total r.Region.table))
+        (Lock_table.readers_total r.Region.config.Region.table))
 
 let test_txn_too_many_attempts () =
   let e = fresh_engine ~max_attempts:3 ~contention_manager:Cm.Suicide () in
@@ -652,7 +703,7 @@ let validate_entry_charges txn tvars order =
 let test_txn_dedup_exact () =
   (* g1: two orecs, 40 reads alternating between them. *)
   with_txn_env ~mode:(invisible_mode 1) (fun _ r txn ->
-      let slot tv = Lock_table.slot_of_id r.Region.table tv.Tvar.id in
+      let slot tv = Lock_table.slot_of_id r.Region.config.Region.table tv.Tvar.id in
       let first = Tvar.make r 0 in
       let rec on_other_orec () =
         let tv = Tvar.make r 1 in
@@ -666,7 +717,7 @@ let test_txn_dedup_exact () =
       let tvars = Array.init 50 (fun i -> Tvar.make r i) in
       let orecs =
         Array.to_list tvars
-        |> List.map (fun tv -> Lock_table.slot_of_id r.Region.table tv.Tvar.id)
+        |> List.map (fun tv -> Lock_table.slot_of_id r.Region.config.Region.table tv.Tvar.id)
         |> List.sort_uniq compare |> List.length
       in
       check Alcotest.int "g14, 100 reads of 50 tvars: one entry per orec" orecs
@@ -700,6 +751,8 @@ let test_txn_body_exception_every_mode () =
           let mv_epoch = Mv_history.epoch b.Tvar.mv in
           let clock = Engine.now e in
           let stats = Region_stats.snapshot r.Region.stats in
+          let table = r.Region.config.Region.table in
+          let words = Array.map Atomic.get table.Lock_table.words in
           Alcotest.check_raises (name ^ ": exception propagates") Exit (fun () ->
               Txn.atomically txn (fun t ->
                   Txn.write t b (Txn.read t a + 10);
@@ -709,8 +762,9 @@ let test_txn_body_exception_every_mode () =
           let label what = name ^ ": " ^ what in
           check Alcotest.int (label "a unchanged") 1 (Tvar.peek a);
           check Alcotest.int (label "b unchanged") 3 (Tvar.peek b);
-          check Alcotest.int (label "no orec locked") 0 (Lock_table.locked_slots r.Region.table);
-          check Alcotest.int (label "no reader hold") 0 (Lock_table.readers_total r.Region.table);
+          check Alcotest.(array int) (label "orec words bit-identical") words
+            (Array.map Atomic.get table.Lock_table.words);
+          check Alcotest.int (label "no reader hold") 0 (Lock_table.readers_total table);
           check Alcotest.int (label "seqlock unchanged") seq (Seqlock.read r.Region.ctl_seq);
           check Alcotest.bool (label "seqlock even") false (Seqlock.is_locked seq);
           check Alcotest.int (label "clock not advanced") clock (Engine.now e);
@@ -723,6 +777,60 @@ let test_txn_body_exception_every_mode () =
           check Alcotest.int (label "no commit") stats.Region_stats.s_commits
             after.Region_stats.s_commits))
     modes
+
+(* A read of an orec the transaction later write-locks is validated
+   against the pre-lock version its own lock word carries.  [x] is read,
+   then written; inside the body a second descriptor commits, so the
+   commit's wv is not rv + 1 and the read set is validated with [x]'s orec
+   locked by the validator itself. *)
+let test_txn_self_locked_read_valid () =
+  with_txn_env ~mode:(invisible_mode 10) (fun e r txn ->
+      let slot tv = Lock_table.slot_of_id r.Region.config.Region.table tv.Tvar.id in
+      let x = Tvar.make r 1 in
+      let rec elsewhere () =
+        let tv = Tvar.make r 0 in
+        if slot tv <> slot x then tv else elsewhere ()
+      in
+      let y = elsewhere () in
+      let other = Txn.create e ~worker_id:1 in
+      let validated = ref 0 and tries = ref 0 in
+      Fun.protect ~finally:Runtime_hook.reset (fun () ->
+          Runtime_hook.install
+            ~charge:(function Runtime_hook.Validate_entry -> incr validated | _ -> ())
+            ~relax:ignore ();
+          Txn.atomically txn (fun t ->
+              incr tries;
+              Txn.write t x (Txn.read t x + 1);
+              Txn.atomically other (fun o -> Txn.write o y 7)));
+      check Alcotest.int "committed first try" 1 !tries;
+      check Alcotest.bool "read set validated" true (!validated > 0);
+      check Alcotest.int "x written" 2 (Tvar.peek x);
+      check Alcotest.int "y written" 7 (Tvar.peek y);
+      check Alcotest.int "no validation failure" 0
+        (Region_stats.snapshot r.Region.stats).Region_stats.s_validation_fails)
+
+(* The same shape, but the second descriptor commits to [x] itself
+   between the read and the lock: the pre-lock version no longer matches
+   the observed word, so the attempt aborts and the retry reads the new
+   value. *)
+let test_txn_self_locked_read_stale () =
+  with_txn_env ~mode:(invisible_mode 10) (fun e r txn ->
+      let x = Tvar.make r 1 in
+      let other = Txn.create e ~worker_id:1 in
+      let tries = ref 0 in
+      let seen =
+        Txn.atomically txn (fun t ->
+            incr tries;
+            let v = Txn.read t x in
+            if !tries = 1 then Txn.atomically other (fun o -> Txn.write o x 10);
+            Txn.write t x (v + 1);
+            v)
+      in
+      check Alcotest.int "retried once" 2 !tries;
+      check Alcotest.int "retry read the new value" 10 seen;
+      check Alcotest.int "x written on the new value" 11 (Tvar.peek x);
+      check Alcotest.int "one validation failure" 1
+        (Region_stats.snapshot r.Region.stats).Region_stats.s_validation_fails)
 
 let test_retry_wakes_on_write () =
   let e = fresh_engine () in
@@ -911,6 +1019,7 @@ let () =
         [
           Alcotest.test_case "clock" `Quick test_engine_clock;
           Alcotest.test_case "unique ids" `Quick test_engine_ids_unique;
+          Alcotest.test_case "owner and version guards" `Quick test_engine_guards;
           Alcotest.test_case "enter/leave" `Quick test_engine_enter_leave;
           Alcotest.test_case "quiesce" `Quick test_engine_quiesce;
           Alcotest.test_case "quiesce waits" `Quick test_engine_quiesce_waits_for_inflight;
@@ -973,6 +1082,9 @@ let () =
           Alcotest.test_case "dedup charges one entry per orec" `Quick test_txn_dedup_exact;
           Alcotest.test_case "body exception under every mode" `Quick
             test_txn_body_exception_every_mode;
+          Alcotest.test_case "self-locked read validates" `Quick test_txn_self_locked_read_valid;
+          Alcotest.test_case "self-locked stale read aborts" `Quick
+            test_txn_self_locked_read_stale;
         ] );
       ( "txn_retry",
         [
