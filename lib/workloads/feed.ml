@@ -38,7 +38,6 @@ type config = {
   post_pct : int;
   like_pct : int;
   trend_pct : int;
-  max_workers : int;
 }
 
 let default_config =
@@ -53,7 +52,6 @@ let default_config =
     post_pct = 6;
     like_pct = 34;
     trend_pct = 4;
-    max_workers = 64;
   }
 
 let quick_config = { default_config with users = 256 }
@@ -116,6 +114,8 @@ let setup system ~strategy config =
     | [ shared ] -> (shared, shared, shared, shared)
     | _ -> invalid_arg "Feed.setup: unexpected partition allocation"
   in
+  (* Per-worker counters cover every worker id the system hands out. *)
+  let max_workers = (System.engine system).Partstm_stm.Engine.max_workers in
   {
     system;
     config;
@@ -135,8 +135,8 @@ let setup system ~strategy config =
     next_post = Atomic.make 0;
     user_zipf = Zipf.make ~n:config.users ~theta:config.theta;
     counter_zipf = Zipf.make ~n:config.counters ~theta:config.theta;
-    violations = Array.make config.max_workers 0;
-    op_counts = Array.init config.max_workers (fun _ -> Array.make 4 0);
+    violations = Array.make max_workers 0;
+    op_counts = Array.init max_workers (fun _ -> Array.make 4 0);
   }
 
 (* Append [post_id] to user [f]'s ring (caller is inside a transaction). *)
@@ -265,12 +265,9 @@ type report = {
 }
 
 let run ?(progress = fun (_ : string) -> ()) ~backend ~workers ~seed config =
-  (* Per-worker counters cover every worker id the system hands out. *)
   let p =
     Workload.prepare ~cooldown:1 ~workers ~strategy:Strategy.tuned (fun system ~strategy ->
-        let max_workers = (System.engine system).Partstm_stm.Engine.max_workers in
-        setup system ~strategy
-          { config with max_workers = max config.max_workers max_workers })
+        setup system ~strategy config)
   in
   let state = p.state and tuner = Option.get p.tuner in
   let config = state.config in
@@ -337,8 +334,6 @@ let distinct_final_modes report =
 
 (* -- Acceptance checks ------------------------------------------------------- *)
 
-type verdict = [ `Passed | `Failed of string ]
-
 let check_invariants report =
   if report.r_verified then `Passed
   else `Failed "a timeline read or trending snapshot observed an inconsistent state"
@@ -393,11 +388,6 @@ let explain_json e =
       ("triggered", Json.List (List.map (fun m -> Json.String m) e.ex_triggered));
     ]
 
-let verdict_to_json = function
-  | `Passed -> Json.Obj [ ("status", Json.String "passed"); ("reason", Json.String "") ]
-  | `Failed reason ->
-      Json.Obj [ ("status", Json.String "failed"); ("reason", Json.String reason) ]
-
 let to_json report =
   let c = report.r_config in
   Json.Obj
@@ -451,6 +441,5 @@ let to_json report =
       ("distinct_final_modes", Json.Int (distinct_final_modes report));
       ("explain", Json.List (List.map explain_json report.r_explain));
       ("verified", Json.Bool report.r_verified);
-      ( "checks",
-        Json.Obj (List.map (fun (name, v) -> (name, verdict_to_json v)) (checks report)) );
+      ("checks", Workload.checks_json (checks report));
     ]

@@ -30,7 +30,6 @@ type config = {
   post_pct : int;  (** posts with follower fan-out *)
   like_pct : int;  (** like: counter + global total *)
   trend_pct : int;  (** trending scan over every counter *)
-  max_workers : int;
 }
 
 val default_config : config
@@ -102,9 +101,7 @@ val run :
 val distinct_final_modes : report -> int
 (** Number of distinct final per-partition modes. *)
 
-type verdict = [ `Passed | `Failed of string ]
-
-val checks : report -> (string * verdict) list
+val checks : report -> (string * Workload.verdict) list
 (** [invariants] (timeline and counter-balance probes clean),
     [divergent_modes] (≥ 2 partitions ended in different modes, i.e. the
     tuner actually specialised the application), [explained] (every

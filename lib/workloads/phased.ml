@@ -19,7 +19,6 @@ type config = {
   read_phase_update_percent : int;
   write_phase_update_percent : int;
   buckets : int;  (* time-series resolution *)
-  max_workers : int;  (* sizing of the per-worker bucket matrix *)
 }
 
 let default_config =
@@ -30,7 +29,6 @@ let default_config =
     read_phase_update_percent = 2;
     write_phase_update_percent = 90;
     buckets = 40;
-    max_workers = 64;
   }
 
 type t = {
@@ -61,7 +59,9 @@ let setup system ~strategy config =
     config;
     partition;
     tree;
-    op_buckets = Array.make_matrix config.max_workers config.buckets 0;
+    op_buckets =
+      (* One row per worker id the system hands out. *)
+      Array.make_matrix (System.engine system).Engine.max_workers config.buckets 0;
   }
 
 let phase_of_progress config progress =

@@ -11,7 +11,6 @@ type config = {
   read_phase_update_percent : int;
   write_phase_update_percent : int;
   buckets : int;
-  max_workers : int;
 }
 
 val default_config : config

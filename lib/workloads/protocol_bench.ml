@@ -288,8 +288,6 @@ let find_arm report protocol =
 
 (* -- Acceptance checks ----------------------------------------------------- *)
 
-type verdict = [ `Passed | `Failed of string ]
-
 let mv_arm report = find_arm report (Protocol.Multi_version { depth = report.r_config.mv_depth })
 let sv_arm report = find_arm report Protocol.Single_version
 let ctl_arm report = find_arm report Protocol.Commit_time_lock
@@ -346,14 +344,6 @@ let checks report =
   ]
 
 (* -- Reports ---------------------------------------------------------------- *)
-
-(* [reason] is always present (empty when passed) so that re-running over an
-   existing file through [Json.merge] can never leave a stale failure reason
-   next to a now-passing status. *)
-let verdict_to_json = function
-  | `Passed -> Json.Obj [ ("status", Json.String "passed"); ("reason", Json.String "") ]
-  | `Failed reason ->
-      Json.Obj [ ("status", Json.String "failed"); ("reason", Json.String reason) ]
 
 let arm_json a =
   Json.Obj
@@ -413,8 +403,7 @@ let to_json report =
             ("hot_final_mode", Json.String (Mode.to_string report.r_hot_final));
             ("switches", Json.List (List.map switch_json report.r_switches));
           ] );
-      ( "checks",
-        Json.Obj (List.map (fun (name, v) -> (name, verdict_to_json v)) (checks report)) );
+      ("checks", Workload.checks_json (checks report));
     ]
 
 let to_table report =

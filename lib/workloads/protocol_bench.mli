@@ -58,23 +58,21 @@ type report = {
 val run : ?progress:(string -> unit) -> config -> report
 val find_arm : report -> Protocol.t -> arm option
 
-type verdict = [ `Passed | `Failed of string ]
-
-val check_mv_read_path : report -> verdict
+val check_mv_read_path : report -> Workload.verdict
 (** The multi-version arm commits every auditor transaction (zero read-only
     aborts) while actually serving history reads; the single-version arm
     aborts read-only work under the same seed. *)
 
-val check_ctl_commits : report -> verdict
+val check_ctl_commits : report -> Workload.verdict
 (** The commit-time-lock arm publishes through the sequence lock and no
     arm's auditor ever observes an inconsistent total. *)
 
-val check_tuner_protocols : report -> verdict
+val check_tuner_protocols : report -> Workload.verdict
 (** From [Mode.default] on both partitions, the tuner's decision trace
     moves the read-mostly partition to multi-version and the small
     contended partition to commit-time locking. *)
 
-val checks : report -> (string * verdict) list
+val checks : report -> (string * Workload.verdict) list
 
 val to_json : report -> Partstm_util.Json.t
 (** The BENCH_M1.json document: config, per-protocol points and all three

@@ -62,6 +62,19 @@ let strategies =
     ("tuned", Strategy.tuned);
   ]
 
+type verdict = [ `Passed | `Failed of string ]
+
+(* [reason] is always present (empty when passed) so that re-running over an
+   existing file through [Json.merge] can never leave a stale failure reason
+   next to a now-passing status. *)
+let checks_json checks =
+  let open Partstm_util.Json in
+  let verdict_json : verdict -> t = function
+    | `Passed -> Obj [ ("status", String "passed"); ("reason", String "") ]
+    | `Failed reason -> Obj [ ("status", String "failed"); ("reason", String reason) ]
+  in
+  Obj (List.map (fun (name, verdict) -> (name, verdict_json verdict)) checks)
+
 type 's prepared = { system : System.t; state : 's; tuner : Tuner.t option }
 
 let prepare ?contention_manager ?padded ?cooldown ~workers ~strategy setup =

@@ -34,6 +34,14 @@ val intset : string -> Intset.config -> t
 val strategies : (string * Strategy.t) list
 (** The strategies the CLI accepts, by name. *)
 
+type verdict = [ `Passed | `Failed of string ]
+(** An acceptance check's outcome, as the YCSB, feed and protocol drivers
+    report it. *)
+
+val checks_json : (string * verdict) list -> Partstm_util.Json.t
+(** One object member per named check: [{"status"; "reason"}], the reason
+    empty when passed. *)
+
 type 's prepared = { system : System.t; state : 's; tuner : Tuner.t option }
 
 val prepare :

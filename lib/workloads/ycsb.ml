@@ -116,7 +116,6 @@ type config = {
   slo_quantile : float;
   slo_threshold_sim : int;
   slo_threshold_wall : int;
-  max_workers : int;
 }
 
 let default_config =
@@ -130,7 +129,6 @@ let default_config =
     slo_quantile = 95.0;
     slo_threshold_sim = 8192;
     slo_threshold_wall = 1_000_000;
-    max_workers = 64;
   }
 
 let quick_config = { default_config with keys = 1024; scan_len = 8 }
@@ -209,6 +207,8 @@ let setup system ~strategy config =
         Partition.tvar p k)
   in
   let resolved = resolve_phases config in
+  (* Per-worker state covers every worker id the system hands out. *)
+  let max_workers = (System.engine system).Engine.max_workers in
   {
     system;
     config;
@@ -217,10 +217,10 @@ let setup system ~strategy config =
     resolved;
     head = Atomic.make 0;
     lat =
-      Array.init config.max_workers (fun _ ->
+      Array.init max_workers (fun _ ->
           Array.init (Array.length resolved) (fun _ ->
               Array.init op_count (fun _ -> Histogram.create ())));
-    violations = Array.make config.max_workers 0;
+    violations = Array.make max_workers 0;
   }
 
 let phase_index t progress =
@@ -336,11 +336,9 @@ type report = {
 }
 
 let run ?(progress = fun (_ : string) -> ()) ~backend ~workers ~seed config =
-  (* Per-worker histograms cover every worker id the system hands out. *)
   let p =
     Workload.prepare ~workers ~strategy:Strategy.tuned (fun system ~strategy ->
-        let max_workers = (System.engine system).Engine.max_workers in
-        setup system ~strategy { config with max_workers = max config.max_workers max_workers })
+        setup system ~strategy config)
   in
   let state = p.state and tuner = Option.get p.tuner in
   let config = state.config in
@@ -426,8 +424,6 @@ let run ?(progress = fun (_ : string) -> ()) ~backend ~workers ~seed config =
 
 (* -- Acceptance checks ------------------------------------------------------- *)
 
-type verdict = [ `Passed | `Failed of string ]
-
 let check_store report =
   if report.r_verified then `Passed
   else `Failed "store invariant violated: a read observed a value below its key floor"
@@ -497,11 +493,6 @@ let summary_json (s : Histogram.summary) =
       ("p99", Json.Int s.Histogram.h_p99);
     ]
 
-let verdict_to_json = function
-  | `Passed -> Json.Obj [ ("status", Json.String "passed"); ("reason", Json.String "") ]
-  | `Failed reason ->
-      Json.Obj [ ("status", Json.String "failed"); ("reason", Json.String reason) ]
-
 let phase_json p =
   Json.Obj
     [
@@ -548,6 +539,5 @@ let to_json report =
       ("phases", Json.List (List.map phase_json report.r_phases));
       ("final_modes", Json.Obj (List.map (fun (n, m) -> (n, Json.String m)) report.r_modes));
       ("verified", Json.Bool report.r_verified);
-      ( "checks",
-        Json.Obj (List.map (fun (name, v) -> (name, verdict_to_json v)) (checks report)) );
+      ("checks", Workload.checks_json (checks report));
     ]

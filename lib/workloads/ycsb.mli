@@ -84,7 +84,6 @@ type config = {
   slo_quantile : float;  (** e.g. 95.0 *)
   slo_threshold_sim : int;  (** per-op latency budget, virtual cycles *)
   slo_threshold_wall : int;  (** per-op latency budget, nanoseconds *)
-  max_workers : int;  (** sizing of the per-worker histogram matrix *)
 }
 
 val default_config : config
@@ -145,9 +144,7 @@ val run :
     identical config + seed ⇒ identical report, including every histogram
     bucket). *)
 
-type verdict = [ `Passed | `Failed of string ]
-
-val checks : report -> (string * verdict) list
+val checks : report -> (string * Workload.verdict) list
 (** [store_invariant] (no consistency violation), [all_phases_ran]
     (every phase completed operations), [latencies_recorded] (histograms
     are non-empty wherever ops ran). *)

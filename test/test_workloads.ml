@@ -232,6 +232,26 @@ let test_phased_time_series_accounts_ops () =
   check Alcotest.int "series sums to ops" ops (Array.fold_left ( + ) 0 series);
   check Alcotest.bool "tree valid" true (Phased.check w)
 
+(* More workers than a default engine has worker ids: Phased, Ycsb and
+   Feed size their per-worker arrays from the system's engine.  Simulated
+   only, so the 65 workers are fibers, not domains. *)
+let test_more_than_64_workers () =
+  let workers = 65 and cycles = 40_000 in
+  let p =
+    Workload.prepare ~workers ~strategy:Strategy.tuned (fun system ~strategy ->
+        Phased.setup system ~strategy Phased.default_config)
+  in
+  let result =
+    Driver.run ?tuner:p.Workload.tuner ~mode:(Driver.default_sim ~cycles ()) ~workers (fun ctx ->
+        Phased.worker p.Workload.state ctx)
+  in
+  check Alcotest.bool "phased ran" true (result.Driver.total_ops > 0);
+  check Alcotest.bool "phased tree valid" true (Phased.check p.Workload.state);
+  let ycsb = Ycsb.run ~backend:(`Sim cycles) ~workers ~seed:1 Ycsb.quick_config in
+  check Alcotest.bool "ycsb verified" true ycsb.Ycsb.r_verified;
+  let feed = Feed.run ~backend:(`Sim cycles) ~workers ~seed:1 Feed.quick_config in
+  check Alcotest.bool "feed verified" true feed.Feed.r_verified
+
 (* -- Driver ---------------------------------------------------------------------------------- *)
 
 let test_driver_sim_deterministic () =
@@ -381,6 +401,7 @@ let () =
         [
           Alcotest.test_case "phase math" `Quick test_phased_phase_math;
           Alcotest.test_case "time series" `Quick test_phased_time_series_accounts_ops;
+          Alcotest.test_case "65 simulated workers" `Quick test_more_than_64_workers;
         ] );
       ( "catalogue",
         [
