@@ -778,7 +778,7 @@ let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t
       (* Visible holds are unique per counter (read_visible guards on
          [holds_visible]), so our share of the counter is a membership
          test: 1 if we hold this slot's counter, else 0. *)
-      let my_holds = if Intmap.find t.vis_index key >= 0 then 1 else 0 in
+      let my_holds = if holds_visible t ~key then 1 else 0 in
       (* Seeded bug: ignoring the reader counters breaks the 2PL shared
          hold that lets visible readers skip commit-time validation. *)
       let drain_spins =
