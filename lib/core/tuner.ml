@@ -15,6 +15,10 @@ type entry = {
   mutable e_cooldown : int;
   mutable e_last : (int * Tuning_policy.decision * Tuning_policy.why) option;
       (* last evaluated (tick, decision, why) — Keep or Switch, for [partstm top] *)
+  mutable e_mv_blocked : bool;
+      (* set when the partition leaves multi-version with its read-only
+         waste still above [mv_wasted_hi] (a failed trial); cleared by the
+         first evaluated period that shows that waste at or below it *)
 }
 
 type event = {
@@ -77,6 +81,7 @@ let sync_entries t =
               e_prev = Partition.snapshot partition;
               e_cooldown = 0;
               e_last = None;
+              e_mv_blocked = false;
             }
             :: t.entries)
     (Registry.partitions t.registry)
@@ -93,18 +98,30 @@ let step t =
       if entry.e_cooldown > 0 then entry.e_cooldown <- entry.e_cooldown - 1
       else if Partition.tunable partition then begin
         let current_mode = Partition.mode partition in
+        let config = Tuning_policy.default_config in
         let decision, why =
-          Tuning_policy.explain Tuning_policy.default_config
+          Tuning_policy.explain config
             {
               Tuning_policy.delta;
               current = current_mode;
               tvars = Partition.tvar_count partition;
+              mv_blocked = entry.e_mv_blocked;
             }
         in
         entry.e_last <- Some (t.ticks, decision, why);
+        let waste_above = why.Tuning_policy.w_ro_wasted > config.Tuning_policy.mv_wasted_hi in
+        if
+          entry.e_mv_blocked && (not waste_above)
+          && why.Tuning_policy.w_attempts >= config.Tuning_policy.min_attempts
+        then entry.e_mv_blocked <- false;
         match decision with
         | Tuning_policy.Keep -> ()
         | Tuning_policy.Switch new_mode ->
+            if
+              waste_above
+              && Protocol.is_multi_version current_mode.Mode.protocol
+              && not (Protocol.is_multi_version new_mode.Mode.protocol)
+            then entry.e_mv_blocked <- true;
             Partition.set_mode partition new_mode;
             Region_stats.record_mode_switch (Partition.region partition).Region.stats;
             entry.e_cooldown <- t.cooldown_periods;

@@ -42,7 +42,11 @@ val clear_clock : t -> unit
 val step : t -> unit
 (** Sample all partitions, decide, and apply switches (quiescing each
     affected region). Each applied switch also bumps the owning partition's
-    [mode_switches] statistic. Single-threaded. *)
+    [mode_switches] statistic. A partition that leaves multi-version with
+    its read-only waste above [mv_wasted_hi] (a failed trial) is blocked
+    from re-entering it until an evaluated period of at least
+    [min_attempts] attempts shows that waste at or below the threshold
+    ({!Tuning_policy.observation}'s [mv_blocked]). Single-threaded. *)
 
 val ticks : t -> int
 

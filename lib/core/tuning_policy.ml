@@ -25,11 +25,17 @@
    high-conflict partition is moved to commit-time locking, whose reads
    touch no orec and whose single sequence lock amortises well over a tiny
    footprint.  Both revert to single-version when the signal that justified
-   them decays.
+   them decays.  Multi-version must also show that it pays: a partition
+   whose read-only waste persists in multi-version leaves it (a failed
+   trial), since it then pays the history upkeep for nothing.
 
-   All directions use hysteresis (hi/lo thresholds) and the tuner adds a
-   cooldown after each switch, so the policy cannot oscillate on a steady
-   workload. *)
+   Every other direction uses hysteresis (hi/lo thresholds), and the
+   tuner adds a cooldown after each switch.  The failed-trial exit fires
+   on the very signal that enters multi-version, so hysteresis cannot
+   stop it cycling; what does is the tuner's block ([mv_blocked]): after
+   a failed trial it holds multi-version entry off until a period shows
+   the waste at or below [mv_wasted_hi].  With the block, the policy
+   cannot oscillate on a steady workload. *)
 
 open Partstm_stm
 
@@ -83,7 +89,12 @@ let default_config =
   }
 
 (* What the tuner observed in a partition over one sampling period. *)
-type observation = { delta : Region_stats.snapshot; current : Mode.t; tvars : int }
+type observation = {
+  delta : Region_stats.snapshot;
+  current : Mode.t;
+  tvars : int;
+  mv_blocked : bool;  (* multi-version failed its last trial here (see [Tuner]) *)
+}
 
 type decision = Keep | Switch of Mode.t
 
@@ -105,7 +116,7 @@ type why = {
   w_rejected : string list;
 }
 
-let explain config { delta; current; tvars } =
+let explain config { delta; current; tvars; mv_blocked } =
   let attempts = Region_stats.attempts delta in
   let abort_rate = Region_stats.abort_rate delta in
   let update_ratio = Region_stats.update_txn_ratio delta in
@@ -253,7 +264,11 @@ let explain config { delta; current; tvars } =
        commit-time locking pays on a small, update-heavy partition under
        sustained conflict pressure, where one sequence lock replaces all
        orec traffic on the read side.  Each exits on the decayed form of
-       its entry signal (hysteresis). *)
+       its entry signal (hysteresis).  Multi-version also exits when its
+       entry signal persists: the waste it was entered to cut is still
+       there, and the tuner then blocks re-entry ([mv_blocked]) until a
+       period shows the waste gone. *)
+    let mv_signal = ro_ratio > config.mv_ro_ratio_hi && ro_wasted > config.mv_wasted_hi in
     let protocol =
       match current.Mode.protocol with
       | Protocol.Single_version ->
@@ -267,7 +282,7 @@ let explain config { delta; current; tvars } =
               config.update_ratio_hi;
             Protocol.Commit_time_lock
           end
-          else if ro_ratio > config.mv_ro_ratio_hi && ro_wasted > config.mv_wasted_hi then begin
+          else if mv_signal && not mv_blocked then begin
             trig "multi-version (depth %d): ro_ratio %.2f > %.2f and ro wasted %.3f > %.3f"
               config.mv_depth ro_ratio config.mv_ro_ratio_hi ro_wasted config.mv_wasted_hi;
             Protocol.Multi_version { depth = config.mv_depth }
@@ -276,8 +291,12 @@ let explain config { delta; current; tvars } =
             rej "commit-time locking: tvars %d > %d or abort_rate %.2f <= %.2f or update_ratio %.2f <= %.2f"
               tvars config.ctl_tvars_max abort_rate config.ctl_abort_hi update_ratio
               config.update_ratio_hi;
-            rej "multi-version: ro_ratio %.2f <= %.2f or ro wasted %.3f <= %.3f" ro_ratio
-              config.mv_ro_ratio_hi ro_wasted config.mv_wasted_hi;
+            if mv_signal then
+              rej "multi-version: blocked after a failed trial until ro wasted %.3f <= %.3f"
+                ro_wasted config.mv_wasted_hi
+            else
+              rej "multi-version: ro_ratio %.2f <= %.2f or ro wasted %.3f <= %.3f" ro_ratio
+                config.mv_ro_ratio_hi ro_wasted config.mv_wasted_hi;
             Protocol.Single_version
           end
       | Protocol.Multi_version _ as p ->
@@ -285,9 +304,18 @@ let explain config { delta; current; tvars } =
             trig "leave multi-version: ro_ratio %.2f < %.2f" ro_ratio config.mv_ro_ratio_lo;
             Protocol.Single_version
           end
+          else if ro_wasted > config.mv_wasted_hi then begin
+            (* The trial failed: multi-version was entered to cut exactly
+               this waste, so keeping it only adds the history upkeep. *)
+            trig "leave multi-version: it did not cut the waste (ro wasted %.3f > %.3f)"
+              ro_wasted config.mv_wasted_hi;
+            Protocol.Single_version
+          end
           else begin
             rej "leave multi-version: ro_ratio %.2f >= %.2f (hysteresis)" ro_ratio
               config.mv_ro_ratio_lo;
+            rej "leave multi-version: ro wasted %.3f <= %.3f (it pays)" ro_wasted
+              config.mv_wasted_hi;
             p
           end
       | Protocol.Commit_time_lock ->

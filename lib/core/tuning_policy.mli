@@ -34,6 +34,10 @@ type observation = {
   delta : Region_stats.snapshot;  (** stats accumulated over one period *)
   current : Mode.t;
   tvars : int;  (** region size, gates object-level coarsening *)
+  mv_blocked : bool;
+      (** multi-version entry is held off: the partition left it after a
+          failed trial (its read-only waste persisted), and no period
+          since has shown that waste at or below [mv_wasted_hi] *)
 }
 
 type decision = Keep | Switch of Mode.t

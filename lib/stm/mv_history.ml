@@ -3,7 +3,8 @@
 
    A tvar's [mv] field is [Initial] until its first multi-version write,
    then a ring of [depth - 1] (version, value) slots built by [rebuild] and
-   kept for the whole configuration period.  Every later commit or abort
+   kept for the whole configuration period, and [Initial] again from its
+   first locked write after the region leaves multi-version.  Every later commit or abort
    updates the ring in place, so the publish path allocates nothing.  Only
    the orec write-lock holder mutates a ring or stores a new one, before
    the store that releases the orec, so writers never race each other, and

@@ -15,7 +15,8 @@ type 'a t = {
   mutable pending_owner : int;  (** descriptor id of the buffering writer *)
   mutable mv : 'a Mv_history.state;
       (** multi-version state: {!Mv_history.initial}, or a version ring
-          allocated at the first write of a multi-version period.  Stored
+          allocated at the first write of a multi-version period and
+          dropped at the first write outside multi-version.  Stored
           and mutated only by the orec lock holder, before the release;
           read only after an orec sample that saw the slot unlocked *)
 }

@@ -820,6 +820,13 @@ let mv_prepare (type a) t (entry : region_entry) (tvar : a Tvar.t) =
       Mv_history.rebuild ~epoch:config.Region.mv_epoch ~depth:config.Region.mv_depth
         ~version:(Engine.now t.engine) ~current:(Tvar.peek tvar)
 
+(* Locked write outside multi-version: a ring left by an earlier
+   multi-version period is dead weight (no reader of this period consults
+   it, and the next period rebuilds on its stale epoch), so drop it.
+   Charged nothing; runs under the orec write lock like [mv_prepare]. *)
+let drop_ring (type a) (tvar : a Tvar.t) =
+  if tvar.Tvar.mv != Mv_history.initial then tvar.Tvar.mv <- Mv_history.initial
+
 let write (type a) t (tvar : a Tvar.t) (value : a) =
   check_active t "Txn.write";
   if t.mv_stale then begin
@@ -845,7 +852,7 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
         record_write t entry ~slot;
         tvar.Tvar.pending <- value;
         tvar.Tvar.pending_owner <- t.id;
-        if config.Region.mv_depth > 0 then mv_prepare t entry tvar;
+        if config.Region.mv_depth > 0 then mv_prepare t entry tvar else drop_ring tvar;
         Vec.push t.writes (Tvar.Any tvar)
       end
   | Mode.Write_through ->
@@ -859,6 +866,7 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
       let counter = Lock_table.reader_counter table slot in
       acquire_slot t entry ~slot word counter;
       record_write t entry ~slot;
+      drop_ring tvar;
       let previous = Tvar.peek tvar in
       Runtime_hook.charge Runtime_hook.Write_entry;
       Tvar.poke tvar value;

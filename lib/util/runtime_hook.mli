@@ -11,7 +11,10 @@ type event =
   | Validate_entry
   | Abort_restart
   | First_touch  (** partition in-flight registration *)
-  | Backoff of int  (** contention-manager delay, n cycles *)
+  | Backoff of int
+      (** contention-manager delay of n units: n virtual cycles on the
+          simulator, n [Domain.cpu_relax] calls on domains (~27 ns each on
+          an x86 Xeon, so not cycles there) *)
 
 val charge : event -> unit
 (** Report an engine event. No-op by default. *)

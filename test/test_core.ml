@@ -100,8 +100,10 @@ let snapshot ?(commits = 1000) ?(ro_commits = 0) ?(aborts = 0) ?(reads = 10_000)
     s_ctl_commits = 0;
   }
 
-let decide ?(tvars = 100_000) ~current delta =
-  Tuning_policy.decide config { Tuning_policy.delta; current; tvars }
+let explain ?(tvars = 100_000) ?(mv_blocked = false) ~current delta =
+  Tuning_policy.explain config { Tuning_policy.delta; current; tvars; mv_blocked }
+
+let decide ?tvars ?mv_blocked ~current delta = fst (explain ?tvars ?mv_blocked ~current delta)
 
 let expect_keep name decision =
   match decision with
@@ -241,6 +243,46 @@ let test_policy_bounds_respected () =
     (decide ~current:(invisible 14)
        (snapshot ~commits:10_000 ~ro_commits:10_000 ~reads:10_000_000 ~writes:0 ~aborts:0 ()))
 
+let mv8 g = { (invisible g) with Mode.protocol = Protocol.Multi_version { depth = 8 } }
+
+(* Read-dominated (ro_ratio 0.95) with read-only attempts aborting:
+   ro_wasted = 200 / 1300 = 0.154, far above [mv_wasted_hi]; the abort
+   rate (0.23) sits inside the granularity and write-policy bands, so only
+   the protocol can move. *)
+let ro_waste () = snapshot ~commits:1000 ~ro_commits:950 ~aborts:300 ~ro_aborts:200 ()
+
+(* The same mix with the waste gone: ro_wasted = 0 (abort rate 0.09, still
+   inside every band). *)
+let ro_quiet () = snapshot ~commits:1000 ~ro_commits:950 ~aborts:100 ()
+
+let has_message needle messages =
+  List.exists
+    (fun m ->
+      let n = String.length needle and l = String.length m in
+      let rec at i = i + n <= l && (String.sub m i n = needle || at (i + 1)) in
+      at 0)
+    messages
+
+let test_policy_mv_failed_trial_exits () =
+  let decision, why = explain ~current:(mv8 10) (ro_waste ()) in
+  expect_switch "failed trial leaves multi-version" (invisible 10) decision;
+  check Alcotest.bool "the trail says mv did not cut the waste" true
+    (has_message "did not cut the waste" why.Tuning_policy.w_triggered)
+
+let test_policy_mv_kept_when_it_pays () =
+  let decision, why = explain ~current:(mv8 10) (ro_quiet ()) in
+  expect_keep "waste at or below the threshold keeps multi-version" decision;
+  check Alcotest.bool "the trail says mv pays" true
+    (has_message "(it pays)" why.Tuning_policy.w_rejected)
+
+let test_policy_mv_blocked_stays_single_version () =
+  expect_switch "unblocked: the waste enters multi-version" (mv8 10)
+    (decide ~current:(invisible 10) (ro_waste ()));
+  let decision, why = explain ~mv_blocked:true ~current:(invisible 10) (ro_waste ()) in
+  expect_keep "blocked: stays single-version" decision;
+  check Alcotest.bool "the rejection names the block" true
+    (has_message "blocked after a failed trial" why.Tuning_policy.w_rejected)
+
 (* -- Tuner ------------------------------------------------------------------ *)
 
 (* Drive an update-heavy contended partition with domains while stepping the
@@ -354,6 +396,57 @@ let test_tuner_trace_capped () =
   | newest :: _ -> check Alcotest.int "newest kept" 6 newest.Tuner.ev_tick
   | [] -> Alcotest.fail "empty trace"
 
+(* The failed-trial exit and its block, driven through real ticks with
+   injected per-period counts: the partition enters multi-version on
+   read-only waste, leaves after one period in which the waste persisted,
+   stays out while it keeps persisting, and re-enters only after one
+   quiet period has lifted the block. *)
+let test_tuner_mv_failed_trial_blocks_reentry () =
+  let system = fresh_system () in
+  let p = System.partition system "timelines" ~mode:(invisible 14) in
+  let tuner = System.tuner system ~cooldown:0 in
+  let stripe = Region_stats.stripe (Partition.region p).Region.stats 0 in
+  let period ~wasted =
+    Region_stats.add_commits stripe 1000;
+    Region_stats.add_ro_commits stripe 950;
+    Region_stats.add_reads stripe 10_000;
+    Region_stats.add_writes stripe 1000;
+    if wasted then begin
+      Region_stats.add_aborts stripe 300;
+      Region_stats.add_ro_aborts stripe 200
+    end
+    else Region_stats.add_aborts stripe 100;
+    Tuner.step tuner
+  in
+  let in_mv () = Protocol.is_multi_version (Partition.mode p).Mode.protocol in
+  Tuner.step tuner;
+  period ~wasted:true;
+  check Alcotest.bool "entered multi-version" true (in_mv ());
+  period ~wasted:true;
+  check Alcotest.bool "left after one failed trial" false (in_mv ());
+  check Alcotest.bool "back to the same single-version mode" true
+    (Mode.equal (invisible 14) (Partition.mode p));
+  (match List.rev (Tuner.trace tuner) with
+  | leave :: _ ->
+      check Alcotest.bool "the exit event says why" true
+        (has_message "did not cut the waste" leave.Tuner.ev_why.Tuning_policy.w_triggered)
+  | [] -> Alcotest.fail "empty trace");
+  for tick = 1 to 12 do
+    period ~wasted:true;
+    if in_mv () then Alcotest.failf "re-entered multi-version on blocked tick %d" tick
+  done;
+  check Alcotest.int "no switch while blocked" 2 (Tuner.switches tuner);
+  (match Tuner.last_decisions tuner with
+  | [ last ] ->
+      check Alcotest.bool "the blocked decision names the block" true
+        (has_message "blocked after a failed trial" last.Tuner.ld_why.Tuning_policy.w_rejected)
+  | _ -> Alcotest.fail "expected one partition's last decision");
+  period ~wasted:false;
+  check Alcotest.bool "a quiet period does not enter" false (in_mv ());
+  period ~wasted:true;
+  check Alcotest.bool "re-entered after the quiet period" true (in_mv ());
+  check Alcotest.int "three switches in all" 3 (Tuner.switches tuner)
+
 let test_tuner_respects_tunable_flag () =
   let system = fresh_system () in
   let p = System.partition system "frozen" ~mode:(invisible 10) ~tunable:false in
@@ -437,12 +530,18 @@ let () =
           Alcotest.test_case "no write-through for readers" `Quick
             test_policy_no_write_through_for_readonly;
           Alcotest.test_case "bounds respected" `Quick test_policy_bounds_respected;
+          Alcotest.test_case "mv failed trial exits" `Quick test_policy_mv_failed_trial_exits;
+          Alcotest.test_case "mv kept when it pays" `Quick test_policy_mv_kept_when_it_pays;
+          Alcotest.test_case "mv blocked stays sv" `Quick
+            test_policy_mv_blocked_stays_single_version;
         ] );
       ( "tuner",
         [
           Alcotest.test_case "reacts and traces" `Slow test_tuner_reacts_and_traces;
           Alcotest.test_case "forced switch accounting" `Quick test_tuner_forced_switch_accounting;
           Alcotest.test_case "trace capped" `Quick test_tuner_trace_capped;
+          Alcotest.test_case "mv failed trial blocks re-entry" `Quick
+            test_tuner_mv_failed_trial_blocks_reentry;
           Alcotest.test_case "respects tunable flag" `Quick test_tuner_respects_tunable_flag;
           Alcotest.test_case "cooldown" `Quick test_tuner_cooldown;
           Alcotest.test_case "picks up new partitions" `Quick test_tuner_picks_up_new_partitions;

@@ -646,6 +646,7 @@ let test_explain_visibility_switch () =
           ~validation_fails:150;
       current = Mode.default;
       tvars = 100_000;
+      mv_blocked = false;
     }
   in
   let decision, why = Tuning_policy.explain config obs in
@@ -666,7 +667,12 @@ let test_explain_visibility_switch () =
 let test_explain_small_sample () =
   let config = Tuning_policy.default_config in
   let obs =
-    { Tuning_policy.delta = Region_stats.empty_snapshot; current = Mode.default; tvars = 64 }
+    {
+      Tuning_policy.delta = Region_stats.empty_snapshot;
+      current = Mode.default;
+      tvars = 64;
+      mv_blocked = false;
+    }
   in
   let decision, why = Tuning_policy.explain config obs in
   check Alcotest.bool "small sample keeps" true (decision = Tuning_policy.Keep);

@@ -778,6 +778,43 @@ let test_txn_body_exception_every_mode () =
             after.Region_stats.s_commits))
     modes
 
+(* A ring outlives its multi-version period only until the tvar's next
+   locked write outside multi-version, under either write policy; a later
+   multi-version period rebuilds it on the stale epoch and serves history
+   again. *)
+let test_txn_ring_dropped_outside_mv () =
+  let mv8 = Mode.make ~granularity_log2:8 ~protocol:(Protocol.Multi_version { depth = 8 }) () in
+  with_txn_env ~mode:mv8 (fun e r txn ->
+      let v = Tvar.make r 0 in
+      let has_ring () = v.Tvar.mv != Mv_history.initial in
+      let mv_write value =
+        Region.reconfigure r mv8;
+        Txn.atomically txn (fun t -> Txn.write t v value);
+        check Alcotest.int "the mv write builds a ring of this period"
+          r.Region.config.Region.mv_epoch (Mv_history.epoch v.Tvar.mv)
+      in
+      List.iter
+        (fun (name, mode) ->
+          mv_write 1;
+          Region.reconfigure r mode;
+          check Alcotest.bool (name ^ ": the reconfigure alone keeps the ring") true (has_ring ());
+          Txn.atomically txn (fun t -> check Alcotest.int (name ^ ": read") 1 (Txn.read t v));
+          check Alcotest.bool (name ^ ": a read keeps it") true (has_ring ());
+          Txn.atomically txn (fun t -> Txn.write t v 2);
+          check Alcotest.bool (name ^ ": the next write drops it") false (has_ring ());
+          check Alcotest.int (name ^ ": value") 2 (Tvar.peek v))
+        [ ("sv-wb", invisible_mode 8); ("sv-wt", write_through_mode 8) ];
+      mv_write 3;
+      let reader = Txn.create e ~worker_id:1 in
+      Txn.begin_txn reader;
+      Txn.atomically txn (fun t -> Txn.write t v 4);
+      let hist_before = (Region_stats.snapshot r.Region.stats).Region_stats.s_mv_hist_reads in
+      check Alcotest.int "history serves the reader's snapshot" 3 (Txn.read reader v);
+      Txn.commit reader;
+      check Alcotest.int "served from the ring" (hist_before + 1)
+        (Region_stats.snapshot r.Region.stats).Region_stats.s_mv_hist_reads;
+      check Alcotest.int "current value" 4 (Tvar.peek v))
+
 (* A read of an orec the transaction later write-locks is validated
    against the pre-lock version its own lock word carries.  [x] is read,
    then written; inside the body a second descriptor commits, so the
@@ -1082,6 +1119,7 @@ let () =
           Alcotest.test_case "dedup charges one entry per orec" `Quick test_txn_dedup_exact;
           Alcotest.test_case "body exception under every mode" `Quick
             test_txn_body_exception_every_mode;
+          Alcotest.test_case "ring dropped outside mv" `Quick test_txn_ring_dropped_outside_mv;
           Alcotest.test_case "self-locked read validates" `Quick test_txn_self_locked_read_valid;
           Alcotest.test_case "self-locked stale read aborts" `Quick
             test_txn_self_locked_read_stale;
