@@ -46,22 +46,10 @@ type run_spec = {
   telemetry_out : string option;
 }
 
-(* Force concurrency-control protocols onto freshly set-up partitions.  The
-   non-single-version protocols own their read path and buffering, so the
-   rest of the mode is normalised exactly as [Tuning_policy.decide] does —
-   [Mode.validate] rejects any other composition. *)
+(* Force concurrency-control protocols onto freshly set-up partitions. *)
 let force_protocols system overrides =
   let registry = System.registry system in
-  let set protocol p =
-    let mode = Partition.mode p in
-    let mode =
-      match protocol with
-      | Protocol.Single_version -> { mode with Mode.protocol }
-      | Protocol.Multi_version _ | Protocol.Commit_time_lock ->
-          { mode with Mode.protocol; visibility = Mode.Invisible; update = Mode.Write_back }
-    in
-    Partition.set_mode p mode
-  in
+  let set protocol p = Partition.set_mode p (Mode.with_protocol protocol (Partition.mode p)) in
   let unknown =
     List.filter_map
       (fun (target, protocol) ->

@@ -16,9 +16,8 @@ type entry = {
   mutable e_last : (int * Tuning_policy.decision * Tuning_policy.why) option;
       (* last evaluated (tick, decision, why) — Keep or Switch, for [partstm top] *)
   mutable e_mv_blocked : bool;
-      (* set when the partition leaves multi-version with its read-only
-         waste still above [mv_wasted_hi] (a failed trial); cleared by the
-         first evaluated period that shows that waste at or below it *)
+      (* the policy's multi-version block, kept from one evaluated period
+         to the next *)
 }
 
 type event = {
@@ -27,8 +26,6 @@ type event = {
   ev_partition : string;
   ev_from : Mode.t;
   ev_to : Mode.t;
-  ev_abort_rate : float;
-  ev_update_ratio : float;
   ev_why : Tuning_policy.why;
 }
 
@@ -98,9 +95,8 @@ let step t =
       if entry.e_cooldown > 0 then entry.e_cooldown <- entry.e_cooldown - 1
       else if Partition.tunable partition then begin
         let current_mode = Partition.mode partition in
-        let config = Tuning_policy.default_config in
-        let decision, why =
-          Tuning_policy.explain config
+        let { Tuning_policy.decision; mv_blocked; why } =
+          Tuning_policy.explain
             {
               Tuning_policy.delta;
               current = current_mode;
@@ -109,19 +105,10 @@ let step t =
             }
         in
         entry.e_last <- Some (t.ticks, decision, why);
-        let waste_above = why.Tuning_policy.w_ro_wasted > config.Tuning_policy.mv_wasted_hi in
-        if
-          entry.e_mv_blocked && (not waste_above)
-          && why.Tuning_policy.w_attempts >= config.Tuning_policy.min_attempts
-        then entry.e_mv_blocked <- false;
+        entry.e_mv_blocked <- mv_blocked;
         match decision with
         | Tuning_policy.Keep -> ()
         | Tuning_policy.Switch new_mode ->
-            if
-              waste_above
-              && Protocol.is_multi_version current_mode.Mode.protocol
-              && not (Protocol.is_multi_version new_mode.Mode.protocol)
-            then entry.e_mv_blocked <- true;
             Partition.set_mode partition new_mode;
             Region_stats.record_mode_switch (Partition.region partition).Region.stats;
             entry.e_cooldown <- t.cooldown_periods;
@@ -133,8 +120,6 @@ let step t =
                 ev_partition = Partition.name partition;
                 ev_from = current_mode;
                 ev_to = new_mode;
-                ev_abort_rate = Region_stats.abort_rate delta;
-                ev_update_ratio = Region_stats.update_txn_ratio delta;
                 ev_why = why;
               }
       end)
@@ -175,4 +160,5 @@ let last_decisions t =
 let pp_event ppf ev =
   if ev.ev_time >= 0 then Fmt.pf ppf "t=%-10d " ev.ev_time;
   Fmt.pf ppf "tick %3d  %-16s %a -> %a  (abort=%.2f update=%.2f)" ev.ev_tick ev.ev_partition
-    Mode.pp ev.ev_from Mode.pp ev.ev_to ev.ev_abort_rate ev.ev_update_ratio
+    Mode.pp ev.ev_from Mode.pp ev.ev_to ev.ev_why.Tuning_policy.w_abort_rate
+    ev.ev_why.Tuning_policy.w_update_ratio

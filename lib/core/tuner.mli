@@ -15,13 +15,13 @@ type event = {
   ev_partition : string;
   ev_from : Mode.t;
   ev_to : Mode.t;
-  ev_abort_rate : float;
-  ev_update_ratio : float;
-  ev_why : Tuning_policy.why;  (** full audit trail for the switch *)
+  ev_why : Tuning_policy.why;
+      (** full audit trail for the switch, including the period's abort
+          rate and update ratio *)
 }
 
 val create : ?cooldown:int -> ?max_trace:int -> Registry.t -> t
-(** The tuner decides with {!Tuning_policy.default_config}. [cooldown] is
+(** The tuner decides with {!Tuning_policy.explain}. [cooldown] is
     the number of periods a freshly switched partition is left alone.
     [max_trace] (default 1024) bounds the in-memory decision log: once
     full, each new event evicts the oldest in O(1) ({!switches} keeps the
@@ -42,11 +42,9 @@ val clear_clock : t -> unit
 val step : t -> unit
 (** Sample all partitions, decide, and apply switches (quiescing each
     affected region). Each applied switch also bumps the owning partition's
-    [mode_switches] statistic. A partition that leaves multi-version with
-    its read-only waste above [mv_wasted_hi] (a failed trial) is blocked
-    from re-entering it until an evaluated period of at least
-    [min_attempts] attempts shows that waste at or below the threshold
-    ({!Tuning_policy.observation}'s [mv_blocked]). Single-threaded. *)
+    [mode_switches] statistic. Each partition's multi-version block
+    ({!Tuning_policy.verdict}'s [mv_blocked]) is stored from one evaluated
+    period to the next and passed back to the policy. Single-threaded. *)
 
 val ticks : t -> int
 

@@ -32,68 +32,47 @@
    Every other direction uses hysteresis (hi/lo thresholds), and the
    tuner adds a cooldown after each switch.  The failed-trial exit fires
    on the very signal that enters multi-version, so hysteresis cannot
-   stop it cycling; what does is the tuner's block ([mv_blocked]): after
-   a failed trial it holds multi-version entry off until a period shows
-   the waste at or below [mv_wasted_hi].  With the block, the policy
-   cannot oscillate on a steady workload. *)
+   stop it cycling; what does is the block ([mv_blocked]): after a failed
+   trial the policy holds multi-version entry off until a period shows
+   the waste at or below [mv_wasted_hi].  The tuner only stores the bit
+   between periods.  With the block, the policy cannot oscillate on a
+   steady workload.
+
+   The thresholds below are module constants, not settings: no caller
+   overrides them.  A sensitivity sweep edits them in a scratch copy, as
+   R-F5's g12 column edited the static strategy. *)
 
 open Partstm_stm
 
-type config = {
-  min_attempts : int;  (* minimum sample size before deciding *)
-  update_ratio_hi : float;  (* switch to visible above this ... *)
-  update_ratio_lo : float;  (* ... back to invisible below this *)
-  wasted_validation_hi : float;  (* (val_fails+ext)/attempts to justify visible *)
-  abort_rate_hi : float;  (* coarsen above this conflict pressure ... *)
-  writes_per_update_txn_hi : float;  (* ... if txns also lock several orecs *)
-  small_region_tvars : int;  (* ... and the region is object-sized *)
-  abort_rate_lo : float;  (* refine below this *)
-  write_through_abort_lo : float;  (* switch to write-through below this ... *)
-  write_through_abort_hi : float;  (* ... and back to write-back above this *)
-  granularity_step : int;  (* log2 slots added/removed per decision *)
-  granularity_lo : int;  (* coarsest allowed (log2 slots) *)
-  granularity_hi : int;  (* finest allowed (log2 slots) *)
-  mv_ro_ratio_hi : float;  (* multi-version above this read-only commit share ... *)
-  mv_ro_ratio_lo : float;  (* ... back to single-version below this *)
-  mv_wasted_hi : float;  (* (ro_aborts+val_fails)/attempts to justify multi-version *)
-  mv_depth : int;  (* history depth proposed on a multi-version switch *)
-  ctl_tvars_max : int;  (* commit-time locking only for regions this small *)
-  ctl_abort_hi : float;  (* commit-time locking above this abort rate ... *)
-  ctl_abort_lo : float;  (* ... back to single-version below this *)
-}
+let min_attempts = 200 (* minimum sample size before deciding *)
 
 (* update_ratio counts transactions that actually wrote (a failed intset add
    commits read-only), so 0.25 already indicates an update-heavy mix. *)
-let default_config =
-  {
-    min_attempts = 200;
-    update_ratio_hi = 0.25;
-    update_ratio_lo = 0.08;
-    wasted_validation_hi = 0.12;
-    abort_rate_hi = 0.35;
-    writes_per_update_txn_hi = 3.0;
-    small_region_tvars = 256;
-    abort_rate_lo = 0.02;
-    write_through_abort_lo = 0.02;
-    write_through_abort_hi = 0.15;
-    granularity_step = 4;
-    granularity_lo = 0;
-    granularity_hi = 14;
-    mv_ro_ratio_hi = 0.80;
-    mv_ro_ratio_lo = 0.50;
-    mv_wasted_hi = 0.02;
-    mv_depth = 8;
-    ctl_tvars_max = 64;
-    ctl_abort_hi = 0.30;
-    ctl_abort_lo = 0.05;
-  }
+let update_ratio_hi = 0.25 (* switch to visible above this ... *)
+let update_ratio_lo = 0.08 (* ... back to invisible below this *)
+let wasted_validation_hi = 0.12 (* val_fails/attempts to justify visible *)
+let abort_rate_hi = 0.35 (* coarsen above this conflict pressure ... *)
+let writes_per_update_txn_hi = 3.0 (* ... if txns also lock several orecs *)
+let small_region_tvars = 256 (* ... and the region is object-sized *)
+let abort_rate_lo = 0.02 (* refine below this *)
+let write_through_abort_lo = 0.02 (* switch to write-through below this ... *)
+let write_through_abort_hi = 0.15 (* ... and back to write-back above this *)
+let granularity_step = 4 (* log2 slots added/removed per decision *)
+let granularity_hi = 14 (* finest allowed (log2 slots); the coarsest is Mode.granularity_min *)
+let mv_ro_ratio_hi = 0.80 (* multi-version above this read-only commit share ... *)
+let mv_ro_ratio_lo = 0.50 (* ... back to single-version below this *)
+let mv_wasted_hi = 0.02 (* (ro_aborts+val_fails)/attempts to justify multi-version *)
+let mv_depth = 8 (* history depth proposed on a multi-version switch *)
+let ctl_tvars_max = 64 (* commit-time locking only for regions this small *)
+let ctl_abort_hi = 0.30 (* commit-time locking above this abort rate ... *)
+let ctl_abort_lo = 0.05 (* ... back to single-version below this *)
 
 (* What the tuner observed in a partition over one sampling period. *)
 type observation = {
   delta : Region_stats.snapshot;
   current : Mode.t;
   tvars : int;
-  mv_blocked : bool;  (* multi-version failed its last trial here (see [Tuner]) *)
+  mv_blocked : bool;  (* multi-version failed its last trial here *)
 }
 
 type decision = Keep | Switch of Mode.t
@@ -102,7 +81,7 @@ type decision = Keep | Switch of Mode.t
    rules that fired ([w_triggered]) and the alternatives it considered but
    rejected, with the threshold comparison that rejected them
    ([w_rejected]).  Logged into telemetry and rendered by [partstm top];
-   the decision itself is unchanged — [decide] is [fst (explain ...)]. *)
+   it carries no decision authority. *)
 type why = {
   w_attempts : int;
   w_abort_rate : float;
@@ -116,7 +95,11 @@ type why = {
   w_rejected : string list;
 }
 
-let explain config { delta; current; tvars; mv_blocked } =
+(* One evaluated period's outcome: the decision, the block for the
+   partition's next period, and the audit trail. *)
+type verdict = { decision : decision; mv_blocked : bool; why : why }
+
+let explain { delta; current; tvars; mv_blocked } =
   let attempts = Region_stats.attempts delta in
   let abort_rate = Region_stats.abort_rate delta in
   let update_ratio = Region_stats.update_txn_ratio delta in
@@ -155,28 +138,27 @@ let explain config { delta; current; tvars; mv_blocked } =
       w_rejected = List.rev !rejected;
     }
   in
-  if attempts < config.min_attempts then begin
-    rej "sample too small: attempts %d < min_attempts %d" attempts config.min_attempts;
-    (Keep, why ())
+  if attempts < min_attempts then begin
+    rej "sample too small: attempts %d < min_attempts %d" attempts min_attempts;
+    { decision = Keep; mv_blocked; why = why () }
   end
   else begin
     let visibility =
       match current.Mode.visibility with
-      | Mode.Invisible
-        when update_ratio > config.update_ratio_hi && wasted > config.wasted_validation_hi ->
+      | Mode.Invisible when update_ratio > update_ratio_hi && wasted > wasted_validation_hi ->
           trig "visible reads: update_ratio %.2f > %.2f and wasted validation %.3f > %.3f"
-            update_ratio config.update_ratio_hi wasted config.wasted_validation_hi;
+            update_ratio update_ratio_hi wasted wasted_validation_hi;
           Mode.Visible
-      | Mode.Visible when update_ratio < config.update_ratio_lo ->
-          trig "invisible reads: update_ratio %.2f < %.2f" update_ratio config.update_ratio_lo;
+      | Mode.Visible when update_ratio < update_ratio_lo ->
+          trig "invisible reads: update_ratio %.2f < %.2f" update_ratio update_ratio_lo;
           Mode.Invisible
       | Mode.Invisible as v ->
           rej "visible reads: update_ratio %.2f <= %.2f or wasted validation %.3f <= %.3f"
-            update_ratio config.update_ratio_hi wasted config.wasted_validation_hi;
+            update_ratio update_ratio_hi wasted wasted_validation_hi;
           v
       | Mode.Visible as v ->
           rej "invisible reads: update_ratio %.2f >= %.2f (hysteresis)" update_ratio
-            config.update_ratio_lo;
+            update_ratio_lo;
           v
     in
     let granularity =
@@ -187,40 +169,39 @@ let explain config { delta; current; tvars; mv_blocked } =
          "at the object level, or even at the granularity of the whole
          region"); coarsening a large structure would serialize it. *)
       if
-        abort_rate > config.abort_rate_hi
-        && writes_per_update_txn > config.writes_per_update_txn_hi
-        && tvars <= config.small_region_tvars
-        && g > config.granularity_lo
+        abort_rate > abort_rate_hi
+        && writes_per_update_txn > writes_per_update_txn_hi
+        && tvars <= small_region_tvars
+        && g > Mode.granularity_min
       then begin
         trig "coarsen to g%d: abort_rate %.2f > %.2f, writes/update-txn %.1f > %.1f, tvars %d <= %d"
-          (max config.granularity_lo (g - config.granularity_step))
-          abort_rate config.abort_rate_hi writes_per_update_txn config.writes_per_update_txn_hi
-          tvars config.small_region_tvars;
-        max config.granularity_lo (g - config.granularity_step)
+          (max Mode.granularity_min (g - granularity_step))
+          abort_rate abort_rate_hi writes_per_update_txn writes_per_update_txn_hi tvars
+          small_region_tvars;
+        max Mode.granularity_min (g - granularity_step)
       end
       else if
         (* The dual rule: a *large* region with multi-write transactions
            under high conflict pressure is likely suffering false conflicts
            from orec aliasing — refine to separate the writers. *)
-        abort_rate > config.abort_rate_hi
-        && writes_per_update_txn > config.writes_per_update_txn_hi
-        && tvars > config.small_region_tvars
-        && g < config.granularity_hi
+        abort_rate > abort_rate_hi
+        && writes_per_update_txn > writes_per_update_txn_hi
+        && tvars > small_region_tvars
+        && g < granularity_hi
       then begin
         trig "refine to g%d: abort_rate %.2f > %.2f with large region (tvars %d > %d)"
-          (min config.granularity_hi (g + config.granularity_step))
-          abort_rate config.abort_rate_hi tvars config.small_region_tvars;
-        min config.granularity_hi (g + config.granularity_step)
+          (min granularity_hi (g + granularity_step))
+          abort_rate abort_rate_hi tvars small_region_tvars;
+        min granularity_hi (g + granularity_step)
       end
-      else if abort_rate < config.abort_rate_lo && g < config.granularity_hi then begin
-        trig "refine to g%d: abort_rate %.3f < %.3f"
-          (min config.granularity_hi (g + config.granularity_step))
-          abort_rate config.abort_rate_lo;
-        min config.granularity_hi (g + config.granularity_step)
+      else if abort_rate < abort_rate_lo && g < granularity_hi then begin
+        trig "refine to g%d: abort_rate %.3f < %.3f" (min granularity_hi (g + granularity_step))
+          abort_rate abort_rate_lo;
+        min granularity_hi (g + granularity_step)
       end
       else begin
         rej "granularity change: abort_rate %.3f within [%.3f, %.2f] band at g%d" abort_rate
-          config.abort_rate_lo config.abort_rate_hi g;
+          abort_rate_lo abort_rate_hi g;
         g
       end
     in
@@ -242,20 +223,19 @@ let explain config { delta; current; tvars; mv_blocked } =
     let update =
       let writes_happen = Region_stats.update_txn_ratio delta > 0.01 in
       match current.Mode.update with
-      | Mode.Write_back when writes_happen && abort_rate < config.write_through_abort_lo ->
+      | Mode.Write_back when writes_happen && abort_rate < write_through_abort_lo ->
           trig "write-through: abort_rate %.3f < %.3f with writes present" abort_rate
-            config.write_through_abort_lo;
+            write_through_abort_lo;
           Mode.Write_through
-      | Mode.Write_through when abort_rate > config.write_through_abort_hi ->
-          trig "write-back: abort_rate %.2f > %.2f" abort_rate config.write_through_abort_hi;
+      | Mode.Write_through when abort_rate > write_through_abort_hi ->
+          trig "write-back: abort_rate %.2f > %.2f" abort_rate write_through_abort_hi;
           Mode.Write_back
       | Mode.Write_back as u ->
           rej "write-through: abort_rate %.3f >= %.3f or no writes" abort_rate
-            config.write_through_abort_lo;
+            write_through_abort_lo;
           u
       | Mode.Write_through as u ->
-          rej "write-back: abort_rate %.3f <= %.3f (hysteresis)" abort_rate
-            config.write_through_abort_hi;
+          rej "write-back: abort_rate %.3f <= %.3f (hysteresis)" abort_rate write_through_abort_hi;
           u
     in
     (* Concurrency-control protocol.  Multi-version pays when the partition
@@ -266,88 +246,83 @@ let explain config { delta; current; tvars; mv_blocked } =
        orec traffic on the read side.  Each exits on the decayed form of
        its entry signal (hysteresis).  Multi-version also exits when its
        entry signal persists: the waste it was entered to cut is still
-       there, and the tuner then blocks re-entry ([mv_blocked]) until a
-       period shows the waste gone. *)
-    let mv_signal = ro_ratio > config.mv_ro_ratio_hi && ro_wasted > config.mv_wasted_hi in
+       there, and re-entry is then blocked ([mv_blocked]) until a period
+       shows the waste gone. *)
+    let ro_wasteful = ro_wasted > mv_wasted_hi in
+    let mv_signal = ro_ratio > mv_ro_ratio_hi && ro_wasteful in
     let protocol =
       match current.Mode.protocol with
       | Protocol.Single_version ->
-          if
-            tvars <= config.ctl_tvars_max
-            && abort_rate > config.ctl_abort_hi
-            && update_ratio > config.update_ratio_hi
+          if tvars <= ctl_tvars_max && abort_rate > ctl_abort_hi && update_ratio > update_ratio_hi
           then begin
             trig "commit-time locking: tvars %d <= %d, abort_rate %.2f > %.2f, update_ratio %.2f > %.2f"
-              tvars config.ctl_tvars_max abort_rate config.ctl_abort_hi update_ratio
-              config.update_ratio_hi;
+              tvars ctl_tvars_max abort_rate ctl_abort_hi update_ratio update_ratio_hi;
             Protocol.Commit_time_lock
           end
           else if mv_signal && not mv_blocked then begin
             trig "multi-version (depth %d): ro_ratio %.2f > %.2f and ro wasted %.3f > %.3f"
-              config.mv_depth ro_ratio config.mv_ro_ratio_hi ro_wasted config.mv_wasted_hi;
-            Protocol.Multi_version { depth = config.mv_depth }
+              mv_depth ro_ratio mv_ro_ratio_hi ro_wasted mv_wasted_hi;
+            Protocol.Multi_version { depth = mv_depth }
           end
           else begin
             rej "commit-time locking: tvars %d > %d or abort_rate %.2f <= %.2f or update_ratio %.2f <= %.2f"
-              tvars config.ctl_tvars_max abort_rate config.ctl_abort_hi update_ratio
-              config.update_ratio_hi;
+              tvars ctl_tvars_max abort_rate ctl_abort_hi update_ratio update_ratio_hi;
             if mv_signal then
               rej "multi-version: blocked after a failed trial until ro wasted %.3f <= %.3f"
-                ro_wasted config.mv_wasted_hi
+                ro_wasted mv_wasted_hi
             else
               rej "multi-version: ro_ratio %.2f <= %.2f or ro wasted %.3f <= %.3f" ro_ratio
-                config.mv_ro_ratio_hi ro_wasted config.mv_wasted_hi;
+                mv_ro_ratio_hi ro_wasted mv_wasted_hi;
             Protocol.Single_version
           end
       | Protocol.Multi_version _ as p ->
-          if ro_ratio < config.mv_ro_ratio_lo then begin
-            trig "leave multi-version: ro_ratio %.2f < %.2f" ro_ratio config.mv_ro_ratio_lo;
+          if ro_ratio < mv_ro_ratio_lo then begin
+            trig "leave multi-version: ro_ratio %.2f < %.2f" ro_ratio mv_ro_ratio_lo;
             Protocol.Single_version
           end
-          else if ro_wasted > config.mv_wasted_hi then begin
+          else if ro_wasteful then begin
             (* The trial failed: multi-version was entered to cut exactly
                this waste, so keeping it only adds the history upkeep. *)
             trig "leave multi-version: it did not cut the waste (ro wasted %.3f > %.3f)"
-              ro_wasted config.mv_wasted_hi;
+              ro_wasted mv_wasted_hi;
             Protocol.Single_version
           end
           else begin
-            rej "leave multi-version: ro_ratio %.2f >= %.2f (hysteresis)" ro_ratio
-              config.mv_ro_ratio_lo;
-            rej "leave multi-version: ro wasted %.3f <= %.3f (it pays)" ro_wasted
-              config.mv_wasted_hi;
+            rej "leave multi-version: ro_ratio %.2f >= %.2f (hysteresis)" ro_ratio mv_ro_ratio_lo;
+            rej "leave multi-version: ro wasted %.3f <= %.3f (it pays)" ro_wasted mv_wasted_hi;
             p
           end
       | Protocol.Commit_time_lock ->
-          if abort_rate < config.ctl_abort_lo || tvars > config.ctl_tvars_max then begin
+          if abort_rate < ctl_abort_lo || tvars > ctl_tvars_max then begin
             trig "leave commit-time locking: abort_rate %.3f < %.3f or tvars %d > %d" abort_rate
-              config.ctl_abort_lo tvars config.ctl_tvars_max;
+              ctl_abort_lo tvars ctl_tvars_max;
             Protocol.Single_version
           end
           else begin
             rej "leave commit-time locking: abort_rate %.2f >= %.3f (hysteresis)" abort_rate
-              config.ctl_abort_lo;
+              ctl_abort_lo;
             Protocol.Commit_time_lock
           end
     in
-    let proposed = { Mode.visibility; granularity_log2 = granularity; update; protocol } in
-    (* Normalise to a valid composition: the non-single-version protocols
-       own their read path and buffering (Mode.validate rejects anything
-       else). *)
     let proposed =
-      match protocol with
-      | Protocol.Single_version -> proposed
-      | Protocol.Multi_version _ | Protocol.Commit_time_lock ->
-          if proposed.Mode.visibility <> Mode.Invisible || proposed.Mode.update <> Mode.Write_back
-          then
-            trig "normalized to invisible/write-back: the %s protocol owns its read path"
-              (Protocol.to_string protocol);
-          { proposed with Mode.visibility = Mode.Invisible; update = Mode.Write_back }
+      Mode.with_protocol protocol
+        { current with Mode.visibility; granularity_log2 = granularity; update }
     in
-    if Mode.equal proposed current then (Keep, why ()) else (Switch proposed, why ())
+    if proposed.Mode.visibility <> visibility || proposed.Mode.update <> update then
+      trig "normalized to invisible/write-back: the %s protocol owns its read path"
+        (Protocol.to_string protocol);
+    (* A failed trial (leaving multi-version with the waste still there)
+       sets the block; a period with the waste gone lifts it.  A period
+       too small to judge returned above with the block as it was. *)
+    let mv_blocked =
+      ro_wasteful
+      && (mv_blocked
+         || (Protocol.is_multi_version current.Mode.protocol
+            && not (Protocol.is_multi_version protocol)))
+    in
+    let decision = if Mode.equal proposed current then Keep else Switch proposed in
+    { decision; mv_blocked; why = why () }
   end
-
-let decide config observation = fst (explain config observation)
 
 let why_to_json w =
   Partstm_util.Json.Obj

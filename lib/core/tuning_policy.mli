@@ -5,39 +5,20 @@
 
 open Partstm_stm
 
-type config = {
-  min_attempts : int;
-  update_ratio_hi : float;
-  update_ratio_lo : float;
-  wasted_validation_hi : float;
-  abort_rate_hi : float;
-  writes_per_update_txn_hi : float;
-  small_region_tvars : int;
-  abort_rate_lo : float;
-  write_through_abort_lo : float;
-  write_through_abort_hi : float;
-  granularity_step : int;
-  granularity_lo : int;
-  granularity_hi : int;
-  mv_ro_ratio_hi : float;
-  mv_ro_ratio_lo : float;
-  mv_wasted_hi : float;
-  mv_depth : int;
-  ctl_tvars_max : int;
-  ctl_abort_hi : float;
-  ctl_abort_lo : float;
-}
+val min_attempts : int
+(** Attempts a period needs before the policy decides anything (200). *)
 
-val default_config : config
+val granularity_hi : int
+(** The finest granularity the policy refines to (14); it never coarsens
+    below {!Partstm_stm.Mode.granularity_min}. *)
 
 type observation = {
   delta : Region_stats.snapshot;  (** stats accumulated over one period *)
   current : Mode.t;
   tvars : int;  (** region size, gates object-level coarsening *)
   mv_blocked : bool;
-      (** multi-version entry is held off: the partition left it after a
-          failed trial (its read-only waste persisted), and no period
-          since has shown that waste at or below [mv_wasted_hi] *)
+      (** multi-version entry is held off: the [mv_blocked] of the
+          partition's previous {!verdict} *)
 }
 
 type decision = Keep | Switch of Mode.t
@@ -58,11 +39,21 @@ type why = {
   w_rejected : string list;  (** alternatives considered and declined *)
 }
 
-val explain : config -> observation -> decision * why
-(** The policy itself. [decide] is [fst (explain config obs)]; the [why]
-    carries no decision authority, only the audit trail. *)
+type verdict = {
+  decision : decision;
+  mv_blocked : bool;
+      (** the block for the partition's next period. A partition that
+          leaves multi-version with its read-only waste still above the
+          threshold (a failed trial) is blocked from re-entering it; the
+          first period of at least {!min_attempts} attempts that shows the
+          waste at or below the threshold lifts the block. Smaller
+          periods leave it as it was. *)
+  why : why;  (** the audit trail; it carries no decision authority *)
+}
 
-val decide : config -> observation -> decision
+val explain : observation -> verdict
+(** The policy itself: a pure function of the observation, with its
+    thresholds fixed in the implementation. *)
 
 val why_to_json : why -> Partstm_util.Json.t
 val pp_why : Format.formatter -> why -> unit

@@ -88,8 +88,8 @@ let decision_json (ev : Tuner.event) =
       ("partition", Json.String ev.Tuner.ev_partition);
       ("from", mode_json ev.Tuner.ev_from);
       ("to", mode_json ev.Tuner.ev_to);
-      ("abort_rate", Json.Float ev.Tuner.ev_abort_rate);
-      ("update_ratio", Json.Float ev.Tuner.ev_update_ratio);
+      ("abort_rate", Json.Float ev.Tuner.ev_why.Tuning_policy.w_abort_rate);
+      ("update_ratio", Json.Float ev.Tuner.ev_why.Tuning_policy.w_update_ratio);
       ("why", Tuning_policy.why_to_json ev.Tuner.ev_why);
     ]
 

@@ -30,22 +30,29 @@ let default = make ()
 let granularity_min = 0
 let granularity_max = 16
 
+(* Composition rule (see lib/stm/protocol.ml): the multi-version and
+   commit-time-lock read paths assume invisible readers and commit-time
+   publication.  Visible readers would bypass the snapshot rule, and
+   write-through's in-place stores would be observed by readers that
+   never consult orecs. *)
+let owns_read_path = function
+  | Protocol.Single_version -> false
+  | Protocol.Multi_version _ | Protocol.Commit_time_lock -> true
+
+let with_protocol protocol t =
+  if owns_read_path protocol then { t with protocol; visibility = Invisible; update = Write_back }
+  else { t with protocol }
+
 let validate t =
   if t.granularity_log2 < granularity_min || t.granularity_log2 > granularity_max then
     invalid_arg "Mode.validate: granularity_log2 out of range";
   Protocol.validate t.protocol;
-  (* Composition rules (see lib/stm/protocol.ml): the multi-version and
-     commit-time-lock read paths assume invisible readers and commit-time
-     publication.  Visible readers would bypass the snapshot rule, and
-     write-through's in-place stores would be observed by readers that
-     never consult orecs. *)
-  match t.protocol with
-  | Protocol.Single_version -> ()
-  | Protocol.Multi_version _ | Protocol.Commit_time_lock ->
-      if t.visibility <> Invisible then
-        invalid_arg "Mode.validate: multi-version/commit-time-lock require invisible reads";
-      if t.update <> Write_back then
-        invalid_arg "Mode.validate: multi-version/commit-time-lock require write-back updates"
+  if owns_read_path t.protocol then begin
+    if t.visibility <> Invisible then
+      invalid_arg "Mode.validate: multi-version/commit-time-lock require invisible reads";
+    if t.update <> Write_back then
+      invalid_arg "Mode.validate: multi-version/commit-time-lock require write-back updates"
+  end
 
 let visibility_to_string = function Invisible -> "invisible" | Visible -> "visible"
 let update_to_string = function Write_back -> "wb" | Write_through -> "wt"

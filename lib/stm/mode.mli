@@ -33,10 +33,17 @@ val default : t
 val granularity_min : int
 val granularity_max : int
 
+val with_protocol : Protocol.t -> t -> t
+(** [with_protocol p t] is [t] running protocol [p], normalised to a valid
+    composition: multi-version and commit-time locking own their read path
+    and buffering, so they force invisible reads and write-back updates.
+    The granularity is left as it is. *)
+
 val validate : t -> unit
 (** Raises [Invalid_argument] if the granularity or multi-version depth is
     out of range, or if a non-single-version protocol is combined with
-    visible reads or write-through updates. *)
+    visible reads or write-through updates (the composition that
+    {!with_protocol} normalises away). *)
 
 val visibility_to_string : read_visibility -> string
 val update_to_string : update_strategy -> string

@@ -79,8 +79,6 @@ let test_registry_report_shares () =
 
 (* -- Tuning policy (table-driven) ------------------------------------------ *)
 
-let config = Tuning_policy.default_config
-
 let snapshot ?(commits = 1000) ?(ro_commits = 0) ?(aborts = 0) ?(reads = 10_000) ?(writes = 1000)
     ?(lock_conflicts = 0) ?(reader_conflicts = 0) ?(validation_fails = 0) ?(extensions = 0)
     ?(ro_aborts = 0) () =
@@ -101,9 +99,10 @@ let snapshot ?(commits = 1000) ?(ro_commits = 0) ?(aborts = 0) ?(reads = 10_000)
   }
 
 let explain ?(tvars = 100_000) ?(mv_blocked = false) ~current delta =
-  Tuning_policy.explain config { Tuning_policy.delta; current; tvars; mv_blocked }
+  Tuning_policy.explain { Tuning_policy.delta; current; tvars; mv_blocked }
 
-let decide ?tvars ?mv_blocked ~current delta = fst (explain ?tvars ?mv_blocked ~current delta)
+let decide ?tvars ?mv_blocked ~current delta =
+  (explain ?tvars ?mv_blocked ~current delta).Tuning_policy.decision
 
 let expect_keep name decision =
   match decision with
@@ -264,13 +263,13 @@ let has_message needle messages =
     messages
 
 let test_policy_mv_failed_trial_exits () =
-  let decision, why = explain ~current:(mv8 10) (ro_waste ()) in
+  let { Tuning_policy.decision; why; _ } = explain ~current:(mv8 10) (ro_waste ()) in
   expect_switch "failed trial leaves multi-version" (invisible 10) decision;
   check Alcotest.bool "the trail says mv did not cut the waste" true
     (has_message "did not cut the waste" why.Tuning_policy.w_triggered)
 
 let test_policy_mv_kept_when_it_pays () =
-  let decision, why = explain ~current:(mv8 10) (ro_quiet ()) in
+  let { Tuning_policy.decision; why; _ } = explain ~current:(mv8 10) (ro_quiet ()) in
   expect_keep "waste at or below the threshold keeps multi-version" decision;
   check Alcotest.bool "the trail says mv pays" true
     (has_message "(it pays)" why.Tuning_policy.w_rejected)
@@ -278,10 +277,86 @@ let test_policy_mv_kept_when_it_pays () =
 let test_policy_mv_blocked_stays_single_version () =
   expect_switch "unblocked: the waste enters multi-version" (mv8 10)
     (decide ~current:(invisible 10) (ro_waste ()));
-  let decision, why = explain ~mv_blocked:true ~current:(invisible 10) (ro_waste ()) in
+  let { Tuning_policy.decision; why; _ } =
+    explain ~mv_blocked:true ~current:(invisible 10) (ro_waste ())
+  in
   expect_keep "blocked: stays single-version" decision;
   check Alcotest.bool "the rejection names the block" true
     (has_message "blocked after a failed trial" why.Tuning_policy.w_rejected)
+
+(* A period of exactly [attempts] attempts with no waste at all
+   (ro_wasted = 0, read-dominated). *)
+let quiet attempts = snapshot ~commits:attempts ~ro_commits:(attempts * 19 / 20) ~aborts:0 ()
+
+(* The block's four transitions, one period each: (case, block before,
+   current mode, period, block after). *)
+let test_policy_mv_block_lifecycle () =
+  let min = Tuning_policy.min_attempts in
+  List.iter
+    (fun (name, blocked, current, delta, expected) ->
+      let verdict = explain ~mv_blocked:blocked ~current delta in
+      check Alcotest.bool name expected verdict.Tuning_policy.mv_blocked)
+    [
+      ("a failed-trial exit sets the block", false, mv8 10, ro_waste (), true);
+      ("a wasteful period keeps it", true, invisible 10, ro_waste (), true);
+      ("a quiet period of min_attempts attempts lifts it", true, invisible 10, quiet min, false);
+      ("a smaller quiet period leaves it", true, invisible 10, quiet (min - 1), true);
+    ]
+
+(* Whatever it observes, the policy proposes only valid modes: every
+   [Switch] passes [Mode.validate], and a granularity it moves lands in
+   [Mode.granularity_min, granularity_hi] (a current granularity above
+   that range is left alone, not clamped). *)
+let prop_policy_proposals_valid =
+  let gen =
+    let open QCheck2.Gen in
+    let+ commits = int_range 0 2000
+    and+ ro_percent = int_range 0 100
+    and+ aborts = int_range 0 2000
+    and+ ro_abort_percent = int_range 0 100
+    and+ validation_fails = int_range 0 1000
+    and+ reads = int_range 0 100_000
+    and+ writes = int_range 0 10_000
+    and+ protocol =
+      oneofl
+        [ Protocol.Single_version; Protocol.Multi_version { depth = 8 }; Protocol.Commit_time_lock ]
+    and+ visibility = oneofl [ Mode.Invisible; Mode.Visible ]
+    and+ update = oneofl [ Mode.Write_back; Mode.Write_through ]
+    and+ granularity_log2 = int_range Mode.granularity_min Mode.granularity_max
+    and+ tvars = oneof [ int_range 1 300; int_range 1 1_000_000 ]
+    and+ mv_blocked = bool in
+    {
+      Tuning_policy.delta =
+        snapshot ~commits ~ro_commits:(commits * ro_percent / 100) ~aborts
+          ~ro_aborts:(aborts * ro_abort_percent / 100) ~validation_fails ~reads ~writes ();
+      current = Mode.with_protocol protocol (Mode.make ~visibility ~granularity_log2 ~update ());
+      tvars;
+      mv_blocked;
+    }
+  in
+  let print o =
+    let d = o.Tuning_policy.delta in
+    Fmt.str
+      "%a tvars=%d blocked=%b commits=%d ro=%d aborts=%d ro_aborts=%d val_fails=%d reads=%d writes=%d"
+      Mode.pp o.Tuning_policy.current o.Tuning_policy.tvars o.Tuning_policy.mv_blocked
+      d.Region_stats.s_commits d.Region_stats.s_ro_commits d.Region_stats.s_aborts
+      d.Region_stats.s_ro_aborts d.Region_stats.s_validation_fails d.Region_stats.s_reads
+      d.Region_stats.s_writes
+  in
+  let law obs =
+    match (Tuning_policy.explain obs).Tuning_policy.decision with
+    | Tuning_policy.Keep -> true
+    | Tuning_policy.Switch m ->
+        (match Mode.validate m with
+        | () -> ()
+        | exception Invalid_argument msg ->
+            QCheck2.Test.fail_reportf "proposed %a: %s" Mode.pp m msg);
+        let g = m.Mode.granularity_log2 in
+        g = obs.Tuning_policy.current.Mode.granularity_log2
+        || (g >= Mode.granularity_min && g <= Tuning_policy.granularity_hi)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"proposals are valid modes" ~print gen law)
 
 (* -- Tuner ------------------------------------------------------------------ *)
 
@@ -534,6 +609,8 @@ let () =
           Alcotest.test_case "mv kept when it pays" `Quick test_policy_mv_kept_when_it_pays;
           Alcotest.test_case "mv blocked stays sv" `Quick
             test_policy_mv_blocked_stays_single_version;
+          Alcotest.test_case "mv block lifecycle" `Quick test_policy_mv_block_lifecycle;
+          prop_policy_proposals_valid;
         ] );
       ( "tuner",
         [
