@@ -9,14 +9,8 @@ type t = {
   words : int Atomic.t array;
   readers : int Atomic.t array;
   granularity_log2 : int;
-  uid : int;
   padded : bool;
 }
-
-(* Process-wide table identity, used to key descriptor indexes: OCaml has no
-   O(1) hash of physical identity, so each table gets a unique id and
-   [slot_key] packs (uid, slot) into one int. *)
-let uid_counter = Atomic.make 0
 
 (* Padding budget: a padded slot costs 2 × 128 B (orec word + reader
    counter), so cap padding at 4096 slots (1 MiB per table).  Beyond that
@@ -42,7 +36,6 @@ let create ~padded ~clock_now ~granularity_log2 =
     words = make_array initial;
     readers = make_array 0;
     granularity_log2;
-    uid = Atomic.fetch_and_add uid_counter 1;
     padded;
   }
 
@@ -62,12 +55,6 @@ let slot_of_id t tvar_id =
   if t.granularity_log2 = 0 then 0 else Bits.hash_to_slot ~slots:(Array.length t.words) tvar_id
 
 let word t slot = t.words.(slot)
-
-(* Slot identity as a non-negative int key.  [Mode.granularity_max] is 16,
-   so a slot index fits in 17 bits and (uid, slot) pairs are injective. *)
-let slot_key t slot = (t.uid lsl 17) lor slot
-let key_uid key = key lsr 17
-let key_slot key = key land ((1 lsl 17) - 1)
 let reader_counter t slot = t.readers.(slot)
 
 let locked_slots t =

@@ -6,7 +6,6 @@ type t = {
   words : int Atomic.t array;
   readers : int Atomic.t array;
   granularity_log2 : int;
-  uid : int;  (** process-wide unique table id (keys descriptor indexes) *)
   padded : bool;  (** orecs/counters are cache-line-padded blocks *)
 }
 
@@ -27,18 +26,6 @@ val is_padded : t -> bool
 val slots : t -> int
 val slot_of_id : t -> int -> int
 val word : t -> int -> int Atomic.t
-
-val slot_key : t -> int -> int
-(** [slot_key t slot] is a non-negative int identifying (table, slot)
-    process-wide — injective because slots fit in 17 bits
-    ([Mode.granularity_max] = 16).  Used to key the transaction
-    descriptor's {!Partstm_util.Intmap} indexes. *)
-
-val key_uid : int -> int
-val key_slot : int -> int
-(** Decode a {!slot_key}: [key_uid (slot_key t s) = t.uid] and
-    [key_slot (slot_key t s) = s]. Conflict attribution names the failing
-    read entry's orec from its key. *)
 
 val reader_counter : t -> int -> int Atomic.t
 

@@ -38,6 +38,7 @@ exception Too_many_attempts of int
 
 type region_entry = {
   re_region : Region.t;
+  re_index : int;  (* stable position in the descriptor's [entries]; keys carry it *)
   mutable re_config : Region.config;  (* cached at activation; stable while in-flight *)
   mutable re_ctl_snap : int;
       (* commit-time-lock sequence snapshot this txn's reads in the region
@@ -65,12 +66,14 @@ type t = {
   mutable active : bool;
   mutable attempt : int;
   (* Pooled region entries: one per region this descriptor EVER touched
-     (cons'd once at first-ever touch), reused by every later transaction.
-     An entry is active in the current transaction iff
-     [re_epoch = txn_epoch]; [txn_epoch] is bumped at transaction end, which
-     deactivates every entry without walking or reallocating the list.  The
-     steady-state begin/read/commit path therefore allocates nothing. *)
-  mutable entries : region_entry list;
+     (made once at first-ever touch, at index [re_index] of this array),
+     reused by every later transaction.  An entry is active in the current
+     transaction iff [re_epoch = txn_epoch]; [txn_epoch] is bumped at
+     transaction end, which deactivates every entry without walking or
+     reallocating the array.  The steady-state begin/read/commit path
+     therefore allocates nothing. *)
+  mutable entries : region_entry array;  (* [0, entry_count) used; the rest is filler *)
+  mutable entry_count : int;
   mutable txn_epoch : int;
   (* Scalar fallback for conflict attribution (the historical "head of the
      regions list"): the most recently activated entry's region id and
@@ -85,10 +88,15 @@ type t = {
      harness deadline can be observed even by a livelocked worker that
      never returns from [atomically] (Driver wires its countdown here). *)
   mutable retry_hook : (unit -> unit) option;
-  read_words : int Atomic.t Vec.t;  (* invisible read set: orec words ... *)
+  (* Int-keyed logs: every read, lock and visible hold is one orec key,
+     [(re_index lsl slot_bits) lor slot], resolved through the entry's
+     cached table when the orec word or reader counter is needed (see
+     [orec_word]).  Pushing an int needs no write barrier, and nothing is
+     wiped at transaction end. *)
+  read_keys : Intvec.t;  (* invisible read set: orec keys ... *)
   read_observed : Intvec.t;  (* ... and the unlocked word observed *)
-  lock_words : int Atomic.t Vec.t;  (* owned write locks; each word carries its pre-lock version *)
-  vis_counters : int Atomic.t Vec.t;  (* held visible-reader counters *)
+  lock_keys : Intvec.t;  (* owned write locks; each word carries its pre-lock version *)
+  vis_keys : Intvec.t;  (* held visible-reader counters *)
   writes : Tvar.any Vec.t;
       (* write-back set: each tvar's buffered value is in its [pending]
          slot, so the log needs the tvar only *)
@@ -108,13 +116,16 @@ type t = {
   mutable mv_inhibit : bool;
   mutable commit_wv : int;
   ctl_checks : logged Vec.t;
-  (* Descriptor indexes (DESIGN.md §3 "descriptor indexing").  Orecs are
-     identified by [Lock_table.slot_key]; every index lookup and
-     [own_bloom] test charges no simulated cycles, so the indexes cost
-     host time only and never shape a deterministic-sim schedule. *)
-  read_keys : Intvec.t;  (* slot_key per read entry *)
-  read_index : Intmap.t;  (* slot_key -> read-set position (dedup) *)
-  vis_index : Intmap.t;  (* slot_key -> vis_counters position *)
+  (* Descriptor indexes (DESIGN.md §3.1).  Index lookups and Bloom tests
+     charge no simulated cycles, so they cost host time only and never
+     shape a deterministic-sim schedule. *)
+  mutable read_bloom : int;
+      (* one-word Bloom filter over [read_keys]: a read whose bits miss it
+         is new, and is logged with no lookup *)
+  read_index : Intmap.t;
+      (* key -> latest read-set position; built only once the read set
+         outgrows [dedup_scan_max] (shorter sets are scanned) *)
+  vis_index : Intmap.t;  (* key -> vis_keys position *)
   mutable own_bloom : int;
       (* one-word Bloom filter over held visible-reader counters: a zero
          intersection proves non-membership, so [holds_visible] answers
@@ -126,13 +137,12 @@ type t = {
          passing them to [Runtime_hook.critical] allocates nothing *)
 }
 
-let dummy_atomic = Atomic.make 0
-
-(* Fillers for the typed logs' unused capacity and for [cur_stripe] before
-   any region is activated; never read through (the logs read only
-   [0, length), [cur_stripe] is guarded by [cur_epoch]).  One private
-   region, shared by all descriptors: an unpadded single-worker engine and
-   a one-orec table keep it to a few hundred bytes per process. *)
+(* Fillers for the typed logs' unused capacity, the entry array's spare
+   slots and [cur_stripe] before any region is activated; never read
+   through (the logs read only [0, length), the entries [0, entry_count),
+   [cur_stripe] is guarded by [cur_epoch]).  One private region, shared by
+   all descriptors: an unpadded single-worker engine and a one-orec table
+   keep it to a few hundred bytes per process. *)
 let dummy_region =
   Region.create
     (Engine.create ~max_workers:1 ~padded:false ())
@@ -144,6 +154,18 @@ let dummy_tvar = Tvar.make dummy_region ()
 let dummy_any = Tvar.Any dummy_tvar
 let dummy_logged = Logged (dummy_tvar, ())
 let dummy_stripe = Region_stats.stripe dummy_region.Region.stats 0
+
+let dummy_entry =
+  {
+    re_region = dummy_region;
+    re_index = -1;
+    re_config = dummy_region.Region.config;
+    re_ctl_snap = -1;
+    re_ctl_held = -1;
+    re_stripe = dummy_stripe;
+    re_writes = 0;
+    re_epoch = 0;
+  }
 
 let no_phase () = ()
 
@@ -158,7 +180,8 @@ let create_descriptor engine ~worker_id =
     rv = 0;
     active = false;
     attempt = 0;
-    entries = [];
+    entries = Array.make 4 dummy_entry;
+    entry_count = 0;
     txn_epoch = 1;  (* > 0 so a fresh entry's epoch 0 reads as inactive *)
     cur_region_id = -1;
     cur_stripe = dummy_stripe;
@@ -166,10 +189,10 @@ let create_descriptor engine ~worker_id =
     cur_epoch = 0;
     reads = 0;
     retry_hook = None;
-    read_words = Vec.create ~dummy:dummy_atomic ();
+    read_keys = Intvec.create ();
     read_observed = Intvec.create ();
-    lock_words = Vec.create ~dummy:dummy_atomic ();
-    vis_counters = Vec.create ~dummy:dummy_atomic ();
+    lock_keys = Intvec.create ();
+    vis_keys = Intvec.create ();
     writes = Vec.create ~dummy:dummy_any ();
     undo = Vec.create ~dummy:dummy_logged ();
     last_serialization = 0;
@@ -177,19 +200,13 @@ let create_descriptor engine ~worker_id =
     mv_inhibit = false;
     commit_wv = 0;
     ctl_checks = Vec.create ~dummy:dummy_logged ();
-    read_keys = Intvec.create ();
+    read_bloom = 0;
     read_index = Intmap.create ();
     vis_index = Intmap.create ();
     own_bloom = 0;
     publish_phase = no_phase;
     rollback_phase = no_phase;
   }
-
-(* Two Bloom probes from one [Bits.mix_int] (non-negative, so [mod] is
-   safe); bit indices range over the 63 usable bits of a native int. *)
-let bloom_bits key =
-  let h = Bits.mix_int key in
-  (1 lsl (h mod 63)) lor (1 lsl ((h lsr 6) mod 63))
 
 let worker_id t = t.worker_id
 let attempt t = t.attempt
@@ -233,35 +250,48 @@ let activate t (e : region_entry) =
   t.cur_stripe <- e.re_stripe;
   t.cur_epoch <- t.txn_epoch
 
-(* Top-level recursion: this runs once per read/write on the
+(* First-ever touch of [region] by this descriptor: make the pooled entry
+   at the next index of [entries].  Steady state never reaches this. *)
+let new_entry t region =
+  let index = t.entry_count in
+  if index = Array.length t.entries then begin
+    let bigger = Array.make (2 * index) dummy_entry in
+    Array.blit t.entries 0 bigger 0 index;
+    t.entries <- bigger
+  end;
+  let e =
+    {
+      re_region = region;
+      re_index = index;
+      re_config = region.Region.config;
+      re_ctl_snap = -1;
+      re_ctl_held = -1;
+      re_stripe = Region_stats.stripe region.Region.stats t.worker_id;
+      re_writes = 0;
+      re_epoch = 0;
+    }
+  in
+  t.entries.(index) <- e;
+  t.entry_count <- index + 1;
+  activate t e;
+  e
+
+(* Every walk over the entries runs newest first: a commit takes its
+   commit-time seqlocks in that order, and simulated schedules depend on
+   it.  Top-level recursion: this runs once per read/write on the
    zero-allocation fast path; a local [let rec] capturing [t] and [region]
    would allocate its closure on every call. *)
-let rec find_entry t region = function
-  | [] ->
-      (* First-ever touch by this descriptor: allocate the pooled entry.
-         Steady state never reaches this branch. *)
-      let e =
-        {
-          re_region = region;
-          re_config = region.Region.config;
-          re_ctl_snap = -1;
-          re_ctl_held = -1;
-          re_stripe = Region_stats.stripe region.Region.stats t.worker_id;
-          re_writes = 0;
-          re_epoch = 0;
-        }
-      in
-      t.entries <- e :: t.entries;
-      activate t e;
+let rec find_entry t region i =
+  if i < 0 then new_entry t region
+  else
+    let e = t.entries.(i) in
+    if e.re_region == region then begin
+      if e.re_epoch <> t.txn_epoch then activate t e;
       e
-  | e :: rest ->
-      if e.re_region == region then begin
-        if e.re_epoch <> t.txn_epoch then activate t e;
-        e
-      end
-      else find_entry t region rest
+    end
+    else find_entry t region (i - 1)
 
-let enter_region t region = find_entry t region t.entries
+let enter_region t region = find_entry t region (t.entry_count - 1)
 
 (* Region id charged when a conflict has no attributable read site: the
    most recently activated region, mirroring the historical "head of the
@@ -270,16 +300,42 @@ let fallback_region_id t = if t.cur_epoch = t.txn_epoch then t.cur_region_id els
 
 let first_region_id t = if t.cur_epoch = t.txn_epoch then t.first_region_id else -1
 
-(* Top-level recursion, not [List.iter (fun e -> ...)]: an intermediate
-   closure would capture [t] and allocate on every commit/abort, and this
-   runs on the zero-allocation fast path. *)
-let rec iter_active_aux epoch f = function
-  | [] -> ()
-  | e :: rest ->
-      if e.re_epoch = epoch then f e;
-      iter_active_aux epoch f rest
+(* Top-level recursion, not a closure over [t]: this runs on every
+   commit/abort of the zero-allocation fast path. *)
+let rec iter_active_aux t f i =
+  if i >= 0 then begin
+    let e = t.entries.(i) in
+    if e.re_epoch = t.txn_epoch then f e;
+    iter_active_aux t f (i - 1)
+  end
 
-let iter_active_entries t f = iter_active_aux t.txn_epoch f t.entries
+let iter_active_entries t f = iter_active_aux t f (t.entry_count - 1)
+
+(* -- Orec keys ------------------------------------------------------------
+
+   A logged orec is one int: the index of its region's pooled entry above
+   [slot_bits], the lock-table slot below.  A slot index fits in
+   [Mode.granularity_max + 1] bits, so the pair is injective.  A key is
+   resolved through the entry's cached table, which is stable while the
+   transaction runs (quiescence), so a key logged in this transaction
+   always names the orec it was logged for. *)
+let slot_bits = Mode.granularity_max + 1
+let slot_mask = (1 lsl slot_bits) - 1
+let key_of (e : region_entry) slot = (e.re_index lsl slot_bits) lor slot
+let entry_of t key = t.entries.(key lsr slot_bits)
+let key_slot key = key land slot_mask
+let orec_word t key = Lock_table.word (entry_of t key).re_config.Region.table (key_slot key)
+
+let reader_counter t key =
+  Lock_table.reader_counter (entry_of t key).re_config.Region.table (key_slot key)
+
+(* Two Bloom probes, one in bits 0-30 and one in bits 31-61, from a fold
+   of the key.  As for [Intmap]'s home bucket, no avalanche hash is
+   needed: the slot bits are already a hash of the tvar id, and the fold
+   mixes in the entry index. *)
+let bloom_bits key =
+  let h = key lxor (key lsr slot_bits) in
+  (1 lsl (h land 31)) lor (1 lsl (31 + ((h lsr 5) land 31)))
 
 (* -- Validation and extension ------------------------------------------- *)
 
@@ -289,12 +345,11 @@ let iter_active_entries t f = iter_active_aux t.txn_epoch f t.entries
    invalid entry, or -1 when the whole read set is valid.  Top-level
    recursion: it runs on every validating commit. *)
 let rec first_invalid_from t i =
-  if i >= Vec.length t.read_words then -1
+  if i >= Intvec.length t.read_keys then -1
   else begin
     Runtime_hook.charge Runtime_hook.Validate_entry;
-    let word = Vec.get t.read_words i in
     let observed = Intvec.get t.read_observed i in
-    let current = Atomic.get word in
+    let current = Atomic.get (orec_word t (Intvec.get t.read_keys i)) in
     if current = observed || (Orec.locked_by current ~owner:t.id && Orec.prev current = observed)
     then first_invalid_from t (i + 1)
     else i
@@ -307,16 +362,8 @@ let validate t = first_invalid t < 0
 (* -- Conflict attribution --------------------------------------------------
 
    A validation failure names the orec of the first stale read entry,
-   decoded from the read set itself: its [read_keys] value packs (table
-   uid, slot), and its region is the active entry whose cached table
-   carries that uid.  The lookup runs on the failure path only. *)
-
-let rec region_of_table t uid = function
-  | [] -> -1
-  | e :: rest ->
-      if e.re_epoch = t.txn_epoch && e.re_config.Region.table.Lock_table.uid = uid then
-        e.re_region.Region.id
-      else region_of_table t uid rest
+   decoded from the read set itself: its key names the region's entry and
+   the slot, so the descriptor keeps no second log. *)
 
 let record_conflict t ~cause ~region ~slot =
   match t.engine.Engine.recorder with
@@ -329,8 +376,7 @@ let record_validation_conflict t ~failed_index =
   | Some r ->
       let key = Intvec.get t.read_keys failed_index in
       r.Engine.rec_conflict ~txn:t.id ~cause:Engine.Validation
-        ~region:(region_of_table t (Lock_table.key_uid key) t.entries)
-        ~slot:(Lock_table.key_slot key)
+        ~region:(entry_of t key).re_region.Region.id ~slot:(key_slot key)
 
 (* -- Commit-time-lock read-log validation ---------------------------------
 
@@ -348,23 +394,24 @@ let ctl_is_active t (e : region_entry) =
   && Protocol.is_commit_time_lock e.re_config.Region.mode.Mode.protocol
   && e.re_ctl_held < 0
 
-let rec ctl_sample_phase t = function
-  | [] -> true
-  | e :: rest ->
-      if ctl_is_active t e then
-        match Seqlock.read_even e.re_region.Region.ctl_seq ~spin_limit:Engine.sample_retry_limit with
-        | Some s ->
-            e.re_ctl_snap <- s;
-            ctl_sample_phase t rest
-        | None -> false
-      else ctl_sample_phase t rest
+let rec ctl_sample_phase t i =
+  i < 0
+  ||
+  let e = t.entries.(i) in
+  if ctl_is_active t e then
+    match Seqlock.read_even e.re_region.Region.ctl_seq ~spin_limit:Engine.sample_retry_limit with
+    | Some s ->
+        e.re_ctl_snap <- s;
+        ctl_sample_phase t (i - 1)
+    | None -> false
+  else ctl_sample_phase t (i - 1)
 
-let rec ctl_confirm_phase t = function
-  | [] -> true
-  | e :: rest ->
-      if ctl_is_active t e then
-        Seqlock.read e.re_region.Region.ctl_seq = e.re_ctl_snap && ctl_confirm_phase t rest
-      else ctl_confirm_phase t rest
+let rec ctl_confirm_phase t i =
+  i < 0
+  ||
+  let e = t.entries.(i) in
+  ((not (ctl_is_active t e)) || Seqlock.read e.re_region.Region.ctl_seq = e.re_ctl_snap)
+  && ctl_confirm_phase t (i - 1)
 
 (* Seeded bug: the value checks pass vacuously — everywhere revalidation
    runs (read mismatch, extension, commit).  Guarding only the commit-time
@@ -381,11 +428,11 @@ let ctl_run_checks t = Bug.enabled Bug.Ctl_skip_validation || ctl_values_hold t.
 
 let rec ctl_all_valid_aux t retries =
   if retries > Engine.sample_retry_limit then false
-  else if not (ctl_sample_phase t t.entries) then false
+  else if not (ctl_sample_phase t (t.entry_count - 1)) then false
   else begin
     Runtime_hook.charge (Runtime_hook.Step (Vec.length t.ctl_checks));
     if not (ctl_run_checks t) then false
-    else if ctl_confirm_phase t t.entries then true
+    else if ctl_confirm_phase t (t.entry_count - 1) then true
     else begin
       Runtime_hook.relax ();
       ctl_all_valid_aux t (retries + 1)
@@ -421,7 +468,7 @@ let extend t (entry : region_entry) =
     record_conflict t ~cause:Engine.Validation ~region:entry.re_region.Region.id ~slot:(-1);
     raise Abort
   end
-  else if Vec.is_empty t.read_words && Vec.is_empty t.ctl_checks then
+  else if Intvec.length t.read_keys = 0 && Vec.is_empty t.ctl_checks then
     (* Nothing read invisibly yet: the snapshot can move forward for free
        (visible reads are 2PL-protected and need no revalidation). *)
     t.rv <- now
@@ -429,7 +476,7 @@ let extend t (entry : region_entry) =
     (* Seeded bug: extend without revalidating — zombie snapshots. *)
     t.rv <- now
   else begin
-    let failed = if Vec.is_empty t.read_words then -1 else first_invalid t in
+    let failed = first_invalid t in
     if failed >= 0 then begin
       Region_stats.incr_validation_fails entry.re_stripe;
       record_validation_conflict t ~failed_index:failed;
@@ -461,6 +508,25 @@ let record_read t (entry : region_entry) ~slot ~version =
   | None -> ()
   | Some r -> r.Engine.rec_read ~txn:t.id ~region:entry.re_region.Region.id ~slot ~version
 
+(* Read sets of at most this many entries are deduplicated by a backward
+   scan of [read_keys] behind the [read_bloom] test (a new orec usually
+   misses the Bloom word and is logged with no scan); the [read_index]
+   map is built once, when the set outgrows this size, and probed from
+   then on, so a transaction that never outgrows it never touches the
+   map.  A module constant, not a setting: R-P1 measures the per-access
+   cost on both sides of the switch. *)
+let dedup_scan_max = 32
+
+(* Position of the latest read entry keyed [key] at or below [i], or -1. *)
+let rec latest_read keys key i =
+  if i < 0 || Intvec.get keys i = key then i else latest_read keys key (i - 1)
+
+let rec index_reads t i n =
+  if i < n then begin
+    Intmap.set t.read_index (Intvec.get t.read_keys i) i;
+    index_reads t (i + 1) n
+  end
+
 (* Log an invisible read whose orec word [w1] has been double-sample
    confirmed and whose validity at [rv] is established by the caller
    (version <= rv, or a multi-version publish claim).  A successful
@@ -468,7 +534,7 @@ let record_read t (entry : region_entry) ~slot ~version =
    already-logged set, so callers must re-sample after extending rather
    than log a pre-extension word.  Shared tail of the single-version and
    multi-version paths. *)
-let log_invisible_read t (entry : region_entry) ~slot (word : int Atomic.t) w1 =
+let log_invisible_read t (entry : region_entry) ~slot w1 =
   (* Reads covered by an already-logged orec need no new log entry —
      this is what makes coarse granularity cheap for scan-style
      transactions.  Duplicates are suppressed anywhere in the read set
@@ -477,18 +543,37 @@ let log_invisible_read t (entry : region_entry) ~slot (word : int Atomic.t) w1 =
      valid at [rv], and by clock monotonicity the logged observation of
      the same orec at [<= rv] must be the identical word — a later
      committed version would carry a tick past the validation that moved
-     [rv].  The equality check keeps the dedup conservative anyway (under
-     seeded zombie bugs a mismatch appends, so validation still sees the
-     stale entry and fails as it should).  One probe both finds a logged
-     entry and claims the position of a new one. *)
-  let key = Lock_table.slot_key entry.re_config.Region.table slot in
-  let n = Vec.length t.read_words in
-  let i = Intmap.find_or_add t.read_index key n in
-  if i < 0 || Intvec.get t.read_observed i <> w1 then begin
-    if i >= 0 then Intmap.set t.read_index key n;
-    Intvec.push t.read_keys key;
-    Vec.push t.read_words word;
-    Intvec.push t.read_observed w1
+     [rv].  The equality check against the orec's latest entry keeps the
+     dedup conservative anyway (under seeded zombie bugs a mismatch
+     appends, so validation still sees the stale entry and fails as it
+     should). *)
+  let key = key_of entry slot in
+  let n = Intvec.length t.read_keys in
+  if n > dedup_scan_max then begin
+    (* One probe both finds a logged entry and claims the position of a
+       new one. *)
+    let i = Intmap.find_or_add t.read_index key n in
+    if i < 0 || Intvec.get t.read_observed i <> w1 then begin
+      if i >= 0 then Intmap.set t.read_index key n;
+      Intvec.push t.read_keys key;
+      Intvec.push t.read_observed w1
+    end
+  end
+  else begin
+    let bits = bloom_bits key in
+    if
+      t.read_bloom land bits <> bits
+      ||
+      let i = latest_read t.read_keys key (n - 1) in
+      i < 0 || Intvec.get t.read_observed i <> w1
+    then begin
+      t.read_bloom <- t.read_bloom lor bits;
+      Intvec.push t.read_keys key;
+      Intvec.push t.read_observed w1;
+      (* The entry that outgrows [dedup_scan_max] builds the index over
+         the whole set. *)
+      if n = dedup_scan_max then index_reads t 0 (n + 1)
+    end
   end;
   record_read t entry ~slot ~version:(Orec.version w1)
 
@@ -565,7 +650,7 @@ let rec invisible_sample : type a.
       invisible_sample t entry tvar ~slot word (retries + 1)
     end
     else if Orec.version w1 <= t.rv then begin
-      log_invisible_read t entry ~slot word w1;
+      log_invisible_read t entry ~slot w1;
       value
     end
     else if entry.re_config.Region.mv_depth > 0 then begin
@@ -581,7 +666,7 @@ let rec invisible_sample : type a.
       if Mv_history.epoch st = entry.re_config.Region.mv_epoch && Mv_history.version st <= t.rv
       then begin
         Region_stats.incr_mv_hist_reads entry.re_stripe;
-        log_invisible_read t entry ~slot word w1;
+        log_invisible_read t entry ~slot w1;
         value
       end
       else
@@ -623,7 +708,7 @@ let holds_visible t ~key =
 let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : Lock_table.t)
     ~slot (word : int Atomic.t) : a =
   let counter = Lock_table.reader_counter table slot in
-  let key = Lock_table.slot_key table slot in
+  let key = key_of entry slot in
   let w0 = Atomic.get word in
   if Orec.locked_by w0 ~owner:t.id then Tvar.peek tvar
   else if holds_visible t ~key then
@@ -633,8 +718,8 @@ let read_visible (type a) t (entry : region_entry) (tvar : a Tvar.t) ~(table : L
   else begin
     Runtime_hook.charge Runtime_hook.Read_visible;
     ignore (Atomic.fetch_and_add counter 1);
-    Vec.push t.vis_counters counter;
-    Intmap.set t.vis_index key (Vec.length t.vis_counters - 1);
+    Intmap.set t.vis_index key (Intvec.length t.vis_keys);
+    Intvec.push t.vis_keys key;
     t.own_bloom <- t.own_bloom lor bloom_bits key;
     let w = Atomic.get word in
     if Orec.is_locked w then
@@ -774,7 +859,7 @@ let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t
       acquire_attempt t entry ~slot ~key word counter (retries + 1)
     end
     else begin
-      Vec.push t.lock_words word;
+      Intvec.push t.lock_keys key;
       (* Visible holds are unique per counter (read_visible guards on
          [holds_visible]), so our share of the counter is a membership
          test: 1 if we hold this slot's counter, else 0. *)
@@ -795,9 +880,7 @@ let rec acquire_attempt t (entry : region_entry) ~slot ~key (word : int Atomic.t
   end
 
 let acquire_slot t (entry : region_entry) ~slot word counter =
-  acquire_attempt t entry ~slot
-    ~key:(Lock_table.slot_key entry.re_config.Region.table slot)
-    word counter 0
+  acquire_attempt t entry ~slot ~key:(key_of entry slot) word counter 0
 
 let record_write t (entry : region_entry) ~slot =
   match t.engine.Engine.access with
@@ -880,7 +963,7 @@ let modify t tvar f = write t tvar (f (read t tvar))
    set, so it requires at least one invisible read before the call. *)
 let retry t =
   check_active t "Txn.retry";
-  if Vec.is_empty t.read_words then
+  if Intvec.length t.read_keys = 0 then
     invalid_arg "Txn.retry: nothing read invisibly (the wait set would be empty)";
   record_conflict t ~cause:Engine.Explicit_retry ~region:(fallback_region_id t) ~slot:(-1);
   raise Retry
@@ -889,14 +972,14 @@ let retry t =
 
 let begin_txn t =
   Engine.enter t.engine ~worker:t.worker_id;
-  Vec.clear t.read_words;
+  Intvec.clear t.read_keys;
   Intvec.clear t.read_observed;
-  Vec.clear t.lock_words;
-  Vec.clear t.vis_counters;
+  Intvec.clear t.lock_keys;
+  Intvec.clear t.vis_keys;
   Vec.clear t.writes;
   Vec.clear t.undo;
   Vec.clear t.ctl_checks;
-  Intvec.clear t.read_keys;
+  t.read_bloom <- 0;
   Intmap.clear t.read_index;
   Intmap.clear t.vis_index;
   t.own_bloom <- 0;
@@ -910,19 +993,18 @@ let begin_txn t =
   | Some r -> r.Engine.rec_begin ~txn:t.id ~worker:t.worker_id ~rv:t.rv
 
 let release_visible_holds t =
-  Vec.iter (fun counter -> ignore (Atomic.fetch_and_add counter (-1))) t.vis_counters
+  for i = 0 to Intvec.length t.vis_keys - 1 do
+    ignore (Atomic.fetch_and_add (reader_counter t (Intvec.get t.vis_keys i)) (-1))
+  done
 
 (* Descriptor reuse must not leak: [Vec.clear] only resets the length, so a
-   completed transaction would keep pinning its orec words, reader counters
-   and logged tvars (and through their values, whole tvar graphs) until
-   the worker's next transaction happened to overwrite the same slots.
-   Wipe the used prefix of every pointer-holding vec at transaction end
-   (O(entries used), not O(capacity)); the [Intvec] logs hold no
-   references and reset lazily at [begin_txn]. *)
+   completed transaction would keep pinning its logged tvars (and through
+   their values, whole tvar graphs) until the worker's next transaction
+   happened to overwrite the same slots.  Wipe the used prefix of every
+   pointer-holding vec at transaction end (O(entries used), not
+   O(capacity)); the int-keyed logs hold no references and reset lazily
+   at [begin_txn]. *)
 let release_references t =
-  Vec.wipe t.read_words;
-  Vec.wipe t.lock_words;
-  Vec.wipe t.vis_counters;
   Vec.wipe t.writes;
   Vec.wipe t.undo;
   Vec.wipe t.ctl_checks;
@@ -935,9 +1017,16 @@ let release_references t =
    entries).  0 after a completed transaction; pooled-but-inactive region
    entries are deliberate retention and not counted. *)
 let debug_resident t =
-  let active = List.fold_left (fun n e -> if e.re_epoch = t.txn_epoch then n + 1 else n) 0 t.entries in
-  Vec.resident t.read_words + Vec.resident t.lock_words + Vec.resident t.vis_counters
-  + Vec.resident t.writes + Vec.resident t.undo + Vec.resident t.ctl_checks + active
+  let active = ref 0 in
+  iter_active_entries t (fun _ -> incr active);
+  Vec.resident t.writes + Vec.resident t.undo + Vec.resident t.ctl_checks + !active
+
+(* White-box view of the invisible read set, in log order: each entry's
+   region id, lock-table slot and observed orec word. *)
+let debug_read_log t =
+  List.init (Intvec.length t.read_keys) (fun i ->
+      let key = Intvec.get t.read_keys i in
+      ((entry_of t key).re_region.Region.id, key_slot key, Intvec.get t.read_observed i))
 
 let finalize_success t =
   t.mv_inhibit <- false;
@@ -964,43 +1053,41 @@ let record_commit t ~stamp =
    already captured.  Quiescence guarantees the tuner never reconfigures
    while a holder is in flight, so a held word cannot outlive its region's
    commit-time-lock period. *)
-let rec ctl_acquire_writes t = function
-  | [] -> ()
-  | e :: rest ->
-      if
-        e.re_epoch = t.txn_epoch
-        && Protocol.is_commit_time_lock e.re_config.Region.mode.Mode.protocol
-        && e.re_writes > 0
-      then begin
-        match
-          Seqlock.acquire e.re_region.Region.ctl_seq
-            ~spin_limit:Engine.sample_retry_limit
-        with
-        | Some captured ->
-            e.re_ctl_held <- captured;
-            ctl_acquire_writes t rest
-        | None -> lock_conflict t e ~slot:(-1)
-      end
-      else ctl_acquire_writes t rest
+let rec ctl_acquire_writes t i =
+  if i >= 0 then begin
+    let e = t.entries.(i) in
+    if
+      e.re_epoch = t.txn_epoch
+      && Protocol.is_commit_time_lock e.re_config.Region.mode.Mode.protocol
+      && e.re_writes > 0
+    then begin
+      match Seqlock.acquire e.re_region.Region.ctl_seq ~spin_limit:Engine.sample_retry_limit with
+      | Some captured -> e.re_ctl_held <- captured
+      | None -> lock_conflict t e ~slot:(-1)
+    end;
+    ctl_acquire_writes t (i - 1)
+  end
 
-let rec ctl_release_held t = function
-  | [] -> ()
-  | e :: rest ->
-      if e.re_epoch = t.txn_epoch && e.re_ctl_held >= 0 then begin
-        Seqlock.release e.re_region.Region.ctl_seq ~captured:e.re_ctl_held;
-        e.re_ctl_held <- -1;
-        Region_stats.incr_ctl_commits e.re_stripe
-      end;
-      ctl_release_held t rest
+let rec ctl_release_held t i =
+  if i >= 0 then begin
+    let e = t.entries.(i) in
+    if e.re_epoch = t.txn_epoch && e.re_ctl_held >= 0 then begin
+      Seqlock.release e.re_region.Region.ctl_seq ~captured:e.re_ctl_held;
+      e.re_ctl_held <- -1;
+      Region_stats.incr_ctl_commits e.re_stripe
+    end;
+    ctl_release_held t (i - 1)
+  end
 
-let rec ctl_abandon_held t = function
-  | [] -> ()
-  | e :: rest ->
-      if e.re_epoch = t.txn_epoch && e.re_ctl_held >= 0 then begin
-        Seqlock.abandon e.re_region.Region.ctl_seq ~captured:e.re_ctl_held;
-        e.re_ctl_held <- -1
-      end;
-      ctl_abandon_held t rest
+let rec ctl_abandon_held t i =
+  if i >= 0 then begin
+    let e = t.entries.(i) in
+    if e.re_epoch = t.txn_epoch && e.re_ctl_held >= 0 then begin
+      Seqlock.abandon e.re_region.Region.ctl_seq ~captured:e.re_ctl_held;
+      e.re_ctl_held <- -1
+    end;
+    ctl_abandon_held t (i - 1)
+  end
 
 (* Write-back publish of one logged tvar: its buffered value becomes the
    committed one.  Whether it also retires the old value into the tvar's
@@ -1031,10 +1118,10 @@ let rec publish_writes t i =
 let publish_and_release t () =
   publish_writes t 0;
   let released = Orec.make_version t.commit_wv in
-  for i = 0 to Vec.length t.lock_words - 1 do
-    Atomic.set (Vec.get t.lock_words i) released
+  for i = 0 to Intvec.length t.lock_keys - 1 do
+    Atomic.set (orec_word t (Intvec.get t.lock_keys i)) released
   done;
-  ctl_release_held t t.entries
+  ctl_release_held t (t.entry_count - 1)
 
 (* An aborted multi-version write retires the still-current value with
    its version unchanged (see [Mv_history.retire]). *)
@@ -1063,14 +1150,14 @@ let undo_and_release t () =
         retire_unpublished tvar;
         if not (Bug.enabled Bug.Skip_undo_log) then tvar.Tvar.pending_owner <- Tvar.no_owner
   done;
-  for i = 0 to Vec.length t.lock_words - 1 do
-    let word = Vec.get t.lock_words i in
+  for i = 0 to Intvec.length t.lock_keys - 1 do
+    let word = orec_word t (Intvec.get t.lock_keys i) in
     Atomic.set word (Orec.prev (Atomic.get word))
   done;
   (* Sequence locks captured by an aborted commit: nothing was published,
      so restoring the captured even value keeps every reader snapshot
      taken under it valid. *)
-  ctl_abandon_held t t.entries;
+  ctl_abandon_held t (t.entry_count - 1);
   release_visible_holds t
 
 let commit t =
@@ -1088,7 +1175,7 @@ let commit t =
        clock tick, so a reader that observes the released (even) word also
        observes a clock past [wv] — seeing the word move implies the
        commit is complete. *)
-    ctl_acquire_writes t t.entries;
+    ctl_acquire_writes t (t.entry_count - 1);
     let wv = Engine.tick t.engine in
     let skip_validation =
       (* [wv = rv + 1]: no one committed since our snapshot — in any
@@ -1189,8 +1276,8 @@ let rec atomically_loop : type a. t -> (t -> a) -> a =
       atomically_loop t f
   | exception Retry ->
       (* Snapshot the wait set before rollback clears it. *)
-      let n = Vec.length t.read_words in
-      let watched = Array.init n (Vec.get t.read_words) in
+      let n = Intvec.length t.read_keys in
+      let watched = Array.init n (fun i -> orec_word t (Intvec.get t.read_keys i)) in
       let observed = Array.init n (Intvec.get t.read_observed) in
       rollback t;
       run_retry_hook t;

@@ -61,6 +61,10 @@ val retry : t -> 'a
 
 exception Abort
 
+val dedup_scan_max : int
+(* Read sets of at most this many entries are deduplicated by a scan; a
+   larger one builds and probes an index.  R-P1 measures both sides. *)
+
 val rng : t -> Rng.t
 val validate : t -> bool
 val begin_txn : t -> unit
@@ -73,3 +77,7 @@ val debug_resident : t -> int
    transaction); 0 after a completed transaction. Pooled-but-inactive
    region entries are deliberate retention and not counted.
    Leak-regression probe. *)
+
+val debug_read_log : t -> (int * int * int) list
+(* The invisible read set in log order: each entry's region id, lock-table
+   slot and observed orec word. *)

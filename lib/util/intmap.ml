@@ -1,15 +1,15 @@
 (* Open-addressing hash map from non-negative int keys to int values,
-   built for the STM descriptor fast paths (Txn's read-set dedup and its
-   lock-set / visible-hold indexes):
+   built for the STM descriptor fast paths (Txn's read-set dedup, once a
+   read set outgrows its scanned size, and its visible-hold index):
 
    - one int array of 3-word buckets [stamp; key; value], so a probe reads
      one cache line and every store is a plain int store (no write
      barrier);
    - power-of-two bucket count, linear probing from a cheap fold of the
-     key, [key lxor (key lsr 17)]: the descriptor's keys
-     ([Lock_table.slot_key]) carry the lock-table slot in their low 17
-     bits, and the slot is already a [Bits.mix_int] of the tvar id, so a
-     second avalanche hash would only cost time;
+     key, [key lxor (key lsr 17)]: the descriptor's orec keys carry the
+     lock-table slot in their low 17 bits (and the index of the region's
+     descriptor entry above), and the slot is already a [Bits.mix_int] of
+     the tvar id, so a second avalanche hash would only cost time;
    - O(1) amortised insert and lookup, no boxing, no option allocation on
      the hot path ([find] returns -1 for absence);
    - O(1) [clear] by epoch stamping: each bucket carries the epoch in which
@@ -109,10 +109,3 @@ let[@inline] find_or_add t key value =
     claim t key value o;
     absent
   end
-
-let iter f t =
-  let buckets = t.buckets in
-  for i = 0 to t.mask do
-    let o = i * stride in
-    if buckets.(o) = t.epoch then f buckets.(o + 1) buckets.(o + 2)
-  done

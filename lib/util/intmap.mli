@@ -1,13 +1,13 @@
 (** Open-addressing map from non-negative int keys to int values with O(1)
     amortised insert/lookup and O(1) [clear] (epoch stamping — no
     per-clear allocation or array fill). Built for the transaction
-    descriptor's read-set dedup and lock-set/visible-hold indexes; not
-    thread-safe (single owner). Raises [Invalid_argument] on negative keys.
+    descriptor's read-set dedup and visible-hold index; not thread-safe
+    (single owner). Raises [Invalid_argument] on negative keys.
 
     The home bucket is a cheap fold of the key, not an avalanche hash:
-    keys should carry well-spread low bits, as [Lock_table.slot_key] does
-    (its low bits are a hashed slot). Other keys stay correct, only
-    probe chains may grow. *)
+    keys should carry well-spread low bits, as the descriptor's orec keys
+    do (their low 17 bits are a hashed lock-table slot). Other keys stay
+    correct, only probe chains may grow. *)
 
 type t
 
@@ -36,6 +36,3 @@ val length : t -> int
 
 val capacity : t -> int
 (** Current slot count (diagnostic / tests). *)
-
-val iter : (int -> int -> unit) -> t -> unit
-(** [iter f t] applies [f key value] to each live binding, in slot order. *)

@@ -2,8 +2,8 @@
    specialised to ints.  The element type is known here, so stores are
    plain (no [caml_modify] write barrier) and loads skip the float-array
    check that polymorphic array code performs.  Built for the transaction
-   descriptor's int logs (observed orec words, read-set keys, pre-lock
-   words). *)
+   descriptor's int logs (orec keys of reads, locks and visible holds,
+   observed orec words). *)
 
 type t = { mutable data : int array; mutable length : int }
 
@@ -16,10 +16,12 @@ let grow t =
   Array.blit t.data 0 bigger 0 t.length;
   t.data <- bigger
 
+(* The store is unchecked: [grow] has just made room for index [n]. *)
 let[@inline] push t x =
-  if t.length = Array.length t.data then grow t;
-  t.data.(t.length) <- x;
-  t.length <- t.length + 1
+  let n = t.length in
+  if n = Array.length t.data then grow t;
+  Array.unsafe_set t.data n x;
+  t.length <- n + 1
 
 let[@inline] get t i =
   if i < 0 || i >= t.length then invalid_arg "Intvec.get";

@@ -210,33 +210,56 @@ let distinct_slot_tvars p ~count =
   in
   gather [] 0
 
-(* A read set past the initial capacity of the descriptor's dedup index
-   and int logs: 100 tvars on distinct orecs, so every read adds an entry.
-   Growth happens during warm-up; afterwards the logs are reused, 10k
-   transactions stay within the same 64-word budget, and a committed
-   transaction pins nothing. *)
-let test_large_read_set_alloc () =
-  let system = System.create ~max_workers:4 () in
-  let p = System.partition system "alloc-reads" in
-  let tvars = distinct_slot_tvars p ~count:100 in
-  let words, resident =
-    Domain.join
-      (Domain.spawn (fun () ->
-           let txn = System.domain_descriptor system in
-           let body t = sum_reads t tvars 0 0 in
-           for _ = 1 to 256 do
-             ignore (System.atomically txn body)
-           done;
-           let before = Gc.minor_words () in
-           for _ = 1 to 10_000 do
-             ignore (System.atomically txn body)
-           done;
-           (Gc.minor_words () -. before, Txn.debug_resident txn)))
-  in
+(* Warm read-only transactions over [tvars] on one domain: the minor words
+   10k of them allocate after warm-up, and what the descriptor pins after
+   the last commit. *)
+let read_set_alloc_probe system tvars =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let txn = System.domain_descriptor system in
+         let body t = sum_reads t tvars 0 0 in
+         for _ = 1 to 256 do
+           ignore (System.atomically txn body)
+         done;
+         let before = Gc.minor_words () in
+         for _ = 1 to 10_000 do
+           ignore (System.atomically txn body)
+         done;
+         (Gc.minor_words () -. before, Txn.debug_resident txn)))
+
+let check_read_set_alloc ~name system tvars =
+  let words, resident = read_set_alloc_probe system tvars in
   check Alcotest.bool
-    (Printf.sprintf "10k warm 100-read txns allocated %.0f minor words (budget 64)" words)
+    (Printf.sprintf "10k warm %s txns allocated %.0f minor words (budget 64)" name words)
     true (words <= 64.0);
   check Alcotest.int "nothing pinned after commit" 0 resident
+
+(* Read sets past the initial capacity of the descriptor's int logs and
+   past [Txn.dedup_scan_max], on distinct orecs so that every read adds an
+   entry: 64 and 100 reads take the indexed dedup path (the index is
+   built once the set outgrows the scanned size, and grows at 100).
+   Growth happens during warm-up; afterwards 10k transactions stay within
+   the same 64-word budget, and a committed transaction pins nothing. *)
+let test_large_read_set_alloc () =
+  List.iter
+    (fun reads ->
+      let system = System.create ~max_workers:4 () in
+      let p = System.partition system "alloc-reads" in
+      check_read_set_alloc ~name:(Printf.sprintf "%d-read" reads) system
+        (distinct_slot_tvars p ~count:reads))
+    [ 64; 100 ]
+
+(* One transaction spanning three regions: read keys name three pooled
+   region entries, and nothing is allocated per region either. *)
+let test_three_region_alloc () =
+  let system = System.create ~max_workers:4 () in
+  let tvars =
+    Array.concat
+      (List.map
+         (fun name -> distinct_slot_tvars (System.partition system name) ~count:4)
+         [ "alloc-a"; "alloc-b"; "alloc-c" ])
+  in
+  check_read_set_alloc ~name:"3-region" system tvars
 
 (* Warm update transactions on one domain: each writes [writes] tvars of
    one partition in [mode].  Returns the minor words allocated by 10k
@@ -789,6 +812,8 @@ let () =
             test_tracer_alloc;
           Alcotest.test_case "100-read read set is allocation-free" `Quick
             test_large_read_set_alloc;
+          Alcotest.test_case "3-region transaction is allocation-free" `Quick
+            test_three_region_alloc;
         ] );
       ( "transfers",
         [ Alcotest.test_case "indexed descriptors under domains" `Quick test_transfers_domains ] );

@@ -723,6 +723,123 @@ let test_txn_dedup_exact () =
       check Alcotest.int "g14, 100 reads of 50 tvars: one entry per orec" orecs
         (validate_entry_charges txn tvars (List.init 100 (fun i -> i mod 50))))
 
+(* The invisible read set is a list-based dedup: a read of an orec not
+   locked by the transaction appends (region, slot, observed word) unless
+   the orec's latest entry already holds that word.  Random read sequences
+   over 1-3 regions at g0/g4/g10/g16, with the transaction's own writes
+   (whose orecs it then reads without logging) and a helper's commits in
+   between (which change observed words).  Lengths up to 600 cross the
+   switch from the scanned set to the indexed one.  Extension validation
+   is switched off so that a re-read after a helper commit extends instead
+   of aborting: the mismatching word must then be appended. *)
+type read_set_op = Rs_read of int * int | Rs_own_write of int * int | Rs_other_write of int * int
+
+let read_set_tvars = 48
+
+let read_set_op_gen ~regions =
+  QCheck2.Gen.(
+    let target = pair (int_range 0 (regions - 1)) (int_range 0 (read_set_tvars - 1)) in
+    frequency
+      [
+        (17, map (fun (r, i) -> Rs_read (r, i)) target);
+        (1, map (fun (r, i) -> Rs_own_write (r, i)) target);
+        (2, map (fun (r, i) -> Rs_other_write (r, i)) target);
+      ])
+
+let read_set_case_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 3) (oneofl [ 0; 4; 10; 16 ]) >>= fun grans ->
+    list_size (int_range 1 600) (read_set_op_gen ~regions:(List.length grans))
+    >|= fun ops -> (grans, ops))
+
+let read_set_matches_reference (grans, ops) =
+  let e = fresh_engine () in
+  let regions =
+    Array.of_list
+      (List.mapi
+         (fun k g -> Region.create e ~name:(Printf.sprintf "r%d" k) ~mode:(invisible_mode g) ())
+         grans)
+  in
+  let tvars = Array.map (fun r -> Array.init read_set_tvars (fun i -> Tvar.make r i)) regions in
+  let txn = Txn.create e ~worker_id:0 and helper = Txn.create e ~worker_id:1 in
+  let orec r i =
+    let table = regions.(r).Region.config.Region.table in
+    let slot = Lock_table.slot_of_id table tvars.(r).(i).Tvar.id in
+    (slot, Lock_table.word table slot)
+  in
+  let reference = ref [] (* newest first *) in
+  Bug.with_bug Bug.Skip_extension_validation (fun () ->
+      Txn.begin_txn txn;
+      List.iter
+        (function
+          | Rs_read (r, i) ->
+              ignore (Txn.read txn tvars.(r).(i));
+              let slot, word = orec r i in
+              let w = Atomic.get word in
+              let region = regions.(r).Region.id in
+              let latest =
+                List.find_opt (fun (r', s', _) -> r' = region && s' = slot) !reference
+              in
+              if (not (Orec.is_locked w)) && Option.map (fun (_, _, o) -> o) latest <> Some w then
+                reference := (region, slot, w) :: !reference
+          | Rs_own_write (r, i) -> Txn.write txn tvars.(r).(i) i
+          | Rs_other_write (r, i) ->
+              (* Only the transaction under test holds locks. *)
+              if not (Orec.is_locked (Atomic.get (snd (orec r i)))) then
+                Txn.atomically helper (fun h -> Txn.write h tvars.(r).(i) (i + 1)))
+        ops;
+      let logged = Txn.debug_read_log txn in
+      Txn.rollback txn;
+      logged = List.rev !reference)
+
+let prop_read_set_matches_reference =
+  qtest ~count:100 "read set matches list-based dedup" read_set_case_gen read_set_matches_reference
+
+(* A validation failure names the region and slot of the first stale read
+   entry, whichever of the transaction's regions holds it.  The
+   descriptor first touches the regions in the reverse of the order the
+   transaction activates them, so an entry's pooled index differs from
+   its activation rank. *)
+let test_txn_validation_attribution () =
+  let e = fresh_engine () in
+  let regions = Array.init 4 (fun k -> Region.create e ~name:(Printf.sprintf "r%d" k) ()) in
+  let tvars = Array.map (fun r -> Tvar.make r 0) regions in
+  let txn = Txn.create e ~worker_id:0 and helper = Txn.create e ~worker_id:1 in
+  Txn.atomically txn (fun t ->
+      for k = 3 downto 0 do
+        ignore (Txn.read t tvars.(k))
+      done);
+  let conflicts = ref [] in
+  let tap =
+    Engine.add_tap e
+      {
+        Engine.null_recorder with
+        Engine.rec_conflict =
+          (fun ~txn:_ ~cause ~region ~slot ->
+            if cause = Engine.Validation then conflicts := (region, slot) :: !conflicts);
+      }
+  in
+  for stale = 0 to 2 do
+    conflicts := [];
+    Txn.atomically txn (fun t ->
+        for k = 0 to 2 do
+          ignore (Txn.read t tvars.(k))
+        done;
+        if Txn.attempt t = 1 then
+          Txn.atomically helper (fun h -> Txn.write h tvars.(stale) (Txn.read h tvars.(stale) + 1));
+        (* An update, so the commit validates: the fourth region's orec is
+           untouched, so validation is what fails. *)
+        Txn.write t tvars.(3) stale);
+    let region = regions.(stale) in
+    let slot = Lock_table.slot_of_id region.Region.config.Region.table tvars.(stale).Tvar.id in
+    check
+      Alcotest.(list (pair int int))
+      (Printf.sprintf "stale entry in activated region %d" (stale + 1))
+      [ (region.Region.id, slot) ]
+      !conflicts
+  done;
+  Engine.remove_tap e tap
+
 (* A body exception under every valid protocol x write policy: rollback
    releases every lock and reader hold, leaves the commit-time seqlock and
    the multi-version state where they were, publishes nothing, and counts
@@ -1117,6 +1234,9 @@ let () =
             test_write_through_mixed_with_write_back;
           Alcotest.test_case "retry requires reads" `Quick test_retry_requires_reads;
           Alcotest.test_case "dedup charges one entry per orec" `Quick test_txn_dedup_exact;
+          prop_read_set_matches_reference;
+          Alcotest.test_case "validation names the stale region" `Quick
+            test_txn_validation_attribution;
           Alcotest.test_case "body exception under every mode" `Quick
             test_txn_body_exception_every_mode;
           Alcotest.test_case "ring dropped outside mv" `Quick test_txn_ring_dropped_outside_mv;
