@@ -111,21 +111,11 @@ let scenarios =
     };
   ]
 
-(* Best-of-batches seconds per call: interference on a shared box only ever
-   slows a batch down. *)
-let measure ~reps f =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best /. float_of_int reps
+(* One scenario's transaction at set size S, ready to time, with its
+   repetitions per batch and accesses per call. *)
+type point = { set_size : int; body : unit -> unit; reps : int; ops : int }
 
-let ns_per_op (cfg : Bench_config.t) scenario ~set_size =
+let prepare (cfg : Bench_config.t) scenario ~set_size =
   let system = System.create ~max_workers:8 () in
   let partition = System.partition system ~mode:scenario.sc_mode "p1-cost" in
   let tvars = distinct_slot_tvars partition ~count:(set_size + 1) in
@@ -137,8 +127,27 @@ let ns_per_op (cfg : Bench_config.t) scenario ~set_size =
   body ();
   (* warm-up *)
   let budget = if cfg.Bench_config.quick then 20_000 else 100_000 in
-  let reps = max 3 (budget / set_size) in
-  measure ~reps body /. float_of_int (scenario.sc_ops set_size) *. 1e9
+  { set_size; body; reps = max 3 (budget / set_size); ops = scenario.sc_ops set_size }
+
+(* Best-of-batches ns per access at each point.  Each batch times every
+   set size in turn, so a slow spell on a shared box slows neighbouring
+   sizes of one batch rather than every batch of a single size (which
+   would inflate that size's growth ratio alone); interference only ever
+   slows a batch down, so the best batch per size is kept. *)
+let measure points =
+  let best = Array.make (Array.length points) infinity in
+  for _ = 1 to 3 do
+    Array.iteri
+      (fun i p ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to p.reps do
+          p.body ()
+        done;
+        let dt = Unix.gettimeofday () -. t0 in
+        best.(i) <- Float.min best.(i) (dt /. float_of_int (p.reps * p.ops) *. 1e9))
+      points
+  done;
+  Array.to_list (Array.mapi (fun i p -> (p.set_size, best.(i))) points)
 
 (* -- Driver ---------------------------------------------------------------- *)
 
@@ -148,7 +157,9 @@ let run (cfg : Bench_config.t) =
   let sizes = [ lo; 16; Txn.dedup_scan_max; Txn.dedup_scan_max + 1; 64; 512 ] in
   List.iter
     (fun scenario ->
-      let costs = List.map (fun s -> (s, ns_per_op cfg scenario ~set_size:s)) sizes in
+      let costs =
+        measure (Array.of_list (List.map (fun s -> prepare cfg scenario ~set_size:s) sizes))
+      in
       let figure =
         Figure.create
           ~id:(Printf.sprintf "exp-p1-%s" scenario.sc_name)

@@ -16,7 +16,18 @@
    would rather use fine-grained detection for non-contended regions."
    Coarse tables make conflicts cheap and early (one lock covers the
    region); fine tables avoid false conflicts.  We coarsen under sustained
-   high conflict rates and refine when conflicts are rare.
+   high conflict rates and refine when conflicts are rare.  One rule is
+   driven by cost rather than contention: a fan-out partition, whose
+   update transactions write more than [fanout_writes_hi] tvars each,
+   pays a lock CAS and a release per orec it covers, and its readers log
+   as many entries, so it coarsens while its abort rate is at or below
+   [fanout_abort_hi] (feed's celebrity posts: 268 writes each).  Between
+   [fanout_abort_hi] and [abort_rate_hi] lies a band where the
+   granularity stays put, so this rule and the high-abort "large region
+   refines" rule cannot undo each other; a fan-out partition above
+   [abort_rate_hi] still refines (R-Y1's 8 simulated feed workers collide
+   on timelines at an abort rate of 0.40), and a quiet fan-out partition
+   is never refined.
 
    Concurrency-control protocol (DESIGN.md §10).  A read-dominated
    partition whose read-only transactions still pay validation (or abort
@@ -54,7 +65,9 @@ let wasted_validation_hi = 0.12 (* val_fails/attempts to justify visible *)
 let abort_rate_hi = 0.35 (* coarsen above this conflict pressure ... *)
 let writes_per_update_txn_hi = 3.0 (* ... if txns also lock several orecs *)
 let small_region_tvars = 256 (* ... and the region is object-sized *)
-let abort_rate_lo = 0.02 (* refine below this *)
+let abort_rate_lo = 0.02 (* refine below this ... *)
+let fanout_writes_hi = 64.0 (* ... unless update txns write more than this: coarsen ... *)
+let fanout_abort_hi = 0.15 (* ... while the abort rate is at or below this *)
 let write_through_abort_lo = 0.02 (* switch to write-through below this ... *)
 let write_through_abort_hi = 0.15 (* ... and back to write-back above this *)
 let granularity_step = 4 (* log2 slots added/removed per decision *)
@@ -163,6 +176,11 @@ let explain { delta; current; tvars; mv_blocked } =
     in
     let granularity =
       let g = current.Mode.granularity_log2 in
+      (* The quiet-refine rule below must not fire on a fan-out
+         partition, or the two would undo each other at the floor. *)
+      let fan_out =
+        writes_per_update_txn > fanout_writes_hi && abort_rate <= fanout_abort_hi
+      in
       (* Coarsening only pays when transactions acquire several locks in this
          partition (one coarse lock replaces them), conflicts are frequent
          anyway, AND the region is object-sized (the paper's coarse detection
@@ -193,6 +211,17 @@ let explain { delta; current; tvars; mv_blocked } =
           (min granularity_hi (g + granularity_step))
           abort_rate abort_rate_hi tvars small_region_tvars;
         min granularity_hi (g + granularity_step)
+      end
+      else if fan_out && g > Mode.granularity_min then begin
+        trig "coarsen to g%d: fan-out writes/update-txn %.1f > %.1f at abort_rate %.3f <= %.2f"
+          (max Mode.granularity_min (g - granularity_step))
+          writes_per_update_txn fanout_writes_hi abort_rate fanout_abort_hi;
+        max Mode.granularity_min (g - granularity_step)
+      end
+      else if fan_out then begin
+        rej "granularity change: fan-out writes/update-txn %.1f > %.1f at the coarsest g%d"
+          writes_per_update_txn fanout_writes_hi g;
+        g
       end
       else if abort_rate < abort_rate_lo && g < granularity_hi then begin
         trig "refine to g%d: abort_rate %.3f < %.3f" (min granularity_hi (g + granularity_step))
@@ -340,9 +369,3 @@ let why_to_json w =
       ( "rejected",
         Partstm_util.Json.List (List.map (fun m -> Partstm_util.Json.String m) w.w_rejected) );
     ]
-
-let pp_why ppf w =
-  Fmt.pf ppf "inputs: attempts=%d abort=%.2f update=%.2f wasted=%.3f ro=%.2f" w.w_attempts
-    w.w_abort_rate w.w_update_ratio w.w_wasted_validation w.w_ro_commit_ratio;
-  List.iter (fun m -> Fmt.pf ppf "@,+ %s" m) w.w_triggered;
-  List.iter (fun m -> Fmt.pf ppf "@,- %s" m) w.w_rejected

@@ -56,4 +56,3 @@ val explain : observation -> verdict
     thresholds fixed in the implementation. *)
 
 val why_to_json : why -> Partstm_util.Json.t
-val pp_why : Format.formatter -> why -> unit

@@ -358,6 +358,103 @@ let prop_policy_proposals_valid =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:500 ~name:"proposals are valid modes" ~print gen law)
 
+(* A fan-out partition: 100 update commits writing 268 tvars each (feed's
+   timeline posts), beside read-only commits, at an abort rate of
+   [aborts / (commits + aborts)].  No read-only attempt aborts, so only the
+   granularity and write-policy arms are in play. *)
+let fan_out ~commits ~aborts =
+  snapshot ~commits ~ro_commits:(commits - 100) ~aborts ~writes:26_800 ()
+
+let test_policy_fan_out_coarsens () =
+  let { Tuning_policy.decision; why; _ } =
+    explain ~current:(invisible 10) (fan_out ~commits:950 ~aborts:50)
+  in
+  expect_switch "abort 0.05 coarsens g10 to g6" (invisible 6) decision;
+  check Alcotest.bool "the trail names the fan-out rule" true
+    (has_message "fan-out" why.Tuning_policy.w_triggered)
+
+let test_policy_fan_out_floor () =
+  let { Tuning_policy.decision; why; _ } =
+    explain ~current:(invisible 0) (fan_out ~commits:950 ~aborts:50)
+  in
+  expect_keep "g0 is kept" decision;
+  check Alcotest.bool "the rejection names the floor" true
+    (has_message "at the coarsest" why.Tuning_policy.w_rejected)
+
+let test_policy_fan_out_band () =
+  (* Abort rate 0.25: above the fan-out bound, below [abort_rate_hi]. *)
+  expect_keep "no move inside the band"
+    (decide ~current:(invisible 10) (fan_out ~commits:750 ~aborts:250))
+
+let test_policy_fan_out_quiet_not_refined () =
+  (* Abort rate 0.01 would refine any other partition; write-through may
+     still fire on it. *)
+  List.iter
+    (fun g ->
+      match decide ~current:(invisible g) (fan_out ~commits:990 ~aborts:10) with
+      | Tuning_policy.Keep -> ()
+      | Tuning_policy.Switch m ->
+          if m.Mode.granularity_log2 > g then
+            Alcotest.failf "g%d refined to %a" g Mode.pp m)
+    [ 0; 6; 10 ]
+
+(* On a steady workload the granularity settles: each proposed mode (and
+   block) is fed back as the next period's current over 12 periods of the
+   same observation, and the granularity reaches a fixed point without ever
+   returning to a value it left.  Half the cases are fan-out partitions
+   (64+ writes per update transaction) and half have a quiet abort rate, so
+   the fan-out and quiet-refine rules meet at the floor. *)
+let prop_policy_granularity_settles =
+  let gen =
+    let open QCheck2.Gen in
+    let+ commits = int_range Tuning_policy.min_attempts 2000
+    and+ ro_percent = int_range 0 99
+    and+ abort_permille = oneof [ int_range 0 19; int_range 0 800 ]
+    and+ writes_per_update = oneof [ int_range 0 8; int_range 60 400 ]
+    and+ reads = int_range 0 100_000
+    and+ protocol =
+      oneofl
+        [ Protocol.Single_version; Protocol.Multi_version { depth = 8 }; Protocol.Commit_time_lock ]
+    and+ granularity_log2 = int_range Mode.granularity_min Mode.granularity_max
+    and+ tvars = oneof [ int_range 1 300; int_range 1 1_000_000 ]
+    and+ mv_blocked = bool in
+    let ro_commits = commits * ro_percent / 100 in
+    {
+      Tuning_policy.delta =
+        snapshot ~commits ~ro_commits
+          ~aborts:(commits * abort_permille / 1000)
+          ~reads
+          ~writes:((commits - ro_commits) * writes_per_update)
+          ();
+      current = Mode.with_protocol protocol (Mode.make ~granularity_log2 ());
+      tvars;
+      mv_blocked;
+    }
+  in
+  let print o =
+    let d = o.Tuning_policy.delta in
+    Fmt.str "%a tvars=%d blocked=%b commits=%d ro=%d aborts=%d reads=%d writes=%d" Mode.pp
+      o.Tuning_policy.current o.Tuning_policy.tvars o.Tuning_policy.mv_blocked
+      d.Region_stats.s_commits d.Region_stats.s_ro_commits d.Region_stats.s_aborts
+      d.Region_stats.s_reads d.Region_stats.s_writes
+  in
+  let law obs =
+    let rec go period obs seen =
+      let g = obs.Tuning_policy.current.Mode.granularity_log2 in
+      let { Tuning_policy.decision; mv_blocked; _ } = Tuning_policy.explain obs in
+      let next = match decision with Tuning_policy.Keep -> obs.current | Switch m -> m in
+      let g' = next.Mode.granularity_log2 in
+      if g' <> g && List.mem g' seen then
+        QCheck2.Test.fail_reportf "period %d: g%d returned to g%d (seen %s)" period g g'
+          (String.concat " " (List.rev_map string_of_int seen));
+      if period = 12 then g' = g
+      else go (period + 1) { obs with current = next; mv_blocked } (g' :: seen)
+    in
+    go 1 obs [ obs.Tuning_policy.current.Mode.granularity_log2 ]
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"granularity settles on a steady workload" ~print gen law)
+
 (* -- Tuner ------------------------------------------------------------------ *)
 
 (* Drive an update-heavy contended partition with domains while stepping the
@@ -611,6 +708,12 @@ let () =
             test_policy_mv_blocked_stays_single_version;
           Alcotest.test_case "mv block lifecycle" `Quick test_policy_mv_block_lifecycle;
           prop_policy_proposals_valid;
+          Alcotest.test_case "fan-out coarsens" `Quick test_policy_fan_out_coarsens;
+          Alcotest.test_case "fan-out kept at g0" `Quick test_policy_fan_out_floor;
+          Alcotest.test_case "fan-out band keeps" `Quick test_policy_fan_out_band;
+          Alcotest.test_case "quiet fan-out not refined" `Quick
+            test_policy_fan_out_quiet_not_refined;
+          prop_policy_granularity_settles;
         ] );
       ( "tuner",
         [

@@ -252,6 +252,35 @@ let test_more_than_64_workers () =
   let feed = Feed.run ~backend:(`Sim cycles) ~workers ~seed:1 Feed.quick_config in
   check Alcotest.bool "feed verified" true feed.Feed.r_verified
 
+(* A celebrity post writes hundreds of timeline slots while two simulated
+   workers rarely collide: the tuner coarsens feed-timelines on the fan-out
+   rule instead of leaving it at the default g10. *)
+let test_feed_fan_out_coarsens () =
+  let report =
+    Feed.run ~backend:(`Sim (Feed.bench_sim_cycles ~quick:true)) ~workers:2 ~seed:7 Feed.quick_config
+  in
+  check Alcotest.bool "feed verified" true report.Feed.r_verified;
+  let timelines =
+    List.find (fun o -> o.Feed.po_name = "feed-timelines") report.Feed.r_outcomes
+  in
+  (match Mode.of_string timelines.Feed.po_final with
+  | Ok m ->
+      if m.Mode.granularity_log2 >= 10 then
+        Alcotest.failf "feed-timelines ended at %s, not coarser than g10" timelines.Feed.po_final
+  | Error e -> Alcotest.failf "final mode %S: %s" timelines.Feed.po_final e);
+  let names_fan_out e =
+    e.Feed.ex_partition = "feed-timelines"
+    && List.exists
+         (fun m ->
+           let needle = "fan-out" in
+           let n = String.length needle in
+           let rec at i = i + n <= String.length m && (String.sub m i n = needle || at (i + 1)) in
+           at 0)
+         e.Feed.ex_triggered
+  in
+  check Alcotest.bool "an explain entry names the fan-out rule" true
+    (List.exists names_fan_out report.Feed.r_explain)
+
 (* -- Driver ---------------------------------------------------------------------------------- *)
 
 let test_driver_sim_deterministic () =
@@ -403,6 +432,7 @@ let () =
           Alcotest.test_case "time series" `Quick test_phased_time_series_accounts_ops;
           Alcotest.test_case "65 simulated workers" `Quick test_more_than_64_workers;
         ] );
+      ("feed", [ Alcotest.test_case "fan-out coarsens timelines" `Quick test_feed_fan_out_coarsens ]);
       ( "catalogue",
         [
           Alcotest.test_case "every entry under every strategy" `Quick test_catalogue_runs;
