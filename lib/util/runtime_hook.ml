@@ -25,16 +25,12 @@ type event =
           simulator, n [Domain.cpu_relax] calls on domains (~27 ns each on
           an x86 Xeon, so not cycles there) *)
 
-(* In domain mode most events cost nothing extra (the hardware is doing the
-   real work), but contention-manager backoff must actually delay. *)
-let default_charge = function
-  | Backoff n ->
-      for _ = 1 to n do
-        Domain.cpu_relax ()
-      done
-  | Step _ | Read_invisible | Read_visible | Lock_acquire | Write_entry | Commit_fixed
-  | Validate_entry | Abort_restart | First_touch ->
-      ()
+(* Contention-manager backoff must actually delay in domain mode; every
+   other event costs nothing extra there (the hardware does the real work). *)
+let spin n =
+  for _ = 1 to n do
+    Domain.cpu_relax ()
+  done
 
 let default_relax () = Domain.cpu_relax ()
 
@@ -45,20 +41,30 @@ let default_relax () = Domain.cpu_relax ()
    injected kills until the section ends. *)
 let default_critical f = f ()
 
-let charge_ref = ref default_charge
+(* [installed] is set by [install] and cleared by [reset].  While it is
+   clear, [charge] makes no indirect call: the engine calls it on every
+   access, and on domains nothing is installed. *)
+let installed = ref false
+let no_charge (_ : event) = ()
+let charge_ref = ref no_charge
 let relax_ref = ref default_relax
 let critical_ref = ref default_critical
 
-let charge event = !charge_ref event
+let charge event =
+  if !installed then !charge_ref event
+  else match event with Backoff n -> spin n | _ -> ()
+
 let relax () = !relax_ref ()
 let critical f = !critical_ref f
 
 let install ?(critical = default_critical) ~charge ~relax () =
   charge_ref := charge;
   relax_ref := relax;
-  critical_ref := critical
+  critical_ref := critical;
+  installed := true
 
 let reset () =
-  charge_ref := default_charge;
+  installed := false;
+  charge_ref := no_charge;
   relax_ref := default_relax;
   critical_ref := default_critical

@@ -17,7 +17,9 @@ type event =
           an x86 Xeon, so not cycles there) *)
 
 val charge : event -> unit
-(** Report an engine event. No-op by default. *)
+(** Report an engine event to the installed hook.  With none installed it
+    makes no indirect call: [Backoff n] spins [n] [Domain.cpu_relax] and
+    every other event is a no-op. *)
 
 val relax : unit -> unit
 (** Spin-wait pause. [Domain.cpu_relax] by default; a 1-cycle yield under the
@@ -34,7 +36,8 @@ val install :
   relax:(unit -> unit) ->
   unit ->
   unit
-(** Replace the hooks. Must not be called while workers are running. *)
+(** Replace the hooks; [charge] then reaches the installed hook for every
+    event. Must not be called while workers are running. *)
 
 val reset : unit -> unit
 (** Restore the domain-mode defaults. *)
