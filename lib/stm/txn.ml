@@ -916,6 +916,7 @@ let write (type a) t (tvar : a Tvar.t) (value : a) =
     (* The snapshot is frozen by a history read and a commit could not
        validate it: abort now, and inhibit history serving for the retry. *)
     t.mv_inhibit <- true;
+    if t.cur_epoch = t.txn_epoch then Region_stats.incr_validation_fails t.cur_stripe;
     record_conflict t ~cause:Engine.Validation ~region:(fallback_region_id t) ~slot:(-1);
     raise Abort
   end;

@@ -304,6 +304,9 @@ let heatmap_reconciliation_test =
         [
           ("invisible", Mode.make ());
           ("visible", Mode.make ~visibility:Mode.Visible ());
+          (* A transfer that reads [src] from the history and then writes
+             it aborts on the frozen snapshot: a validation failure. *)
+          ("mv8", Mode.make ~protocol:(Protocol.Multi_version { depth = 8 }) ());
         ])
 
 (* -- Mutation gate with a tracer attached ------------------------------------ *)
