@@ -43,7 +43,8 @@ let default_critical f = f ()
 
 (* [installed] is set by [install] and cleared by [reset].  While it is
    clear, [charge] makes no indirect call: the engine calls it on every
-   access, and on domains nothing is installed. *)
+   access, and on domains nothing is installed.  The flag alone gates the
+   hook, so [reset] leaves [charge_ref] as it was. *)
 let installed = ref false
 let no_charge (_ : event) = ()
 let charge_ref = ref no_charge
@@ -65,6 +66,5 @@ let install ?(critical = default_critical) ~charge ~relax () =
 
 let reset () =
   installed := false;
-  charge_ref := no_charge;
   relax_ref := default_relax;
   critical_ref := default_critical

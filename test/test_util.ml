@@ -673,15 +673,28 @@ let test_fs_write_file () =
 
 (* -- Runtime hook ---------------------------------------------------------- *)
 
+let hook_events =
+  Runtime_hook.
+    [
+      Step 1; Read_invisible; Read_visible; Lock_acquire; Write_entry; Commit_fixed;
+      Validate_entry; Abort_restart; First_touch; Backoff 3;
+    ]
+
 let test_runtime_hook_install_reset () =
   let hits = ref 0 in
   Runtime_hook.install ~charge:(fun _ -> incr hits) ~relax:(fun () -> incr hits) ();
-  Runtime_hook.charge (Runtime_hook.Step 1);
+  List.iter Runtime_hook.charge hook_events;
+  check Alcotest.int "every event reaches the installed hook" (List.length hook_events) !hits;
   Runtime_hook.relax ();
-  check Alcotest.int "hooks fired" 2 !hits;
+  check Alcotest.int "relax reaches the installed hook" (List.length hook_events + 1) !hits;
   Runtime_hook.reset ();
-  Runtime_hook.charge (Runtime_hook.Step 1);
-  check Alcotest.int "default is silent" 2 !hits;
+  let before = !hits in
+  List.iter Runtime_hook.charge hook_events;
+  Runtime_hook.relax ();
+  check Alcotest.int "no event reaches a reset hook" before !hits;
+  (* With no hook installed, backoff spins and returns. *)
+  Runtime_hook.charge (Runtime_hook.Backoff 1000);
+  check Alcotest.int "backoff spins without the hook" before !hits;
   (* [critical] defaults to the identity and is restored by [reset]. *)
   let ran = ref false in
   Runtime_hook.critical (fun () -> ran := true);
