@@ -46,8 +46,7 @@ let default_critical f = f ()
    access, and on domains nothing is installed.  The flag alone gates the
    hook, so [reset] leaves [charge_ref] as it was. *)
 let installed = ref false
-let no_charge (_ : event) = ()
-let charge_ref = ref no_charge
+let charge_ref = ref (fun (_ : event) -> ())
 let relax_ref = ref default_relax
 let critical_ref = ref default_critical
 
